@@ -11,8 +11,6 @@ from .analytics import (
     Thresholds,
     advect_forecast,
     classify,
-    compute_indicators,
-    evolve_pattern,
 )
 from .backbone import (
     CalibrationMap,
@@ -21,7 +19,6 @@ from .backbone import (
     RemoteBaseStation,
     StoredRecord,
     backbone_link_budget,
-    query_window,
 )
 from .config import ScenarioConfig, load_config, validate
 from .energy import EnergyLedger, EnergyParams
@@ -41,18 +38,15 @@ from .geometry import (
     footprint_area,
     tile_region,
 )
-from .kernel import EntityId, EntityKind, Event, Kernel, RngStream
+from .kernel import EntityId, EntityKind, Kernel, RngStream
 from .stack import (
     Channel,
     DataMessage,
     GradientEntry,
     Interest,
-    MacFrame,
     RoutingMode,
     SensorNode,
     TransportLink,
-    TransportMode,
-    fragment,
 )
 from .runner import build_scenario, run_scenario
 

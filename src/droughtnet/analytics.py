@@ -58,14 +58,6 @@ _LABELS = {
     SeverityClass.MODERATE: "Moderate",
     SeverityClass.SERIOUS: "Serious",
 }
-_BY_LABEL = {v: k for k, v in _LABELS.items()}
-
-
-def severity_from_label(label: str) -> SeverityClass:
-    try:
-        return _BY_LABEL[label]
-    except KeyError:
-        raise AnalyticsError(f"unknown severity label {label!r}") from None
 
 
 def escalate(cls: SeverityClass) -> SeverityClass:
@@ -156,15 +148,10 @@ def _indicators_from_acc(region_id: int, window: tuple[int, int], acc: list,
     )
 
 
-def compute_indicators(db: CentralDatabase, region_id: int, window: tuple[int, int],
-                       climatology: Climatology) -> DroughtIndicators:
-    """Indicators from calibrated records in the half-open window [t0, t1)."""
-    return indicators_all(db, {region_id: climatology}, window)[region_id]
-
-
 def indicators_all(db: CentralDatabase, climatologies: dict[int, Climatology],
                    window: tuple[int, int]) -> dict[int, DroughtIndicators]:
-    """One database pass serving every region's window indicators."""
+    """Indicators of every given region from calibrated records in the
+    half-open window [t0, t1), in one database pass."""
     t0, t1 = window
     if t1 - t0 < MIN_WINDOW_S:
         raise AnalyticsError(f"window shorter than 30 days: {window}")
@@ -193,17 +180,11 @@ def classify(ind: DroughtIndicators, thresholds: Thresholds = Thresholds()) -> S
     return SeverityClass.NON_DROUGHT
 
 
-def evolve_pattern(db: CentralDatabase, region_id: int, window_len_days: int,
-                   climatology: Climatology,
-                   thresholds: Thresholds = Thresholds()) -> EvolutionPattern:
-    """Partition the record span into consecutive windows and classify each."""
-    return evolve_all(db, {region_id: climatology}, window_len_days, thresholds)[region_id]
-
-
 def evolve_all(db: CentralDatabase, climatologies: dict[int, Climatology],
                window_len_days: int,
                thresholds: Thresholds = Thresholds()) -> dict[int, EvolutionPattern]:
-    """One database pass serving every region's evolution pattern."""
+    """Partition the record span into consecutive windows and classify
+    each, for every given region in one database pass."""
     if window_len_days < 30:
         raise AnalyticsError("windows must be at least 30 days")
     if len(db) == 0:

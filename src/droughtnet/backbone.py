@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .environment import SENSOR_FIELDS, SensorReading
 from .geometry import GeoPoint
 from .kernel import EntityId, EntityKind, Kernel, Message
-from .stack import DataMessage, TransportLink, TransportMode, transport_dispatch
+from .stack import DataMessage, TransportLink, transport_dispatch
 
 DEFAULT_BACKBONE_RANGE_KM = 120.0
 DEFAULT_LOCAL_DB_CAPACITY = 10_000
@@ -195,27 +195,6 @@ class CentralDatabase:
         return db
 
 
-def query_window(db: CentralDatabase, region_id: int, field_name: str,
-                 window: tuple[int, int]) -> list[tuple[int, float]]:
-    """Calibrated time series for one region and field, averaged across
-    the region's nodes per timestamp; empty window gives an empty series."""
-    if field_name not in SENSOR_FIELDS:
-        raise BackboneError(f"unknown field {field_name}")
-    t0, t1 = window
-    col = db.cal[field_name]
-    sums: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    region_col, ts_col = db.region, db.ts
-    for i in range(len(ts_col)):
-        if region_col[i] != region_id:
-            continue
-        t = ts_col[i]
-        if t0 <= t <= t1:
-            sums[t] = sums.get(t, 0.0) + col[i]
-            counts[t] = counts.get(t, 0) + 1
-    return [(t, sums[t] / counts[t]) for t in sorted(sums)]
-
-
 @dataclass(frozen=True, slots=True)
 class LinkBudget:
     in_range: bool
@@ -322,7 +301,7 @@ class LocalBaseStation:
         self._store(entry)
         if self.uplink is not None:
             self._pending_ack[record.key()] = entry
-            self.uplink.send(record, TransportMode.RELIABLE)
+            self.uplink.send(record)
         return record
 
     def _store(self, entry: list) -> None:

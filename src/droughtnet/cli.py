@@ -15,11 +15,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-from .analytics import advect_forecast, classify, evolve_all, forecast_to_json, indicators_all, patterns_to_csv_lines
 from .backbone import CentralDatabase
 from .config import ScenarioConfig, config_from_dict, load_config, validate
-from .geometry import GeoPoint, connectivity_check, plans_to_json, tile_region
-from .runner import compare_runs, run_scenario
+from .runner import analyse_db, compare_runs, place, run_scenario, write_analysis, write_placement
 
 
 def _load(args) -> ScenarioConfig:
@@ -35,22 +33,14 @@ def _load(args) -> ScenarioConfig:
 
 def cmd_plan(args) -> int:
     cfg = _load(args)
-    from .geometry import estimate_node_count
-
-    estimate = estimate_node_count(100.0, cfg.cell_shape, cfg.radio_range_km)
-    node_count = cfg.node_count_override or estimate + 1
-    plans = []
-    for rc in cfg.regions:
-        plan = tile_region(rc.region_id, cfg.cell_shape, cfg.radio_range_km, node_count,
-                           anchor_km=rc.anchor_km, region_size_km=cfg.region_size_km)
-        conn = connectivity_check(plan, 2.0 * cfg.radio_range_km)
-        plans.append(plan)
-        print(f"region {rc.region_id}: {node_count} nodes "
+    placed = place(cfg)
+    for plan, conn in placed:
+        print(f"region {plan.region_id}: {len(plan.all_positions())} nodes "
               f"({cfg.cell_shape.value}, range {cfg.radio_range_km} km), "
               f"connected={conn.connected}")
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "placement.json").write_text(plans_to_json(plans) + "\n", encoding="utf-8")
+    write_placement(out, [plan for plan, _ in placed])
     print(f"wrote {out / 'placement.json'}")
     return 0
 
@@ -72,28 +62,13 @@ def cmd_classify(args) -> int:
     cfg = _load(args)
     with open(args.db, encoding="utf-8") as fh:
         db = CentralDatabase.from_csv_lines(fh)
-    climatologies = {r.region_id: r.climatology for r in cfg.regions}
-    present = set(db.region)
-    climatologies = {r: c for r, c in climatologies.items() if r in present}
-    if not climatologies:
+    if len(db) and not {r.region_id for r in cfg.regions} & set(db.region):
         print("no configured regions present in the database", file=sys.stderr)
         return 1
-    _, t1 = db.span()
-    indicators = indicators_all(db, climatologies, (0, t1 + 1))
-    classes = {r: classify(ind, cfg.thresholds) for r, ind in indicators.items()}
-    patterns = evolve_all(db, climatologies, cfg.window_days, cfg.thresholds)
-    centroids = {
-        r.region_id: GeoPoint(r.anchor_km[0] + cfg.region_size_km / 2.0,
-                              r.anchor_km[1] + cfg.region_size_km / 2.0)
-        for r in cfg.regions if r.region_id in climatologies
-    }
-    forecast = advect_forecast(classes, indicators, centroids)
+    classes, _, patterns, forecast = analyse_db(cfg, db)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "pattern.csv", "w", encoding="utf-8", newline="\n") as fh:
-        for line in patterns_to_csv_lines(patterns):
-            fh.write(line + "\n")
-    (out / "forecast.json").write_text(forecast_to_json(classes, forecast) + "\n", encoding="utf-8")
+    write_analysis(out, classes, patterns, forecast)
     for region in sorted(classes):
         print(f"region {region}: {classes[region].label} -> forecast {forecast[region].label}")
     print(f"wrote {out / 'pattern.csv'} and {out / 'forecast.json'}")
@@ -135,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="override the routing mode")
 
     p = sub.add_parser("plan", help="compute and export node placement only")
-    common(p)
+    common(p, routing=False)
     p.set_defaults(fn=cmd_plan)
 
     p = sub.add_parser("run", help="run the full pipeline and write all exports")

@@ -50,6 +50,8 @@ class EnergyLedger:
 
 
 def tx_cost_mj(params: EnergyParams, n_bytes: int, distance_km: float) -> float:
+    """Cost of sending n_bytes over distance_km; the node stack charges
+    this formula inline on its hot path."""
     bits = n_bytes * 8
     return bits * (params.elec_mj_per_bit + params.amp_mj_per_bit_km2 * distance_km * distance_km)
 
@@ -57,18 +59,3 @@ def tx_cost_mj(params: EnergyParams, n_bytes: int, distance_km: float) -> float:
 def rx_cost_mj(params: EnergyParams, n_bytes: int) -> float:
     return n_bytes * 8 * params.elec_mj_per_bit
 
-
-def charge_tx(ledger: EnergyLedger, params: EnergyParams, n_bytes: int, distance_km: float) -> None:
-    ledger.tx_mJ += tx_cost_mj(params, n_bytes, distance_km)
-
-
-def charge_rx(ledger: EnergyLedger, params: EnergyParams, n_bytes: int) -> None:
-    ledger.rx_mJ += rx_cost_mj(params, n_bytes)
-
-
-def charge_idle(ledger: EnergyLedger, params: EnergyParams, seconds: int) -> None:
-    ledger.idle_mJ += params.idle_mj_per_s * seconds
-
-
-def charge_sense(ledger: EnergyLedger, params: EnergyParams) -> None:
-    ledger.sensing_mJ += params.sense_mj

@@ -266,7 +266,3 @@ class EnvironmentModel:
         for j in range(k):
             sampler.sample(j * self.period_s)
         return sampler.sample(t)
-
-    def normal_temp(self, region_id: int, t0: int, t1: int) -> float:
-        self._check_region(region_id)
-        return normal_temp_over_window(self.climatology[region_id], t0, t1)

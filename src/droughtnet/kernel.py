@@ -14,7 +14,7 @@ import hashlib
 import heapq
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 
@@ -47,16 +47,6 @@ class EntityId:
 
     def __str__(self) -> str:
         return f"{self.kind.value}:{self.index}"
-
-
-@dataclass(order=True, slots=True)
-class Event:
-    """A timestamped deliverable.  (fire_at, seq) is a strict total order."""
-
-    fire_at: int
-    seq: int
-    target: EntityId = field(compare=False)
-    payload: Any = field(compare=False)
 
 
 class Message:
@@ -117,7 +107,7 @@ class Kernel:
     """Single-threaded event loop owning all entity state it dispatches to.
 
     Events are stored as (fire_at, seq, target, handler, payload) tuples;
-    the public :class:`Event` dataclass documents the ordering contract.
+    seq is unique, so (fire_at, seq) is a strict total order.
     """
 
     def __init__(self, seed: int, trace: list[str] | None = None):

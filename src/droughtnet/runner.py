@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .analytics import (
+    DAY_S,
     MIN_WINDOW_S,
     InsufficientSpan,
-    SeverityClass,
     advect_forecast,
     classify,
     evolve_all,
@@ -25,14 +25,16 @@ from .analytics import (
     indicators_all,
     patterns_to_csv_lines,
 )
-from .backbone import LocalBaseStation, RemoteBaseStation
+from .backbone import CentralDatabase, LocalBaseStation, RemoteBaseStation
 from .config import ScenarioConfig, config_to_dict, validate
 from .environment import EnvironmentModel, normal_temp_over_window
 from .geometry import (
+    ConnectivityReport,
     GeoPoint,
+    PlacementPlan,
     connectivity_check,
     estimate_node_count,
-    plan_to_dict,
+    plans_to_json,
     tile_region,
 )
 from .kernel import EntityId, EntityKind, Kernel
@@ -156,39 +158,48 @@ class Scenario:
             yield from reg.nodes
 
 
+def region_centroids(cfg: ScenarioConfig) -> dict[int, GeoPoint]:
+    """Centre of each configured region's square."""
+    half = cfg.region_size_km / 2.0
+    return {r.region_id: GeoPoint(r.anchor_km[0] + half, r.anchor_km[1] + half)
+            for r in cfg.regions}
+
+
+def place(cfg: ScenarioConfig) -> list[tuple[PlacementPlan, ConnectivityReport]]:
+    """Each configured region's placement plan, in config order, with its
+    connectivity at link range (twice the radio range)."""
+    estimate = estimate_node_count(100.0, cfg.cell_shape, cfg.radio_range_km)
+    node_count = cfg.node_count_override or estimate + 1
+    placed = []
+    for rc in cfg.regions:
+        plan = tile_region(
+            rc.region_id, cfg.cell_shape, cfg.radio_range_km, node_count,
+            anchor_km=rc.anchor_km, region_size_km=cfg.region_size_km,
+        )
+        placed.append((plan, connectivity_check(plan, 2.0 * cfg.radio_range_km)))
+    return placed
+
+
 def build_scenario(cfg: ScenarioConfig) -> Scenario:
     validate(cfg)
     trace = [] if cfg.trace else None
     kernel = Kernel(seed=cfg.seed, trace=trace)
     link_range = 2.0 * cfg.radio_range_km
 
-    centroids = {
-        r.region_id: GeoPoint(r.anchor_km[0] + cfg.region_size_km / 2.0,
-                              r.anchor_km[1] + cfg.region_size_km / 2.0)
-        for r in cfg.regions
-    }
     env = EnvironmentModel(
         climatology={r.region_id: r.climatology for r in cfg.regions},
         scenarios={r.region_id: r.drought for r in cfg.regions},
-        centroids=centroids,
+        centroids=region_centroids(cfg),
         period_s=cfg.reporting_period_s,
         horizon_s=cfg.horizon_s,
         params=cfg.env,
     )
     remote = RemoteBaseStation(kernel)
 
-    estimate = estimate_node_count(100.0, cfg.cell_shape, cfg.radio_range_km)
-    node_count = cfg.node_count_override or estimate + 1
-
     regions: list[RegionRuntime] = []
     next_index = 0
     tree_mode = cfg.routing_mode in (RoutingMode.TREE, RoutingMode.COMBINED)
-    for order, rc in enumerate(cfg.regions):
-        plan = tile_region(
-            rc.region_id, cfg.cell_shape, cfg.radio_range_km, node_count,
-            anchor_km=rc.anchor_km, region_size_km=cfg.region_size_km,
-        )
-        conn = connectivity_check(plan, link_range)
+    for order, (rc, (plan, conn)) in enumerate(zip(cfg.regions, place(cfg))):
         if not conn.connected:
             raise RunError(f"region {rc.region_id} placement is disconnected: {conn.unreachable}")
         positions = plan.all_positions()
@@ -299,20 +310,36 @@ def simulate(scn: Scenario) -> int:
 
 
 def analyse(scn: Scenario):
-    """Per-region classes, evolution patterns and the advection forecast."""
-    cfg = scn.cfg
-    db = scn.central
-    classes: dict[int, SeverityClass] = {}
-    if cfg.horizon_s < MIN_WINDOW_S or len(db) == 0:
-        return classes, {}, {}, {}
-    climatologies = scn.env.climatology
-    indicators = indicators_all(db, climatologies, (0, cfg.horizon_s))
+    """Per-region classes, indicators, evolution patterns and the
+    advection forecast of a simulated scenario."""
+    return analyse_db(scn.cfg, scn.central)
+
+
+def analyse_db(cfg: ScenarioConfig, db: CentralDatabase):
+    """Per-region classes, indicators, evolution patterns and the
+    advection forecast over a central database, for the configured
+    regions that have records in it.
+
+    Indicators cover [0, t_end), t_end being the end of the day that
+    holds the last record, so a run of whole days uses its horizon.  All
+    four results are empty when the database is empty or t_end is under
+    the 30-day minimum window; the patterns alone are empty when the
+    records span fewer than two windows.
+    """
+    if len(db) == 0:
+        return {}, {}, {}, {}
+    t_end = -(-(max(db.ts) + 1) // DAY_S) * DAY_S
+    if t_end < MIN_WINDOW_S:
+        return {}, {}, {}, {}
+    present = set(db.region)
+    climatologies = {r.region_id: r.climatology for r in cfg.regions if r.region_id in present}
+    indicators = indicators_all(db, climatologies, (0, t_end))
     classes = {rid: classify(ind, cfg.thresholds) for rid, ind in indicators.items()}
     try:
         patterns = evolve_all(db, climatologies, cfg.window_days, cfg.thresholds)
     except InsufficientSpan:
         patterns = {}
-    forecast = advect_forecast(classes, indicators, scn.env.centroids)
+    forecast = advect_forecast(classes, indicators, region_centroids(cfg))
     return classes, indicators, patterns, forecast
 
 
@@ -375,15 +402,23 @@ def _write(path: Path, lines) -> None:
             fh.write("\n")
 
 
+def write_placement(out: Path, plans: list[PlacementPlan]) -> None:
+    (out / "placement.json").write_text(plans_to_json(plans) + "\n", encoding="utf-8")
+
+
+def write_analysis(out: Path, classes, patterns, forecast) -> None:
+    _write(out / "pattern.csv", patterns_to_csv_lines(patterns))
+    (out / "forecast.json").write_text(
+        forecast_to_json(classes, forecast) + "\n", encoding="utf-8"
+    )
+
+
 def write_exports(scn: Scenario, report, classes, indicators, patterns, forecast,
                   out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     cfg = scn.cfg
 
-    placement = [plan_to_dict(reg.plan) for reg in scn.regions]
-    (out / "placement.json").write_text(
-        json.dumps(placement, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_placement(out, [reg.plan for reg in scn.regions])
 
     _write(out / "central_db.csv", scn.central.to_csv_lines())
 
@@ -403,10 +438,7 @@ def write_exports(scn: Scenario, report, classes, indicators, patterns, forecast
     _write(out / "energy.csv", energy_lines)
     _write(out / "plots_energy.csv", plot_energy)
 
-    _write(out / "pattern.csv", patterns_to_csv_lines(patterns))
-    (out / "forecast.json").write_text(
-        forecast_to_json(classes, forecast) + "\n", encoding="utf-8"
-    )
+    write_analysis(out, classes, patterns, forecast)
 
     temp_lines = ["region,month_index,window_start_s,mean_temp_C"]
     precip_lines = ["region,month_index,window_start_s,precip_mm"]

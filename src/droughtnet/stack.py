@@ -1,16 +1,16 @@
 """Per-node layered protocol stack.
 
-Application (periodic sampling), transport (unreliable single-shot or
-reliable acknowledged), network (binary-tree convergecast, directed
-diffusion with interests/gradients/reinforcement, or plain flooding),
-MAC (fragmentation, queue, idle-channel check with random backoff) and
+Application (periodic sampling), reliable acknowledged transport,
+network (binary-tree convergecast, directed diffusion with
+interests/gradients/reinforcement along the recorded reverse path, or
+plain flooding), MAC (queue, idle-channel check with random backoff) and
 a shared per-region channel with per-hop delay.
 
-MAC model: the frames of one packet transmit as a back-to-back burst
-after a single idle check, holding the channel one second per frame;
-the packet is delivered whole when the last frame lands.  Link loss is
-drawn once per packet per hop, so a report either arrives or is counted
-lost exactly once.
+MAC model: a packet of n bytes is ceil(n / max_frame_bytes) frames,
+which transmit as a back-to-back burst after a single idle check,
+holding the channel one second per frame; the packet is delivered whole
+when the last frame lands.  Link loss is drawn once per packet per hop,
+so a report either arrives or is counted lost exactly once.
 """
 
 from __future__ import annotations
@@ -139,32 +139,6 @@ def report_signature(origin_index: int, timestamp: int, interest_id: int = 0) ->
     return ((origin_index << 36) | timestamp) * 256 + (interest_id & 0xFF)
 
 
-@dataclass(frozen=True, slots=True)
-class MacFrame:
-    payload_bytes: int
-    fragment_index: int
-    fragment_total: int
-    dest: EntityId | None  # None is broadcast
-
-    def __post_init__(self):
-        if not 0 <= self.fragment_index < self.fragment_total:
-            raise ValueError("fragment_index out of range")
-
-
-def fragment(n_bytes: int, max_frame_bytes: int, dest: EntityId | None = None) -> list[MacFrame]:
-    """Split a packet into ceil(n/max) frames: full frames plus remainder."""
-    if n_bytes <= 0 or max_frame_bytes <= 0:
-        raise ValueError("sizes must be positive")
-    total = -(-n_bytes // max_frame_bytes)
-    frames = []
-    left = n_bytes
-    for i in range(total):
-        size = min(max_frame_bytes, left)
-        frames.append(MacFrame(size, i, total, dest))
-        left -= size
-    return frames
-
-
 class LinkPacket:
     """One network packet on the wire for one hop."""
 
@@ -231,14 +205,13 @@ class ReinforceMsg:
     """Interest re-sent at elevated rate back along a delivery path.
 
     path is the remaining reverse route (node indices, origin first);
-    an empty tuple means this receiver is the origin, None means follow
-    the receiver's own first-delivery pointer instead.
+    an empty tuple means this receiver is the origin.
     """
 
     __slots__ = ("interest_id", "data_rate", "path")
     tag = "reinforce"
 
-    def __init__(self, interest_id, data_rate, path=None):
+    def __init__(self, interest_id, data_rate, path):
         self.interest_id = interest_id
         self.data_rate = data_rate
         self.path = path
@@ -251,9 +224,6 @@ class Channel:
 
     def __init__(self):
         self.busy_until = 0
-
-    def is_idle(self, now: int) -> bool:
-        return self.busy_until <= now
 
 
 class RegionCounters:
@@ -304,15 +274,16 @@ class SensorNode:
         "kernel", "entity_id", "node_index", "region_id", "index_in_region",
         "position", "is_sink", "routing_mode", "channel", "counters",
         "params", "ledger", "battery_mj",
-        "link", "mac", "payload_bytes", "data_frames", "link_range_km",
+        "link", "mac", "payload_bytes", "data_frames", "interest_frames",
+        "reinforce_frames", "link_range_km",
         "mode", "active_since",
         "neighbors", "neighbor_dist",
         "tree_parent", "descendants_expected",
         "_cycle_forwarded", "_own_sent",
         "sampler", "period_s", "stagger_s", "sampling_horizon_s",
         "mac_queue", "_queued_frames", "mac_rng", "link_rng",
-        "interest_cache", "gradients", "first_from", "_reinforce_forwarded",
-        "_sink_reinforced", "data_cache", "_cache_set", "data_cache_cap",
+        "interest_cache", "gradients", "_sink_reinforced",
+        "data_cache", "_cache_set", "data_cache_cap",
         "sensor_fields", "collector",
         "frames_sent", "frames_dropped", "reports_originated", "reports_forwarded",
         "_tree_on", "_diff_on", "_flood_on", "_drain_sleep",
@@ -358,7 +329,9 @@ class SensorNode:
         self.link = link
         self.mac = mac
         self.payload_bytes = payload_bytes
-        self.data_frames = len(fragment(payload_bytes, mac.max_frame_bytes))
+        self.data_frames = -(-payload_bytes // mac.max_frame_bytes)
+        self.interest_frames = -(-INTEREST_BYTES // mac.max_frame_bytes)
+        self.reinforce_frames = -(-REINFORCE_BYTES // mac.max_frame_bytes)
         self.link_range_km = link_range_km
         # sinks stay active: they are co-located with the powered base station
         self.mode = MODE_ACTIVE
@@ -380,8 +353,6 @@ class SensorNode:
         self.link_rng = kernel.stream(label + ":link")
         self.interest_cache = {}
         self.gradients = {}
-        self.first_from = {}
-        self._reinforce_forwarded = set()
         self._sink_reinforced = set()
         self.data_cache = deque()
         self._cache_set = set()
@@ -606,7 +577,7 @@ class SensorNode:
         now = self.kernel.now
         self.interest_cache[interest.interest_id] = (interest, now + interest.duration_s)
         self._enqueue(LinkPacket(KIND_INTEREST, InterestHop(interest, interest.hop_limit),
-                                 None, INTEREST_BYTES, len(fragment(INTEREST_BYTES, self.mac.max_frame_bytes))))
+                                 None, INTEREST_BYTES, self.interest_frames))
 
     def receive_interest(self, interest: Interest, hops_left: int, src: EntityId) -> None:
         """Hop-by-hop diffusion: cache unseen interests, set up the gradient
@@ -624,8 +595,7 @@ class SensorNode:
         if cached is None:
             self.interest_cache[iid] = (interest, expires_at)
             self._enqueue(LinkPacket(KIND_INTEREST, InterestHop(interest, hops_left - 1),
-                                     None, INTEREST_BYTES,
-                                     len(fragment(INTEREST_BYTES, self.mac.max_frame_bytes))))
+                                     None, INTEREST_BYTES, self.interest_frames))
 
     def _install_gradient(self, iid: int, toward: EntityId, expires_at: int) -> None:
         entries = self.gradients.setdefault(iid, [])
@@ -645,10 +615,10 @@ class SensorNode:
         return live
 
     def receive_reinforcement(self, iid: int, data_rate: float, src: EntityId,
-                              path: tuple | None = None) -> None:
+                              path: tuple) -> None:
         """Mark the gradient toward the reinforcing neighbour (keeping at
         most one reinforced gradient per interest) and pass the
-        reinforcement upstream toward the data origin."""
+        reinforcement on along the reverse path toward the data origin."""
         entries = self.gradients.get(iid)
         if entries is None:
             raise UnknownInterest(f"reinforcement for unknown interest {iid}")
@@ -656,22 +626,13 @@ class SensorNode:
             g.reinforced = g.toward == src
             if g.reinforced:
                 g.data_rate = data_rate
-        if path is not None:
-            if path:
-                nxt = EntityId(EntityKind.SENSOR_NODE, path[-1])
-                self._send_reinforce(iid, data_rate, path[:-1], nxt)
-            return  # empty path: this node is the origin, chain complete
-        # no recorded path: follow the first-delivery pointer once
-        if iid in self._reinforce_forwarded:
-            return
-        self._reinforce_forwarded.add(iid)
-        nxt = self.first_from.get(iid)
-        if nxt is not None:
-            self._send_reinforce(iid, data_rate, None, nxt)
+        if path:  # empty path: this node is the origin, chain complete
+            nxt = EntityId(EntityKind.SENSOR_NODE, path[-1])
+            self._send_reinforce(iid, data_rate, path[:-1], nxt)
 
-    def _send_reinforce(self, iid: int, data_rate: float, path: tuple | None, to: EntityId) -> None:
+    def _send_reinforce(self, iid: int, data_rate: float, path: tuple, to: EntityId) -> None:
         self._enqueue(LinkPacket(KIND_REINFORCE, ReinforceMsg(iid, data_rate, path), to,
-                                 REINFORCE_BYTES, len(fragment(REINFORCE_BYTES, self.mac.max_frame_bytes))))
+                                 REINFORCE_BYTES, self.reinforce_frames))
 
     # -- data plane -----------------------------------------------------------
 
@@ -695,7 +656,6 @@ class SensorNode:
                 # new data: reinforce its reverse path once per source, so
                 # exploratory fan-out collapses to single paths
                 iid = msg.interest_id
-                self.first_from.setdefault(iid, src)
                 key = (iid, msg.origin_index)
                 if key not in self._sink_reinforced and iid in self.interest_cache:
                     self._sink_reinforced.add(key)
@@ -720,7 +680,6 @@ class SensorNode:
         # the data came from
         now = self.kernel.now
         iid = msg.interest_id
-        self.first_from.setdefault(iid, src)
         grads = [g for g in self._live_gradients(iid, now) if g.toward != src]
         if not grads:
             return
@@ -731,14 +690,6 @@ class SensorNode:
             out.hop_count = msg.hop_count + 1
             out.route = msg.route + (self.node_index,)
             self._enqueue(LinkPacket(KIND_DATA, out, g.toward, self.payload_bytes, self.data_frames))
-
-    def reinforce(self, iid: int) -> None:
-        """Sink-side positive reinforcement of the first delivering
-        neighbour; intermediates follow their own first-delivery pointers."""
-        nxt = self.first_from.get(iid)
-        if nxt is None:
-            raise UnknownInterest(f"no delivery recorded for interest {iid}")
-        self._send_reinforce(iid, REINFORCED_DATA_RATE, None, nxt)
 
     # -- MAC ------------------------------------------------------------------
 
@@ -812,15 +763,6 @@ class SensorNode:
 # -- transport ----------------------------------------------------------------
 
 
-class TransportMode(Enum):
-    UNRELIABLE = "unreliable"
-    RELIABLE = "reliable"
-
-
-class DeliveryAbandoned(StackError):
-    """Reliable delivery gave up after max retries."""
-
-
 class _TxData:
     __slots__ = ("link", "seqno", "payload", "attempt")
     tag = "tx_data"
@@ -869,10 +811,9 @@ def transport_dispatch(body, src: EntityId) -> bool:
 class TransportLink:
     """Point-to-point transport between two registered entities.
 
-    Unreliable: one attempt, lost with the configured probability.
-    Reliable: retransmit on timeout until acknowledged, up to max_retries,
-    then the payload is recorded abandoned.  With zero loss and zero
-    latency the reliable path short-circuits to a direct call.
+    Retransmits on timeout until acknowledged, up to max_retries, then
+    records the payload abandoned.  With zero loss and zero latency a
+    send short-circuits to a direct call.
     """
 
     def __init__(self, kernel: Kernel, src: EntityId, dst: EntityId, deliver,
@@ -895,14 +836,7 @@ class TransportLink:
         self._next_seq = 0
         self._pending: dict[int, tuple] = {}
 
-    def send(self, payload, mode: TransportMode = TransportMode.RELIABLE) -> None:
-        if mode is TransportMode.UNRELIABLE:
-            self.transmissions += 1
-            if self.loss_prob and self.rng.random() < self.loss_prob:
-                self.lost += 1
-                return
-            self.kernel.send_delayed(self.src, self.dst, _TxData(self, -1, payload, 0), self.latency_s)
-            return
+    def send(self, payload) -> None:
         if self.loss_prob == 0.0 and self.latency_s == 0:
             self.transmissions += 1
             self.delivered += 1
@@ -927,8 +861,7 @@ class TransportLink:
 
     def _on_data(self, ev: _TxData) -> None:
         self.deliver(ev.payload, self.src)
-        if ev.seqno >= 0:
-            self.kernel.send_delayed(self.dst, self.src, _TxAck(self, ev.seqno), self.latency_s)
+        self.kernel.send_delayed(self.dst, self.src, _TxAck(self, ev.seqno), self.latency_s)
 
     def _on_ack(self, ev: _TxAck) -> None:
         item = self._pending.pop(ev.seqno, None)

@@ -13,12 +13,11 @@ from droughtnet.analytics import (
     Thresholds,
     advect_forecast,
     classify,
-    compute_indicators,
     escalate,
-    evolve_pattern,
+    evolve_all,
     forecast_to_json,
+    indicators_all,
     patterns_to_csv_lines,
-    severity_from_label,
 )
 from droughtnet.backbone import CentralDatabase, StoredRecord
 from droughtnet.environment import Climatology, SensorReading
@@ -62,14 +61,14 @@ def fill_window(db, region, month_temp=18.0, monthly_precip=0.0, months=1,
 def test_readings_at_climatology_give_zero_anomaly():
     db = CentralDatabase()
     fill_window(db, 1, month_temp=18.0)
-    ind = compute_indicators(db, 1, (0, MONTH_S), FLAT)
+    ind = indicators_all(db, {1: FLAT}, (0, MONTH_S))[1]
     assert ind.mean_temp_anomaly_c == pytest.approx(0.0, abs=1e-9)
 
 
 def test_monthly_precip_normalisation():
     db = CentralDatabase()
     fill_window(db, 1, monthly_precip=60.0, months=2)
-    ind = compute_indicators(db, 1, (0, 2 * MONTH_S), FLAT)
+    ind = indicators_all(db, {1: FLAT}, (0, 2 * MONTH_S))[1]
     assert ind.mean_monthly_precip_mm == pytest.approx(60.0, rel=1e-9)
 
 
@@ -78,7 +77,7 @@ def test_circular_mean_across_north():
     samples = MONTH_S // (6 * 3600)
     for k in range(samples):
         add_row(db, 1, 1, k * 6 * 3600, wdir=350.0 if k % 2 else 10.0)
-    ind = compute_indicators(db, 1, (0, MONTH_S), FLAT)
+    ind = indicators_all(db, {1: FLAT}, (0, MONTH_S))[1]
     assert min(ind.wind_mean_dir_deg, 360.0 - ind.wind_mean_dir_deg) == pytest.approx(0.0, abs=1e-6)
 
 
@@ -86,14 +85,14 @@ def test_no_data_raises():
     db = CentralDatabase()
     fill_window(db, 1)
     with pytest.raises(NoData):
-        compute_indicators(db, 2, (0, MONTH_S), FLAT)
+        indicators_all(db, {2: FLAT}, (0, MONTH_S))[2]
 
 
 def test_short_window_rejected():
     db = CentralDatabase()
     fill_window(db, 1)
     with pytest.raises(Exception):
-        compute_indicators(db, 1, (0, 10 * DAY_S), FLAT)
+        indicators_all(db, {1: FLAT}, (0, 10 * DAY_S))[1]
 
 
 # -- classifier ----------------------------------------------------------------
@@ -148,8 +147,7 @@ def test_classifier_monotone_in_both_axes(anomaly, precip, d_anomaly, d_precip):
 
 
 def test_labels_round_trip():
-    for cls in SeverityClass:
-        assert severity_from_label(cls.label) is cls
+    assert [cls.label for cls in SeverityClass] == ["NonDrought", "Slight", "Moderate", "Serious"]
     assert list(SeverityClass) == sorted(SeverityClass)
     assert escalate(SeverityClass.SERIOUS) is SeverityClass.SERIOUS
 
@@ -160,7 +158,7 @@ def test_labels_round_trip():
 def test_constant_climate_every_window_non_drought():
     db = CentralDatabase()
     fill_window(db, 1, month_temp=18.0, monthly_precip=80.0, months=4)
-    pattern = evolve_pattern(db, 1, 30, FLAT)
+    pattern = evolve_all(db, {1: FLAT}, 30)[1]
     assert len(pattern.entries) == 4
     assert all(cls is SeverityClass.NON_DROUGHT for _, cls, _ in pattern.entries)
     windows = [w for w, _, _ in pattern.entries]
@@ -172,21 +170,21 @@ def test_step_drought_classes_non_decreasing_after_onset():
     temp = [18.0] * 3 + [21.5] * 3
     precip = [80.0] * 3 + [0.0] * 3
     fill_window(db, 1, months=6, temp_by_month=temp, precip_by_month=precip)
-    pattern = evolve_pattern(db, 1, 30, FLAT)
+    pattern = evolve_all(db, {1: FLAT}, 30)[1]
     classes = [cls for _, cls, _ in pattern.entries]
     assert classes[:3] == [SeverityClass.NON_DROUGHT] * 3
     assert classes[3:] == [SeverityClass.SERIOUS] * 3
 
     # oracle: recompute each window independently from scratch
     for (w, cls, _ind) in pattern.entries:
-        assert classify(compute_indicators(db, 1, w, FLAT)) is cls
+        assert classify(indicators_all(db, {1: FLAT}, w)[1]) is cls
 
 
 def test_insufficient_span():
     db = CentralDatabase()
     fill_window(db, 1, months=1)
     with pytest.raises(InsufficientSpan):
-        evolve_pattern(db, 1, 30, FLAT)
+        evolve_all(db, {1: FLAT}, 30)[1]
 
 
 # -- advection --------------------------------------------------------------------
@@ -266,7 +264,7 @@ def test_forecast_never_decreases(classes, dirs, speeds):
 def test_pattern_csv_and_forecast_json():
     db = CentralDatabase()
     fill_window(db, 1, months=2, month_temp=21.5, monthly_precip=0.0)
-    patterns = {1: evolve_pattern(db, 1, 30, FLAT)}
+    patterns = {1: evolve_all(db, {1: FLAT}, 30)[1]}
     lines = list(patterns_to_csv_lines(patterns))
     assert lines[0] == "region,window_start_s,window_end_s,class,anomaly_C,precip_mm"
     assert len(lines) == 3

@@ -6,7 +6,6 @@ from droughtnet.backbone import (
     LocalBaseStation,
     RemoteBaseStation,
     backbone_link_budget,
-    query_window,
 )
 from droughtnet.environment import SensorReading
 from droughtnet.geometry import GeoPoint
@@ -95,30 +94,6 @@ def test_records_accumulate_per_region():
         lbs.ingest(make_msg(t=t))
     assert rbs.central.region_counts() == {1: 3}
     assert rbs.central.span() == (0, 3600)
-
-
-# -- query window -----------------------------------------------------------------
-
-
-def test_query_empty_window_gives_empty_series():
-    k, lbs, rbs = make_station()
-    lbs.ingest(make_msg(t=1800))
-    assert query_window(rbs.central, 1, "temperature_c", (10_000, 20_000)) == []
-
-
-def test_query_single_record():
-    k, lbs, rbs = make_station()
-    lbs.ingest(make_msg(t=1800, temp=21.5))
-    assert query_window(rbs.central, 1, "temperature_c", (0, 3600)) == [(1800, 21.5)]
-
-
-def test_query_averages_across_nodes_matches_hand_mean():
-    k, lbs, rbs = make_station()
-    temps = [18.0, 20.0, 25.0]
-    for node, temp in enumerate(temps, start=1):
-        lbs.ingest(make_msg(node_id=node, t=1800, temp=temp))
-    series = query_window(rbs.central, 1, "temperature_c", (0, 3600))
-    assert series == [(1800, pytest.approx(sum(temps) / len(temps)))]
 
 
 # -- link budget --------------------------------------------------------------------

@@ -9,6 +9,13 @@ SMALL_ONE_REGION = json.dumps(
         "regions": [{"region_id": 3}],
     }
 )
+COMBINED_ONE_REGION = json.dumps(
+    {
+        "horizon_s": 61 * 86_400,
+        "routing_mode": "combined",
+        "regions": [{"region_id": 4}],
+    }
+)
 
 
 def write_cfg(tmp_path, text, name="cfg.json"):
@@ -24,6 +31,13 @@ def test_plan_writes_placement(tmp_path, capsys):
     assert len(placement) == 5
     out = capsys.readouterr().out
     assert "connected=True" in out
+
+    # plan and run share one placement path and one writer
+    cfg = write_cfg(tmp_path, TINY)
+    main(["run", "--config", cfg, "--out", str(tmp_path / "r")])
+    main(["plan", "--config", cfg, "--out", str(tmp_path / "p")])
+    assert ((tmp_path / "p" / "placement.json").read_bytes()
+            == (tmp_path / "r" / "placement.json").read_bytes())
 
 
 def test_run_writes_all_exports(tmp_path, capsys):
@@ -78,20 +92,28 @@ def test_replay_without_report_fails(tmp_path, capsys):
 
 
 def test_classify_recomputes_from_db_export(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, SMALL_ONE_REGION)
-    out = tmp_path / "o"
-    main(["run", "--config", cfg, "--out", str(out)])
-    capsys.readouterr()
-    rc = main([
-        "classify", "--config", cfg, "--db", str(out / "central_db.csv"),
-        "--out", str(tmp_path / "c"),
-    ])
-    assert rc == 0
-    printed = capsys.readouterr().out
-    assert "region 3: Serious" in printed
-    assert (tmp_path / "c" / "pattern.csv").exists()
-    forecast = json.loads((tmp_path / "c" / "forecast.json").read_text())
-    assert forecast["3"]["current"] == "Serious"
+    # classify on a run's central_db.csv writes that run's analysis files,
+    # also for a run too short to classify
+    for name, text in (("small", SMALL_ONE_REGION), ("combined", COMBINED_ONE_REGION),
+                       ("tiny", TINY)):
+        cfg = write_cfg(tmp_path, text, name=f"{name}.json")
+        out, again = tmp_path / name, tmp_path / f"{name}-classify"
+        main(["run", "--config", cfg, "--out", str(out)])
+        capsys.readouterr()
+        rc = main([
+            "classify", "--config", cfg, "--db", str(out / "central_db.csv"),
+            "--out", str(again),
+        ])
+        assert rc == 0, name
+        for export in ("pattern.csv", "forecast.json"):
+            assert (again / export).read_bytes() == (out / export).read_bytes(), (name, export)
+        printed = capsys.readouterr().out
+        if name == "small":
+            assert "region 3: Serious" in printed
+            forecast = json.loads((again / "forecast.json").read_text())
+            assert forecast["3"]["current"] == "Serious"
+        if name == "tiny":
+            assert (again / "forecast.json").read_text() == "{}\n"
 
 
 def test_routing_flag(tmp_path):

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from droughtnet.kernel import (
     EntityId,
     EntityKind,
-    Event,
     Kernel,
     Message,
     RngStream,
@@ -141,11 +140,6 @@ def test_three_hop_chain_delay_sum():
     k.send_delayed(ids[0], ids[1], "pkt", d)
     k.run_until(1000)
     assert relays[3].received_at == 3 * d
-
-
-def test_event_dataclass_orders_on_fire_at_then_seq():
-    t = EntityId(EntityKind.SENSOR_NODE, 0)
-    assert Event(5, 0, t, None) < Event(5, 1, t, None) < Event(6, 0, t, None)
 
 
 def test_trace_lines_format():

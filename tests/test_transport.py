@@ -1,5 +1,5 @@
 from droughtnet.kernel import EntityId, EntityKind, Kernel, Message, RngStream
-from droughtnet.stack import TransportLink, TransportMode, transport_dispatch
+from droughtnet.stack import TransportLink, transport_dispatch
 
 
 class TxHost:
@@ -32,28 +32,10 @@ def make_link(loss=0.0, latency=0, max_retries=20, seed=5, label="uplink:1"):
     return k, a, b, link
 
 
-def test_unreliable_lossless_always_delivers():
-    k, a, b, link = make_link(loss=0.0, latency=1)
-    for i in range(10):
-        link.send(("r", i), TransportMode.UNRELIABLE)
-    k.run_until(100)
-    assert b.got == [("r", i) for i in range(10)]
-    assert link.transmissions == 10
-
-
-def test_unreliable_certain_loss_never_delivers_no_retry():
-    k, a, b, link = make_link(loss=1.0, latency=1)
-    link.send("x", TransportMode.UNRELIABLE)
-    k.run_until(100)
-    assert b.got == []
-    assert link.transmissions == 1
-    assert link.lost == 1
-
-
 def test_reliable_retransmits_match_rng_replay_oracle():
     seed, label = 5, "uplink:1"
     k, a, b, link = make_link(loss=0.5, latency=1, seed=seed, label=label)
-    link.send("record", TransportMode.RELIABLE)
+    link.send("record")
     k.run_until(10_000)
 
     # replay the seeded loss draws: attempts fail while draw < 0.5
@@ -69,7 +51,7 @@ def test_reliable_retransmits_match_rng_replay_oracle():
 
 def test_reliable_abandons_after_max_retries():
     k, a, b, link = make_link(loss=1.0, latency=1, max_retries=3)
-    link.send("doomed", TransportMode.RELIABLE)
+    link.send("doomed")
     k.run_until(10_000)
     assert b.got == []
     assert link.abandoned == 1
@@ -78,7 +60,7 @@ def test_reliable_abandons_after_max_retries():
 
 def test_reliable_fast_path_is_synchronous():
     k, a, b, link = make_link(loss=0.0, latency=0)
-    link.send("now", TransportMode.RELIABLE)
+    link.send("now")
     assert b.got == ["now"]
     assert a.acked == ["now"]
     assert k.pending() == 0
@@ -86,7 +68,7 @@ def test_reliable_fast_path_is_synchronous():
 
 def test_reliable_with_latency_single_delivery():
     k, a, b, link = make_link(loss=0.0, latency=3)
-    link.send("one", TransportMode.RELIABLE)
+    link.send("one")
     k.run_until(1000)
     assert b.got == ["one"]
     assert link.transmissions == 1
