@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import sys
 from array import array
+from collections import deque
 from dataclasses import dataclass
 
 from .environment import SENSOR_FIELDS, SensorReading
@@ -21,6 +22,10 @@ from .stack import DataMessage, TransportLink, transport_dispatch
 
 DEFAULT_BACKBONE_RANGE_KM = 120.0
 DEFAULT_LOCAL_DB_CAPACITY = 10_000
+# CentralDatabase limits, which validate() enforces on a config: region
+# ids are stored as signed bytes and global node ids fill 14 key bits
+REGION_ID_RANGE = (-128, 127)
+MAX_NODES = 1 << 14
 
 
 class BackboneError(Exception):
@@ -87,8 +92,8 @@ class CentralDatabase:
         self.routes: list[str] = []
         self.raw = {f: array("d") for f in SENSOR_FIELDS}
         self.cal = {f: array("d") for f in SENSOR_FIELDS}
-        self._raw_cols = tuple(self.raw[f] for f in SENSOR_FIELDS)
-        self._cal_cols = tuple(self.cal[f] for f in SENSOR_FIELDS)
+        self._raw_append = tuple(self.raw[f].append for f in SENSOR_FIELDS)
+        self._cal_append = tuple(self.cal[f].append for f in SENSOR_FIELDS)
         self._keys: set[int] = set()
         self.duplicates_by_region: dict[int, int] = {}
 
@@ -116,18 +121,17 @@ class CentralDatabase:
         self.battery.append(rec.battery_mj_remaining)
         self.frames_dropped.append(rec.frames_dropped)
         self.routes.append(sys.intern(rec.route))
-        raw, cal = rec.raw, rec.calibrated
-        values = (raw.temperature_c, raw.precipitation_mm, raw.humidity_pct,
-                  raw.pressure_hpa, raw.wind_speed_ms, raw.wind_dir_deg,
-                  raw.groundwater_m)
-        for col, v in zip(self._raw_cols, values):
-            col.append(v)
-        if cal is not raw:
-            values = (cal.temperature_c, cal.precipitation_mm, cal.humidity_pct,
-                      cal.pressure_hpa, cal.wind_speed_ms, cal.wind_dir_deg,
-                      cal.groundwater_m)
-        for col, v in zip(self._cal_cols, values):
-            col.append(v)
+        # one bound append per column, in SENSOR_FIELDS order
+        for r, (temp, precip, hum, pres, wspeed, wdir, ground) in (
+            (rec.raw, self._raw_append), (rec.calibrated, self._cal_append)
+        ):
+            temp(r.temperature_c)
+            precip(r.precipitation_mm)
+            hum(r.humidity_pct)
+            pres(r.pressure_hpa)
+            wspeed(r.wind_speed_ms)
+            wdir(r.wind_dir_deg)
+            ground(r.groundwater_m)
         return True
 
     @property
@@ -250,7 +254,7 @@ class LocalBaseStation:
         self.node_locations = node_locations
         self.calibration = calibration
         self.capacity = capacity
-        self.local_db: list[list] = []  # [record, acked]
+        self.local_db: deque[list] = deque()  # [record, acked], oldest first
         self._pending_ack: dict[tuple, list] = {}
         self._route_cache: dict[tuple, str] = {}
         self.uplink: TransportLink | None = None
@@ -305,15 +309,18 @@ class LocalBaseStation:
         return record
 
     def _store(self, entry: list) -> None:
-        if len(self.local_db) >= self.capacity:
-            for i, candidate in enumerate(self.local_db):
+        local_db = self.local_db
+        if len(local_db) >= self.capacity:
+            # acks arrive in order, so the oldest acked entry is almost
+            # always the head, which a deque deletes in O(1)
+            for i, candidate in enumerate(local_db):
                 if candidate[1]:
-                    del self.local_db[i]
+                    del local_db[i]
                     self.evicted += 1
                     break
             # if nothing is acked yet the store grows past capacity rather
             # than lose data silently
-        self.local_db.append(entry)
+        local_db.append(entry)
 
     def _on_uplink_ack(self, record: StoredRecord) -> None:
         entry = self._pending_ack.pop(record.key(), None)

@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass, field, replace
 
 from .analytics import Thresholds
+from .backbone import MAX_NODES, REGION_ID_RANGE
 from .energy import EnergyParams
 from .environment import (
     YEAR_S,
@@ -24,7 +25,13 @@ from .environment import (
     SENSOR_FIELDS,
     default_drought_scenario,
 )
-from .geometry import DEFAULT_ANCHORS_KM, MAP_SIZE_KM, REGION_SIZE_KM, CellShape
+from .geometry import (
+    DEFAULT_ANCHORS_KM,
+    MAP_SIZE_KM,
+    REGION_SIZE_KM,
+    CellShape,
+    estimate_node_count,
+)
 from .stack import LinkParams, MacParams, RoutingMode
 
 
@@ -111,6 +118,11 @@ class ScenarioConfig:
 
     def region_ids(self) -> list[int]:
         return [r.region_id for r in self.regions]
+
+    def nodes_per_region(self) -> int:
+        """Cells placed in each region, sink included."""
+        return self.node_count_override or estimate_node_count(
+            100.0, self.cell_shape, self.radio_range_km) + 1
 
     def with_overrides(self, seed=None, routing_mode=None, output_dir=None,
                        trace=None) -> "ScenarioConfig":
@@ -321,7 +333,12 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
     ids = cfg.region_ids()
     if len(set(ids)) != len(ids):
         raise ValidationError("region_id values must be unique")
+    lo, hi = REGION_ID_RANGE
     for r in cfg.regions:
+        if not lo <= r.region_id <= hi:
+            raise ValidationError(
+                f"region_id {r.region_id} outside [{lo}, {hi}], the central database's region range"
+            )
         ax, ay = r.anchor_km
         if not (0 <= ax and ax + cfg.region_size_km <= MAP_SIZE_KM
                 and 0 <= ay and ay + cfg.region_size_km <= MAP_SIZE_KM):
@@ -330,6 +347,11 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
             raise ValidationError(f"region {r.region_id} climatology normals must be non-negative")
         if not 0.0 <= r.drought.precipitation_scale <= 1.0:
             raise ValidationError(f"region {r.region_id} precipitation_scale must lie in [0, 1]")
+    total_nodes = cfg.nodes_per_region() * len(cfg.regions)
+    if total_nodes > MAX_NODES:
+        raise ValidationError(
+            f"{total_nodes} nodes in total exceed the central database's {MAX_NODES}-node key range"
+        )
     if cfg.stagger_step_s < 0:
         raise ValidationError("stagger_step_s must be non-negative")
     # offsets for the deepest in-region index must stay inside one period

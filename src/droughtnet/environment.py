@@ -141,8 +141,7 @@ def normal_temp_over_window(clim: Climatology, t0: int, t1: int) -> float:
     return clim.mean_temp_c - clim.seasonal_amplitude_c * avg_cos
 
 
-def _quant(value: float, decimals: int) -> float:
-    return round(value, decimals)
+TWO_PI = 2.0 * math.pi
 
 
 class NodeSampler:
@@ -151,9 +150,15 @@ class NodeSampler:
     Holds the AR(1) noise state; must be called with non-decreasing
     sample times, which is how nodes sample.  Draw order per sample is
     fixed, so a reading depends only on (seed, label, sample index).
+
+    sample() inlines RngStream.gauss/expovariate/uniform and
+    seasonal_temp over the stream's bound random(), keeping their
+    float expressions, so readings equal the method-by-method ones
+    bit for bit.
     """
 
-    __slots__ = ("model", "region_id", "node_id", "position", "rng", "_noise", "_spatial")
+    __slots__ = ("model", "region_id", "node_id", "position", "rng", "_random", "_noise",
+                 "_spatial", "_params", "_clim", "_scen", "_precip_lambd", "_jitter")
 
     def __init__(self, model: "EnvironmentModel", region_id: int, node_id: int,
                  position: GeoPoint, rng: RngStream):
@@ -162,66 +167,84 @@ class NodeSampler:
         self.node_id = node_id
         self.position = position
         self.rng = rng
+        self._random = rng._random
         self._noise = 0.0
+        p = self._params = model.params
+        clim = self._clim = model.climatology[region_id]
+        self._scen = model.scenarios[region_id]
         centroid = model.centroids[region_id]
-        g = model.params.spatial_gradient_c_per_km
+        g = p.spatial_gradient_c_per_km
         self._spatial = g * ((position.x_km - centroid.x_km) + (position.y_km - centroid.y_km))
+        # exponential rate of an event's amount; a dry climatology makes
+        # every amount 0 mm, and with no events the rate is never used
+        events_per_month = model.samples_per_month * p.precip_event_prob
+        mean_amount = clim.monthly_precip_mm / events_per_month if events_per_month else 0.0
+        self._precip_lambd = 1.0 / mean_amount if mean_amount else math.inf
+        # (a, b - a) of each uniform(-half_range, half_range) jitter
+        self._jitter = tuple(
+            v
+            for half in (p.humidity_jitter_pct, p.pressure_jitter_hpa, p.wind_speed_jitter_ms,
+                         p.wind_dir_jitter_deg, p.groundwater_jitter_m)
+            for v in (-half, half - -half)
+        )
 
     def sample(self, t: int) -> SensorReading:
-        model = self.model
-        p = model.params
-        clim = model.climatology[self.region_id]
-        scen = model.scenarios[self.region_id]
-        rng = self.rng
-        active = scen.active(t)
+        p = self._params
+        clim = self._clim
+        scen = self._scen
+        draw = self._random
+        active = t >= scen.active_start_s and (scen.active_end_s is None or t < scen.active_end_s)
         anomaly = scen.temperature_anomaly_c if active else 0.0
 
+        # Box-Muller, two draws
+        u1 = draw()
+        u2 = draw()
+        if u1 <= 0.0:
+            u1 = 5e-324
+        eps = 0.0 + p.noise_sigma_c * math.sqrt(-2.0 * math.log(u1)) * math.cos(TWO_PI * u2)
         cap = p.noise_innovation_cap_c
-        eps = rng.gauss(0.0, p.noise_sigma_c)
         if eps > cap:
             eps = cap
         elif eps < -cap:
             eps = -cap
-        self._noise = p.noise_rho * self._noise + eps
+        noise = self._noise = p.noise_rho * self._noise + eps
 
-        temperature = seasonal_temp(clim, t) + anomaly + self._spatial + self._noise
+        seasonal = clim.mean_temp_c - clim.seasonal_amplitude_c * math.cos(
+            TWO_PI * ((t % YEAR_S) / YEAR_S))
+        temperature = seasonal + anomaly + self._spatial + noise
 
-        scale = scen.precipitation_scale if active else 1.0
         precip = 0.0
-        if rng.random() < p.precip_event_prob:
-            mean_amount = clim.monthly_precip_mm / (model.samples_per_month * p.precip_event_prob)
-            precip = scale * rng.expovariate(1.0 / mean_amount)
+        if draw() < p.precip_event_prob:
+            scale = scen.precipitation_scale if active else 1.0
+            precip = scale * (-math.log(1.0 - draw()) / self._precip_lambd)
 
-        humidity = clim.humidity_pct - 3.0 * anomaly + rng.uniform(-p.humidity_jitter_pct, p.humidity_jitter_pct)
-        humidity = min(100.0, max(0.0, humidity))
-        pressure = clim.pressure_hpa + rng.uniform(-p.pressure_jitter_hpa, p.pressure_jitter_hpa)
+        h_lo, h_w, p_lo, p_w, ws_lo, ws_w, wd_lo, wd_w, g_lo, g_w = self._jitter
+        humidity = clim.humidity_pct - 3.0 * anomaly + (h_lo + h_w * draw())
+        humidity = humidity if humidity > 0.0 else 0.0
+        humidity = humidity if humidity < 100.0 else 100.0
+        pressure = clim.pressure_hpa + (p_lo + p_w * draw())
 
         wind_speed_base = clim.wind_speed_ms
         wind_dir_base = clim.wind_dir_deg
-        if active and scen.wind_speed_ms is not None:
-            wind_speed_base = scen.wind_speed_ms
-        if active and scen.wind_dir_deg is not None:
-            wind_dir_base = scen.wind_dir_deg
-        wind_speed = max(0.0, wind_speed_base + rng.uniform(-p.wind_speed_jitter_ms, p.wind_speed_jitter_ms))
-        wind_dir = (wind_dir_base + rng.uniform(-p.wind_dir_jitter_deg, p.wind_dir_jitter_deg)) % 360.0
+        if active:
+            if scen.wind_speed_ms is not None:
+                wind_speed_base = scen.wind_speed_ms
+            if scen.wind_dir_deg is not None:
+                wind_dir_base = scen.wind_dir_deg
+        wind_speed = wind_speed_base + (ws_lo + ws_w * draw())
+        wind_speed = wind_speed if wind_speed > 0.0 else 0.0
+        wind_dir = (wind_dir_base + (wd_lo + wd_w * draw())) % 360.0
 
-        groundwater = max(0.0, clim.groundwater_m - 0.3 * anomaly
-                          + rng.uniform(-p.groundwater_jitter_m, p.groundwater_jitter_m))
+        groundwater = clim.groundwater_m - 0.3 * anomaly + (g_lo + g_w * draw())
+        groundwater = groundwater if groundwater > 0.0 else 0.0
 
-        wind_dir = _quant(wind_dir, 1)
+        wind_dir = round(wind_dir, 1)
         if wind_dir >= 360.0:
             wind_dir = 0.0
         return SensorReading(
-            node_id=self.node_id,
-            region_id=self.region_id,
-            timestamp=t,
-            temperature_c=_quant(temperature, 3),
-            precipitation_mm=_quant(precip, 3),
-            humidity_pct=_quant(humidity, 2),
-            pressure_hpa=_quant(pressure, 2),
-            wind_speed_ms=_quant(wind_speed, 2),
-            wind_dir_deg=wind_dir,
-            groundwater_m=_quant(groundwater, 3),
+            self.node_id, self.region_id, t,
+            round(temperature, 3), round(precip, 3), round(humidity, 2),
+            round(pressure, 2), round(wind_speed, 2), wind_dir, round(groundwater, 3),
         )
 
 

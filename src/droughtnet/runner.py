@@ -33,7 +33,6 @@ from .geometry import (
     GeoPoint,
     PlacementPlan,
     connectivity_check,
-    estimate_node_count,
     plans_to_json,
     tile_region,
 )
@@ -168,8 +167,7 @@ def region_centroids(cfg: ScenarioConfig) -> dict[int, GeoPoint]:
 def place(cfg: ScenarioConfig) -> list[tuple[PlacementPlan, ConnectivityReport]]:
     """Each configured region's placement plan, in config order, with its
     connectivity at link range (twice the radio range)."""
-    estimate = estimate_node_count(100.0, cfg.cell_shape, cfg.radio_range_km)
-    node_count = cfg.node_count_override or estimate + 1
+    node_count = cfg.nodes_per_region()
     placed = []
     for rc in cfg.regions:
         plan = tile_region(
@@ -496,7 +494,8 @@ def _truth_daily_lines(scn: Scenario):
 
 def compare_runs(dir_a: Path, dir_b: Path) -> list[str]:
     """Byte-compare run exports; the run report is compared structurally
-    with the wall-clock field dropped.  Returns mismatch descriptions."""
+    with the wall-clock field and the config's output directory dropped.
+    Returns mismatch descriptions."""
     problems = []
     for name in EXPORT_FILES:
         pa, pb = Path(dir_a) / name, Path(dir_b) / name
@@ -507,8 +506,9 @@ def compare_runs(dir_a: Path, dir_b: Path) -> list[str]:
         if name == "run_report.json":
             ra = json.loads(pa.read_text(encoding="utf-8"))
             rb = json.loads(pb.read_text(encoding="utf-8"))
-            ra.pop("wall_clock_s", None)
-            rb.pop("wall_clock_s", None)
+            for rep in (ra, rb):
+                rep.pop("wall_clock_s", None)
+                rep.get("config", {}).pop("output_dir", None)
             if ra != rb:
                 keys = [k for k in ra if ra.get(k) != rb.get(k)]
                 problems.append(f"{name}: differs at {keys}")

@@ -128,6 +128,24 @@ def test_local_db_forwards_then_evicts_oldest_acked():
     assert len(rbs.central) == 5
 
 
+def test_local_db_evicts_first_acked_behind_unacked_head():
+    # with a 1 s uplink latency acks trail the sends; this stream loses
+    # the first transmission (draw 0.11 < 0.15) and delivers the second,
+    # so the oldest record is still unacked when the younger one is acked
+    k, lbs, rbs = make_station(capacity=2, with_uplink=False)
+    lbs.attach_uplink(rbs, loss_prob=0.15, latency_s=1)
+    lbs.ingest(make_msg(t=0))
+    lbs.ingest(make_msg(t=1800))
+    k.run_until(3)  # second ack lands at 2 s, first retransmit is due at 4 s
+    assert [entry[1] for entry in lbs.local_db] == [False, True]
+    lbs.ingest(make_msg(t=3600))
+    assert [entry[0].timestamp for entry in lbs.local_db] == [0, 3600]
+    assert lbs.evicted == 1
+    k.run_until(100)
+    assert len(rbs.central) == 3
+    assert all(entry[1] for entry in lbs.local_db)
+
+
 def test_local_db_never_evicts_unacked():
     k, lbs, rbs = make_station(capacity=2, with_uplink=False)
     for t in range(4):

@@ -81,6 +81,16 @@ def test_invariant_checks():
         config_from_dict({"regions": [{"region_id": 1, "anchor_km": [95.0, 0.0]}]})
     with pytest.raises(ValidationError, match="queue_cap_frames"):
         config_from_dict({"mac": {"queue_cap_frames": 1}})
+    # central-database storage limits: signed-byte region ids, 14-bit node ids
+    with pytest.raises(ValidationError, match=r"region_id 200 outside \[-128, 127\]"):
+        config_from_dict({"regions": [{"region_id": 200}]})
+    assert config_from_dict({"regions": [{"region_id": 127}]}).regions[0].region_id == 127
+    with pytest.raises(ValidationError, match="16385 nodes .* 16384-node"):
+        config_from_dict({"node_count_override": 16385, "regions": [{"region_id": 1}]})
+    with pytest.raises(ValidationError, match="16400 nodes"):
+        config_from_dict({"node_count_override": 3280})  # five regions
+    cfg = config_from_dict({"node_count_override": 16384, "regions": [{"region_id": 1}]})
+    assert cfg.nodes_per_region() == 16384
 
 
 def test_partial_region_entry_inherits_defaults():

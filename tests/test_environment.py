@@ -37,6 +37,69 @@ def year_of_samples(model, region, seed=42, node=1, pos=GeoPoint(6.0, 6.0)):
     return [sampler.sample(k * PERIOD) for k in range(YEAR_S // PERIOD)]
 
 
+def reference_sample(model, region, state, rng, t):
+    """NodeSampler.sample written with the RngStream methods and
+    seasonal_temp; state is [noise, spatial offset]."""
+    p = model.params
+    clim = model.climatology[region]
+    scen = model.scenarios[region]
+    active = scen.active(t)
+    anomaly = scen.temperature_anomaly_c if active else 0.0
+    eps = rng.gauss(0.0, p.noise_sigma_c)
+    eps = max(-p.noise_innovation_cap_c, min(p.noise_innovation_cap_c, eps))
+    state[0] = p.noise_rho * state[0] + eps
+    temperature = seasonal_temp(clim, t) + anomaly + state[1] + state[0]
+    precip = 0.0
+    if rng.random() < p.precip_event_prob:
+        mean_amount = clim.monthly_precip_mm / (model.samples_per_month * p.precip_event_prob)
+        precip = (scen.precipitation_scale if active else 1.0) * rng.expovariate(1.0 / mean_amount)
+    humidity = clim.humidity_pct - 3.0 * anomaly + rng.uniform(-p.humidity_jitter_pct, p.humidity_jitter_pct)
+    humidity = min(100.0, max(0.0, humidity))
+    pressure = clim.pressure_hpa + rng.uniform(-p.pressure_jitter_hpa, p.pressure_jitter_hpa)
+    speed_base, dir_base = clim.wind_speed_ms, clim.wind_dir_deg
+    if active and scen.wind_speed_ms is not None:
+        speed_base = scen.wind_speed_ms
+    if active and scen.wind_dir_deg is not None:
+        dir_base = scen.wind_dir_deg
+    wind_speed = max(0.0, speed_base + rng.uniform(-p.wind_speed_jitter_ms, p.wind_speed_jitter_ms))
+    wind_dir = (dir_base + rng.uniform(-p.wind_dir_jitter_deg, p.wind_dir_jitter_deg)) % 360.0
+    groundwater = max(0.0, clim.groundwater_m - 0.3 * anomaly
+                      + rng.uniform(-p.groundwater_jitter_m, p.groundwater_jitter_m))
+    wind_dir = round(wind_dir, 1)
+    if wind_dir >= 360.0:
+        wind_dir = 0.0
+    return (round(temperature, 3), round(precip, 3), round(humidity, 2), round(pressure, 2),
+            round(wind_speed, 2), wind_dir, round(groundwater, 3))
+
+
+def test_sampler_matches_method_by_method_reference():
+    scenarios = default_drought_scenario()
+    scenarios[5] = DroughtScenario(temperature_anomaly_c=2.0, precipitation_scale=0.3,
+                                   active_start_s=20 * PERIOD, active_end_s=60 * PERIOD,
+                                   wind_dir_deg=300.0, wind_speed_ms=6.0)
+    model = make_model(scenarios=scenarios)
+    pos = GeoPoint(7.5, 4.25)
+    for region in range(1, 6):
+        sampler = model.sampler(region, 1, pos, RngStream(9, f"env:{region}"))
+        rng = RngStream(9, f"env:{region}")
+        state = [0.0, sampler._spatial]
+        for k in range(200):
+            t = k * PERIOD
+            got = sampler.sample(t)
+            want = reference_sample(model, region, state, rng, t)
+            assert (got.temperature_c, got.precipitation_mm, got.humidity_pct, got.pressure_hpa,
+                    got.wind_speed_ms, got.wind_dir_deg, got.groundwater_m) == want
+            assert (got.node_id, got.region_id, got.timestamp) == (1, region, t)
+
+
+def test_dry_climatology_samples_zero_precipitation():
+    clim = {r: Climatology(monthly_precip_mm=0.0) for r in range(1, 6)}
+    model = EnvironmentModel(clim, default_drought_scenario(),
+                             {r: GeoPoint(6.0, 6.0) for r in range(1, 6)})
+    sampler = model.sampler(1, 1, GeoPoint(6.0, 6.0), RngStream(1, "dry"))
+    assert all(sampler.sample(k * PERIOD).precipitation_mm == 0.0 for k in range(500))
+
+
 def test_null_rainfall_region_has_zero_precipitation():
     model = make_model()
     readings = year_of_samples(model, 3)

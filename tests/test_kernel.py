@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +34,24 @@ def make_kernel(n_entities=1, seed=1):
     for r in recs:
         k.register(r)
     return k, recs
+
+
+def test_entity_ids_compare_by_kind_and_index():
+    a = EntityId(EntityKind.SENSOR_NODE, 3)
+    b = EntityId(EntityKind.SENSOR_NODE, 3)
+    assert a == b and hash(a) == hash(b)
+    assert {a: "x"}[b] == "x"
+    assert a != EntityId(EntityKind.LOCAL_BASE_STATION, 3)
+    assert a != EntityId(EntityKind.SENSOR_NODE, 4)
+    assert str(a) == "SensorNode:3"
+    assert str(EntityId(EntityKind.REMOTE_BASE_STATION, 0)) == "RemoteBaseStation:0"
+    with pytest.raises(AttributeError):
+        a.index = 4
+    with pytest.raises(AttributeError):
+        del a.kind
+    assert (a.kind, a.index) == (EntityKind.SENSOR_NODE, 3)
+    assert copy.deepcopy(a) == a
+    assert pickle.loads(pickle.dumps(a)) == a
 
 
 def test_zero_delay_event_fires_first():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 
@@ -51,12 +52,44 @@ def test_same_seed_reports_identical(tmp_path):
     b.pop("wall_clock_s")
     assert a == b
     assert compare_runs(tmp_path / "a", tmp_path / "b") == []
+    # the echoed output directory is where a run was written, not how
+    for side in ("c", "d"):
+        cfg = cfg_days(2).with_overrides(output_dir=str(tmp_path / side))
+        run_scenario(cfg, out_dir=tmp_path / side)
+    assert compare_runs(tmp_path / "c", tmp_path / "d") == []
 
 
 def test_different_seed_diverges(tmp_path):
     a = run_scenario(cfg_days(2))
     b = run_scenario(validate(replace(ScenarioConfig(), horizon_s=2 * DAY, seed=43)))
     assert a["energy"] != b["energy"]
+
+
+# SHA-256 of central_db.csv and energy.csv, and the event count, of
+# 3-day seed-1 runs; a rewrite of the simulation hot path must leave
+# every byte of them as it is
+PINNED_3_DAY = {
+    RoutingMode.TREE: (
+        "e23ab016eaf240e111f08b5ec9d9fb50da4aebe44cae14fbaa678370d8360fe9",
+        "efa24a187834305cc7ce219ee3b6c5dd9ca108e2d4a7315b298c68795ef3078c",
+        38323,
+    ),
+    RoutingMode.COMBINED: (
+        "2d24308d4991ad88ed26fbd4d240e539437dcc6f5e85c1248aadd73e2427b329",
+        "9b0b9d29e923168e7e2fffd9cdbc3fd0842a78197647d072dfce11cb26622b2a",
+        70518,
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(PINNED_3_DAY, key=lambda m: m.value), ids=lambda m: m.value)
+def test_simulated_exports_pinned(tmp_path, mode):
+    rep = run_scenario(cfg_days(3, seed=1, routing_mode=mode), out_dir=tmp_path)
+    digests = tuple(
+        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("central_db.csv", "energy.csv")
+    )
+    assert (*digests, rep["event_count"]) == PINNED_3_DAY[mode]
 
 
 def test_compare_runs_flags_tampering(tmp_path):
