@@ -14,6 +14,7 @@ import sys
 from array import array
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress, islice, repeat
 
 from .environment import SENSOR_FIELDS, SensorReading
 from .geometry import GeoPoint
@@ -22,10 +23,15 @@ from .stack import DataMessage, TransportLink, transport_dispatch
 
 DEFAULT_BACKBONE_RANGE_KM = 120.0
 DEFAULT_LOCAL_DB_CAPACITY = 10_000
-# CentralDatabase limits, which validate() enforces on a config: region
-# ids are stored as signed bytes and global node ids fill 14 key bits
+# CentralDatabase limits: region ids are stored as signed bytes, and a
+# key packs the global node id into 14 bits above a 40-bit timestamp;
+# validate() enforces the region and node limits on a config
 REGION_ID_RANGE = (-128, 127)
 MAX_NODES = 1 << 14
+MAX_TIMESTAMP_S = 1 << 40
+# rows per block of the central-db CSV codec; small blocks keep the
+# reader's transient field strings from raising peak memory
+CSV_BLOCK_ROWS = 1024
 
 
 class BackboneError(Exception):
@@ -65,9 +71,6 @@ class StoredRecord:
     frames_dropped: int
     location: GeoPoint
     route: str
-
-    def key(self) -> tuple:
-        return (self.region_id, self.node_id, self.timestamp)
 
 
 CSV_COLUMNS = (
@@ -151,52 +154,153 @@ class CentralDatabase:
 
     # -- export / import ----------------------------------------------------
 
+    def _csv_columns(self) -> list:
+        """The storage behind each CSV column, in CSV_COLUMNS order."""
+        return [
+            self.region, self.node, self.ts, self.x, self.y, self.routes,
+            self.battery, self.frames_dropped,
+            *(self.raw[f] for f in SENSOR_FIELDS),
+            *(self.cal[f] for f in SENSOR_FIELDS),
+        ]
+
     def to_csv_lines(self):
+        """Header, then one line per record (no trailing newline); every
+        number as its ``repr``, rows formatted one block at a time."""
         yield ",".join(CSV_COLUMNS)
-        raw_cols = [self.raw[f] for f in SENSOR_FIELDS]
-        cal_cols = [self.cal[f] for f in SENSOR_FIELDS]
-        for i in range(len(self.ts)):
-            head = (
-                f"{self.region[i]},{self.node[i]},{self.ts[i]},"
-                f"{self.x[i]!r},{self.y[i]!r},{self.routes[i]},"
-                f"{self.battery[i]!r},{self.frames_dropped[i]}"
-            )
-            raw_part = ",".join(repr(c[i]) for c in raw_cols)
-            cal_part = ",".join(repr(c[i]) for c in cal_cols)
-            yield f"{head},{raw_part},{cal_part}"
+        columns = self._csv_columns()
+        n_fields = len(SENSOR_FIELDS)
+        first_cal = len(columns) - n_fields
+        for start in range(0, len(self.ts), CSV_BLOCK_ROWS):
+            stop = start + CSV_BLOCK_ROWS
+            parts = [col[start:stop] for col in columns]
+            cells = []
+            for k, part in enumerate(parts):
+                if k >= first_cal and part.tobytes() == parts[k - n_fields].tobytes():
+                    cells.append(cells[k - n_fields])  # identity calibration
+                elif type(part) is list:
+                    cells.append(part)  # routes
+                else:
+                    cells.append(list(map(repr, part)))
+            yield from map(",".join, zip(*cells))
 
     @classmethod
     def from_csv_lines(cls, lines) -> "CentralDatabase":
+        """Inverse of to_csv_lines; lines may keep their newline.  Blank
+        lines are skipped, a row with the wrong field count or a bad value
+        raises BackboneError naming its line, and duplicate keys are
+        dropped and counted as ``add`` drops them."""
         it = iter(lines)
-        header = next(it).rstrip("\n").split(",")
-        if header != CSV_COLUMNS:
+        if next(it, "").strip().split(",") != CSV_COLUMNS:
             raise BackboneError("unexpected central-db CSV header")
         db = cls()
-        n_fields = len(SENSOR_FIELDS)
-        for line in it:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(",")
-            raw_vals = [float(v) for v in parts[8 : 8 + n_fields]]
-            cal_vals = [float(v) for v in parts[8 + n_fields : 8 + 2 * n_fields]]
-            region, node, ts = int(parts[0]), int(parts[1]), int(parts[2])
-            raw = SensorReading(node, region, ts, *raw_vals)
-            cal = SensorReading(node, region, ts, *cal_vals)
-            db.add(
-                StoredRecord(
-                    timestamp=ts,
-                    node_id=node,
-                    region_id=region,
-                    raw=raw,
-                    calibrated=cal,
-                    battery_mj_remaining=float(parts[6]),
-                    frames_dropped=int(parts[7]),
-                    location=GeoPoint(float(parts[3]), float(parts[4])),
-                    route=parts[5],
-                )
-            )
+        columns = db._csv_columns()
+        lineno = 2  # of the chunk's first line
+        while chunk := list(islice(it, CSV_BLOCK_ROWS)):
+            parts = _parse_csv_block(chunk, columns, lineno)
+            lineno += len(chunk)
+            # the block's strings go before its key ints are made: made
+            # among them, the ints fragment the heap and raise peak RSS
+            del chunk
+            if parts:
+                db._extend(columns, parts)
         return db
+
+    def _extend(self, columns: list, parts: list) -> None:
+        """Append one parsed block, keeping the first row of each key and
+        counting the rest as ``add`` counts a duplicate."""
+        region = parts[0]
+        keys = list(map(self._key, region, parts[1], parts[2]))
+        known = self._keys
+        n_known = len(known)
+        if known.isdisjoint(keys):
+            known.update(keys)
+            if len(known) - n_known < len(keys):
+                known.difference_update(keys)  # a key repeats in the block
+        if len(known) - n_known < len(keys):
+            # some key is not new: row by row, as add() would see them
+            keep = []
+            dups = self.duplicates_by_region
+            for r, k in zip(region, keys):
+                if k in known:
+                    dups[r] = dups.get(r, 0) + 1
+                    keep.append(False)
+                else:
+                    known.add(k)
+                    keep.append(True)
+            parts = [
+                list(compress(p, keep)) if type(p) is list
+                else array(p.typecode, compress(p, keep))
+                for p in parts
+            ]
+        for col, part in zip(columns, parts):
+            col.extend(part)
+
+
+def _parse_csv_block(chunk: list, columns: list, lineno: int) -> list:
+    """One block of CSV lines (the first at ``lineno``) as one array or
+    list per column, like ``columns``; [] if every line is blank."""
+    rows = list(filter(None, map(str.strip, chunk)))
+    if not rows:
+        return []
+    n_cols = len(columns)
+    if list(map(str.count, rows, repeat(","))).count(n_cols - 1) != len(rows):
+        for i, line in enumerate(chunk):
+            n = line.count(",") + 1
+            if line.strip() and n != n_cols:
+                raise BackboneError(
+                    f"central-db CSV line {lineno + i}: {n} fields, expected {n_cols}"
+                )
+    flat = ",".join(rows).split(",")
+    del rows
+    n_fields = len(SENSOR_FIELDS)
+    first_cal = n_cols - n_fields
+    parts = []
+    try:
+        for k, col in enumerate(columns):
+            cells = flat[k::n_cols]
+            if k >= first_cal and cells == flat[k - n_fields::n_cols]:
+                parts.append(parts[k - n_fields])  # identity calibration
+            elif type(col) is list:
+                parts.append(list(map(sys.intern, cells)))
+            else:
+                parse = float if col.typecode == "d" else int
+                parts.append(array(col.typecode, map(parse, cells)))
+    except (ValueError, OverflowError):
+        _raise_bad_value(chunk, columns, lineno)
+        raise
+    for name, limit in _KEY_LIMITS.items():
+        part = parts[CSV_COLUMNS.index(name)]
+        if min(part) < 0 or max(part) >= limit:
+            _raise_bad_value(chunk, columns, lineno)
+    return parts
+
+
+# key fields outside [0, limit) would spill into the key's other fields
+_KEY_LIMITS = {"node_id": MAX_NODES, "timestamp_s": MAX_TIMESTAMP_S}
+
+
+def _raise_bad_value(chunk: list, columns: list, lineno: int) -> None:
+    """Raise BackboneError for the first cell of the block that does not
+    parse, does not fit its column's storage or does not fit its key
+    field."""
+    for i, line in enumerate(chunk):
+        line = line.strip()
+        if not line:
+            continue
+        for name, col, cell in zip(CSV_COLUMNS, columns, line.split(",")):
+            if type(col) is list:
+                continue
+            limit = _KEY_LIMITS.get(name)
+            try:
+                value = (float if col.typecode == "d" else int)(cell)
+                array(col.typecode, [value])
+                fits = limit is None or 0 <= value < limit
+            except (ValueError, OverflowError):
+                fits = False
+            if not fits:
+                raise BackboneError(
+                    f"central-db CSV line {lineno + i}: bad {name} value {cell!r}"
+                ) from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -226,8 +330,9 @@ class RemoteBaseStation:
             return
         raise BackboneError(f"unexpected payload at remote base station: {payload!r}")
 
-    def receive_record(self, record: StoredRecord, src: EntityId) -> None:
-        self.central.add(record)
+    def receive_entry(self, entry: list, src: EntityId) -> None:
+        """Store the record of a local-store entry sent on an uplink."""
+        self.central.add(entry[0])
 
 
 class LocalBaseStation:
@@ -255,7 +360,6 @@ class LocalBaseStation:
         self.calibration = calibration
         self.capacity = capacity
         self.local_db: deque[list] = deque()  # [record, acked], oldest first
-        self._pending_ack: dict[tuple, list] = {}
         self._route_cache: dict[tuple, str] = {}
         self.uplink: TransportLink | None = None
         self.ingested = 0
@@ -268,7 +372,7 @@ class LocalBaseStation:
             self.kernel,
             self.entity_id,
             remote.entity_id,
-            remote.receive_record,
+            remote.receive_entry,
             self.kernel.stream(f"uplink:{self.region_id}"),
             loss_prob=loss_prob,
             latency_s=latency_s,
@@ -304,8 +408,9 @@ class LocalBaseStation:
         entry = [record, False]
         self._store(entry)
         if self.uplink is not None:
-            self._pending_ack[record.key()] = entry
-            self.uplink.send(record)
+            # the entry itself travels, so its ack marks it and no other
+            # copy of the same reading (combined mode stores two)
+            self.uplink.send(entry)
         return record
 
     def _store(self, entry: list) -> None:
@@ -322,7 +427,6 @@ class LocalBaseStation:
             # than lose data silently
         local_db.append(entry)
 
-    def _on_uplink_ack(self, record: StoredRecord) -> None:
-        entry = self._pending_ack.pop(record.key(), None)
-        if entry is not None:
-            entry[1] = True
+    @staticmethod
+    def _on_uplink_ack(entry: list) -> None:
+        entry[1] = True

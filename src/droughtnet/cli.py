@@ -15,7 +15,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from .backbone import CentralDatabase
+from .backbone import BackboneError, CentralDatabase
 from .config import ScenarioConfig, config_from_dict, load_config, validate
 from .runner import analyse_db, compare_runs, place, run_scenario, write_analysis, write_placement
 
@@ -60,8 +60,12 @@ def cmd_run(args) -> int:
 
 def cmd_classify(args) -> int:
     cfg = _load(args)
-    with open(args.db, encoding="utf-8") as fh:
-        db = CentralDatabase.from_csv_lines(fh)
+    try:
+        with open(args.db, encoding="utf-8") as fh:
+            db = CentralDatabase.from_csv_lines(fh)
+    except BackboneError as exc:
+        print(f"{args.db}: {exc}", file=sys.stderr)
+        return 1
     if len(db) and not {r.region_id for r in cfg.regions} & set(db.region):
         print("no configured regions present in the database", file=sys.stderr)
         return 1

@@ -30,7 +30,10 @@ from .geometry import (
     MAP_SIZE_KM,
     REGION_SIZE_KM,
     CellShape,
+    PlacementPlan,
+    PlanningError,
     estimate_node_count,
+    tile_region,
 )
 from .stack import LinkParams, MacParams, RoutingMode
 
@@ -123,6 +126,14 @@ class ScenarioConfig:
         """Cells placed in each region, sink included."""
         return self.node_count_override or estimate_node_count(
             100.0, self.cell_shape, self.radio_range_km) + 1
+
+    def plan_region(self, region: RegionConfig) -> PlacementPlan:
+        """Where ``region``'s cells go: the one placement that validate()
+        checks and a run builds; PlanningError if the cells do not fit."""
+        return tile_region(
+            region.region_id, self.cell_shape, self.radio_range_km, self.nodes_per_region(),
+            anchor_km=region.anchor_km, region_size_km=self.region_size_km,
+        )
 
     def with_overrides(self, seed=None, routing_mode=None, output_dir=None,
                        trace=None) -> "ScenarioConfig":
@@ -347,11 +358,20 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
             raise ValidationError(f"region {r.region_id} climatology normals must be non-negative")
         if not 0.0 <= r.drought.precipitation_scale <= 1.0:
             raise ValidationError(f"region {r.region_id} precipitation_scale must lie in [0, 1]")
-    total_nodes = cfg.nodes_per_region() * len(cfg.regions)
+    node_count = cfg.nodes_per_region()
+    total_nodes = node_count * len(cfg.regions)
     if total_nodes > MAX_NODES:
         raise ValidationError(
             f"{total_nodes} nodes in total exceed the central database's {MAX_NODES}-node key range"
         )
+    for r in cfg.regions:
+        try:
+            cfg.plan_region(r)
+        except PlanningError as exc:
+            raise ValidationError(
+                f"region {r.region_id} cannot place {node_count} nodes in its "
+                f"region_size_km {cfg.region_size_km} square: {exc}"
+            ) from None
     if cfg.stagger_step_s < 0:
         raise ValidationError("stagger_step_s must be non-negative")
     # offsets for the deepest in-region index must stay inside one period

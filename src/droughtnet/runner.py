@@ -26,7 +26,7 @@ from .analytics import (
     patterns_to_csv_lines,
 )
 from .backbone import CentralDatabase, LocalBaseStation, RemoteBaseStation
-from .config import ScenarioConfig, config_to_dict, validate
+from .config import ScenarioConfig, config_to_dict
 from .environment import EnvironmentModel, normal_temp_over_window
 from .geometry import (
     ConnectivityReport,
@@ -34,7 +34,6 @@ from .geometry import (
     PlacementPlan,
     connectivity_check,
     plans_to_json,
-    tile_region,
 )
 from .kernel import EntityId, EntityKind, Kernel
 from .stack import (
@@ -167,19 +166,15 @@ def region_centroids(cfg: ScenarioConfig) -> dict[int, GeoPoint]:
 def place(cfg: ScenarioConfig) -> list[tuple[PlacementPlan, ConnectivityReport]]:
     """Each configured region's placement plan, in config order, with its
     connectivity at link range (twice the radio range)."""
-    node_count = cfg.nodes_per_region()
     placed = []
     for rc in cfg.regions:
-        plan = tile_region(
-            rc.region_id, cfg.cell_shape, cfg.radio_range_km, node_count,
-            anchor_km=rc.anchor_km, region_size_km=cfg.region_size_km,
-        )
+        plan = cfg.plan_region(rc)
         placed.append((plan, connectivity_check(plan, 2.0 * cfg.radio_range_km)))
     return placed
 
 
 def build_scenario(cfg: ScenarioConfig) -> Scenario:
-    validate(cfg)
+    """Wire up every entity of a run; ``cfg`` must have passed validate()."""
     trace = [] if cfg.trace else None
     kernel = Kernel(seed=cfg.seed, trace=trace)
     link_range = 2.0 * cfg.radio_range_km

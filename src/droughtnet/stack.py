@@ -135,8 +135,10 @@ class DataMessage:
 
 def report_signature(origin_index: int, timestamp: int, interest_id: int = 0) -> int:
     """Arithmetic signature of (source, reading timestamp, interest id);
-    stable across processes, unlike hash() of strings."""
-    return ((origin_index << 36) | timestamp) * 256 + (interest_id & 0xFF)
+    stable across processes, unlike hash() of strings.  The timestamp
+    fills 36 bits, the origin index the next 28 and the interest id every
+    bit above them, so no two interests share a signature."""
+    return (interest_id << 64) | (origin_index << 36) | timestamp
 
 
 class LinkPacket:

@@ -3,12 +3,15 @@
 import contextlib
 import math
 
+from droughtnet.backbone import CSV_COLUMNS, CentralDatabase, StoredRecord
 from droughtnet.energy import EnergyParams
 from droughtnet.environment import (
+    SENSOR_FIELDS,
     Climatology,
     DroughtScenario,
     EnvironmentModel,
     EnvironmentParams,
+    SensorReading,
 )
 from droughtnet.geometry import GeoPoint
 from droughtnet.kernel import EntityId, EntityKind, Kernel
@@ -173,3 +176,57 @@ def random_connected_positions(rng, link_range=2.0, max_nodes=12):
         r = rng.uniform(0.3, 0.95 * link_range)
         pts.append((bx + r * math.cos(ang), by + r * math.sin(ang)))
     return pts
+
+
+# -- row-wise central-db CSV codec: the reference for the block codec --------
+
+
+def reference_to_csv_lines(db):
+    """One f-string per record, as CentralDatabase wrote rows before the
+    block codec."""
+    yield ",".join(CSV_COLUMNS)
+    raw_cols = [db.raw[f] for f in SENSOR_FIELDS]
+    cal_cols = [db.cal[f] for f in SENSOR_FIELDS]
+    for i in range(len(db.ts)):
+        head = (
+            f"{db.region[i]},{db.node[i]},{db.ts[i]},"
+            f"{db.x[i]!r},{db.y[i]!r},{db.routes[i]},"
+            f"{db.battery[i]!r},{db.frames_dropped[i]}"
+        )
+        raw_part = ",".join(repr(c[i]) for c in raw_cols)
+        cal_part = ",".join(repr(c[i]) for c in cal_cols)
+        yield f"{head},{raw_part},{cal_part}"
+
+
+def reference_from_csv_lines(lines):
+    """One StoredRecord per row through CentralDatabase.add, as rows were
+    read before the block codec."""
+    it = iter(lines)
+    header = next(it).rstrip("\n").split(",")
+    assert header == CSV_COLUMNS
+    db = CentralDatabase()
+    n_fields = len(SENSOR_FIELDS)
+    for line in it:
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split(",")
+        raw_vals = [float(v) for v in parts[8 : 8 + n_fields]]
+        cal_vals = [float(v) for v in parts[8 + n_fields : 8 + 2 * n_fields]]
+        region, node, ts = int(parts[0]), int(parts[1]), int(parts[2])
+        raw = SensorReading(node, region, ts, *raw_vals)
+        cal = SensorReading(node, region, ts, *cal_vals)
+        db.add(
+            StoredRecord(
+                timestamp=ts,
+                node_id=node,
+                region_id=region,
+                raw=raw,
+                calibrated=cal,
+                battery_mj_remaining=float(parts[6]),
+                frames_dropped=int(parts[7]),
+                location=GeoPoint(float(parts[3]), float(parts[4])),
+                route=parts[5],
+            )
+        )
+    return db

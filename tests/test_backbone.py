@@ -1,16 +1,26 @@
+import math
+import random
+from dataclasses import replace
+
 import pytest
 
 from droughtnet.backbone import (
+    CSV_BLOCK_ROWS,
+    CSV_COLUMNS,
+    BackboneError,
     CalibrationMap,
     CentralDatabase,
     LocalBaseStation,
     RemoteBaseStation,
+    StoredRecord,
     backbone_link_budget,
 )
-from droughtnet.environment import SensorReading
+from droughtnet.environment import SENSOR_FIELDS, SensorReading
 from droughtnet.geometry import GeoPoint
 from droughtnet.kernel import Kernel
 from droughtnet.stack import DataMessage, report_signature
+
+from helpers import reference_from_csv_lines, reference_to_csv_lines
 
 
 def make_reading(node_id=1, region=1, t=0, temp=20.0, precip=0.5):
@@ -171,3 +181,111 @@ def test_central_csv_round_trip_bit_exact():
     assert again.battery == rbs.central.battery
     assert again.routes == rbs.central.routes
     assert list(again.to_csv_lines()) == lines
+
+
+SPECIAL = (0.0, -0.0, math.nan, math.inf, -math.inf)
+
+
+def special_db(rows, seed=5):
+    """Database of ``rows`` records mixing repeated and distinct values,
+    signed zeros, nan and infinities, under a non-identity calibration."""
+    rng = random.Random(seed)
+    cal = CalibrationMap(coefficients=(("temperature_c", 1.02, -0.5), ("pressure_hpa", 1.0, 0.25)))
+    db = CentralDatabase()
+    positions = [rng.uniform(0.0, 100.0) for _ in range(6)] + list(SPECIAL)
+    for i in range(rows):
+        def value(field_index):
+            if rng.random() < 0.05:
+                return rng.choice(SPECIAL)
+            if field_index % 2:
+                return round(rng.uniform(-50.0, 50.0), 1)  # quantized, as sampled
+            return rng.uniform(-1e6, 1e6)  # full precision
+        raw = SensorReading(i % 40, 1 + i % 5, 1800 * (i // 40),
+                            *(value(f) for f in range(len(SENSOR_FIELDS))))
+        db.add(StoredRecord(
+            timestamp=raw.timestamp, node_id=raw.node_id, region_id=raw.region_id,
+            raw=raw, calibrated=cal.apply(raw),
+            battery_mj_remaining=rng.choice((rng.uniform(0.0, 2e7), -0.0, math.inf)),
+            frames_dropped=rng.randrange(5),
+            location=GeoPoint(rng.choice(positions), rng.choice(positions)),
+            route="-".join(str(rng.randrange(9)) for _ in range(rng.randrange(1, 4))),
+        ))
+    return db
+
+
+def column_bytes(db):
+    return [c if type(c) is list else c.tobytes() for c in db._csv_columns()]
+
+
+def test_block_codec_matches_row_wise_reference():
+    rows = 3 * CSV_BLOCK_ROWS + 123
+    db = special_db(rows)
+    assert len(db) == rows
+    lines = list(db.to_csv_lines())
+    assert lines == list(reference_to_csv_lines(db))
+    assert column_bytes(CentralDatabase.from_csv_lines(lines)) == column_bytes(db)
+    # blank lines, mixed line endings, a duplicate inside the first block,
+    # one of an earlier block's row, one of a later block's row and one
+    # straddling a block boundary
+    body = [line + "\n" if i % 3 else line for i, line in enumerate(lines[1:])]
+    body.insert(7, "\n")
+    body.insert(11, body[4])
+    body.insert(CSV_BLOCK_ROWS + 40, body[30])
+    body.insert(CSV_BLOCK_ROWS - 1, "")
+    body.insert(CSV_BLOCK_ROWS, body[CSV_BLOCK_ROWS + 2])
+    body.insert(2 * CSV_BLOCK_ROWS + 5, body[2 * CSV_BLOCK_ROWS + 4])
+    text = [lines[0]] + body
+    again = CentralDatabase.from_csv_lines(text)
+    ref = reference_from_csv_lines(text)
+    assert column_bytes(again) == column_bytes(ref)
+    assert again._keys == ref._keys == db._keys
+    assert list(again.duplicates_by_region.items()) == list(ref.duplicates_by_region.items())
+    assert again.duplicate_drops == 4
+    assert list(again.to_csv_lines()) == list(reference_to_csv_lines(ref))
+
+
+def test_cal_column_equal_by_value_keeps_its_own_text():
+    # raw -0.0 and calibrated 0.0 compare equal but print differently
+    db = CentralDatabase()
+    for t in (0, 1800):
+        raw = make_reading(t=t, precip=-0.0)
+        db.add(StoredRecord(t, 1, 1, raw, replace(raw, precipitation_mm=0.0),
+                            1.0, 0, GeoPoint(0.0, 0.0), "0"))
+    lines = list(db.to_csv_lines())
+    assert lines == list(reference_to_csv_lines(db))
+    assert lines[1].split(",")[9] == "-0.0" and lines[1].split(",")[16] == "0.0"
+
+
+@pytest.mark.parametrize("cut", [+1, -1], ids=["23-fields", "21-fields"])
+def test_csv_row_with_wrong_field_count_rejected(cut):
+    lines = list(special_db(5).to_csv_lines())
+    lines[3] = lines[3] + ",7" if cut > 0 else lines[3].rsplit(",", 1)[0]
+    with pytest.raises(BackboneError, match=f"line 4: {22 + cut} fields, expected 22"):
+        CentralDatabase.from_csv_lines(lines)
+
+
+def test_csv_bad_cell_names_its_line():
+    lines = list(special_db(5).to_csv_lines())
+    cells = lines[5].split(",")
+    cells[10] = "wet"
+    lines[5] = ",".join(cells)
+    with pytest.raises(BackboneError, match="line 6: bad raw_humidity_pct value 'wet'"):
+        CentralDatabase.from_csv_lines(lines)
+    cells[10], cells[0] = "1.0", "300"  # beyond the signed-byte region column
+    lines[5] = ",".join(cells)
+    with pytest.raises(BackboneError, match="line 6: bad region_id value '300'"):
+        CentralDatabase.from_csv_lines(lines)
+    # node ids and timestamps that fit their columns but not their key bits
+    cells[0] = "1"
+    for column, value in ((1, 16384), (1, 32767), (1, -1), (2, -1), (2, 1 << 40)):
+        bad = cells.copy()
+        bad[column] = str(value)
+        lines[5] = ",".join(bad)
+        with pytest.raises(BackboneError,
+                           match=f"line 6: bad {CSV_COLUMNS[column]} value '{value}'"):
+            CentralDatabase.from_csv_lines(lines)
+    for column, value in ((1, 16383), (2, (1 << 40) - 1)):
+        good = cells.copy()
+        good[column] = str(value)
+        lines[5] = ",".join(good)
+        assert len(CentralDatabase.from_csv_lines(lines)) == 5

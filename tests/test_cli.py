@@ -116,6 +116,20 @@ def test_classify_recomputes_from_db_export(tmp_path, capsys):
             assert (again / "forecast.json").read_text() == "{}\n"
 
 
+def test_classify_rejects_malformed_db_without_traceback(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, TINY)
+    main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+    lines = (tmp_path / "o" / "central_db.csv").read_text().splitlines()
+    for name, row in (("long", lines[2] + ",1.0"), ("short", lines[2].rsplit(",", 1)[0])):
+        bad = tmp_path / f"{name}.csv"
+        bad.write_text("\n".join([*lines[:2], row, *lines[3:]]) + "\n")
+        capsys.readouterr()
+        rc = main(["classify", "--config", cfg, "--db", str(bad), "--out", str(tmp_path / name)])
+        err = capsys.readouterr().err
+        assert rc == 1, name
+        assert err.count("\n") == 1 and "line 3:" in err and "Traceback" not in err, err
+
+
 def test_routing_flag(tmp_path):
     cfg = write_cfg(tmp_path, TINY)
     main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--routing", "flooding"])

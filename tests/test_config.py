@@ -89,8 +89,18 @@ def test_invariant_checks():
         config_from_dict({"node_count_override": 16385, "regions": [{"region_id": 1}]})
     with pytest.raises(ValidationError, match="16400 nodes"):
         config_from_dict({"node_count_override": 3280})  # five regions
-    cfg = config_from_dict({"node_count_override": 16384, "regions": [{"region_id": 1}]})
+    # 16,384 cells need a radio range small enough to fit the 12 km square
+    cfg = config_from_dict({"node_count_override": 16384, "radio_range_km": 0.05,
+                            "regions": [{"region_id": 1}]})
     assert cfg.nodes_per_region() == 16384
+    # the region square must hold every cell the run will place
+    with pytest.raises(ValidationError, match=r"cannot place 10 nodes .* region_size_km 4\.0"):
+        config_from_dict({"horizon_s": 172800, "region_size_km": 4.0})
+    assert config_from_dict({"horizon_s": 172800}).nodes_per_region() == 10
+    with pytest.raises(ValidationError, match="circles leave gaps"):
+        config_from_dict({"cell_shape": "circle"})
+    with pytest.raises(ValidationError, match="node_count 5 below coverage estimate 9"):
+        config_from_dict({"node_count_override": 5})
 
 
 def test_partial_region_entry_inherits_defaults():

@@ -192,6 +192,23 @@ def test_combined_mode_dedupes_diffusion_copies():
     assert sum(r["central_duplicates"] for r in rep["per_region"].values()) > 0
 
 
+def test_latent_uplink_acks_every_stored_copy():
+    # combined mode stores a tree copy and a diffusion copy of each
+    # reading; each copy's own ack must mark it, or the store never evicts
+    cfg = validate(replace(
+        cfg_days(3, seed=1, routing_mode=RoutingMode.COMBINED, local_db_capacity=50),
+        backbone=replace(ScenarioConfig().backbone, latency_s=5),
+    ))
+    scn = build_scenario(cfg)
+    simulate(scn)
+    for reg in scn.regions:
+        station = reg.station
+        assert station.uplink.abandoned == 0
+        assert station.uplink.delivered == station.ingested > 2 * 50
+        assert all(acked for _, acked in station.local_db), reg.region_id
+        assert len(station.local_db) <= 50
+
+
 def test_diffusion_mode_runs_end_to_end():
     rep = run_scenario(cfg_days(2, routing_mode=RoutingMode.DIFFUSION))
     cycles = 2 * DAY // 1800

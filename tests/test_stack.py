@@ -283,9 +283,18 @@ def test_cache_fifo_eviction_matches_list_oracle():
 
 
 def test_signature_is_stable_arithmetic():
-    assert report_signature(3, 1800, 1) == ((3 << 36) | 1800) * 256 + 1
+    assert report_signature(3, 1800, 1) == (1 << 64) | (3 << 36) | 1800
     assert report_signature(3, 1800, 1) != report_signature(3, 1800, 2)
     assert report_signature(3, 1800) != report_signature(4, 1800)
+
+
+def test_signature_keeps_every_interest_id():
+    # region ids span [-128, 127], so a config may hold 256 regions and
+    # the last one's diffusion interest is id 256
+    sigs = {report_signature(3, 1800, iid) for iid in range(257)}
+    assert len(sigs) == 257
+    assert report_signature(3, 1800, 256) != report_signature(3, 1800, 0)
+    assert report_signature(3, 1800, 1 << 20) != report_signature(3, 1800, 0)
 
 
 # -- directed diffusion ----------------------------------------------------------------
