@@ -95,8 +95,7 @@ class CentralDatabase:
         self.routes: list[str] = []
         self.raw = {f: array("d") for f in SENSOR_FIELDS}
         self.cal = {f: array("d") for f in SENSOR_FIELDS}
-        self._raw_append = tuple(self.raw[f].append for f in SENSOR_FIELDS)
-        self._cal_append = tuple(self.cal[f].append for f in SENSOR_FIELDS)
+        self._appends = tuple(col.append for col in self._csv_columns())
         self._keys: set[int] = set()
         self.duplicates_by_region: dict[int, int] = {}
 
@@ -109,32 +108,43 @@ class CentralDatabase:
 
     def add(self, rec: StoredRecord) -> bool:
         """Append a record; False (and a counter bump) on a duplicate key."""
-        k = self._key(rec.region_id, rec.node_id, rec.timestamp)
+        region_id = rec.region_id
+        k = (region_id << 54) | (rec.node_id << 40) | rec.timestamp  # _key, inlined
         if k in self._keys:
-            self.duplicates_by_region[rec.region_id] = (
-                self.duplicates_by_region.get(rec.region_id, 0) + 1
+            self.duplicates_by_region[region_id] = (
+                self.duplicates_by_region.get(region_id, 0) + 1
             )
             return False
         self._keys.add(k)
-        self.region.append(rec.region_id)
-        self.node.append(rec.node_id)
-        self.ts.append(rec.timestamp)
-        self.x.append(rec.location.x_km)
-        self.y.append(rec.location.y_km)
-        self.battery.append(rec.battery_mj_remaining)
-        self.frames_dropped.append(rec.frames_dropped)
-        self.routes.append(sys.intern(rec.route))
-        # one bound append per column, in SENSOR_FIELDS order
-        for r, (temp, precip, hum, pres, wspeed, wdir, ground) in (
-            (rec.raw, self._raw_append), (rec.calibrated, self._cal_append)
-        ):
-            temp(r.temperature_c)
-            precip(r.precipitation_mm)
-            hum(r.humidity_pct)
-            pres(r.pressure_hpa)
-            wspeed(r.wind_speed_ms)
-            wdir(r.wind_dir_deg)
-            ground(r.groundwater_m)
+        # one bound append per column, in CSV_COLUMNS order
+        (region, node, ts, x, y, route, battery, dropped,
+         temp, precip, hum, pres, wspeed, wdir, ground,
+         c_temp, c_precip, c_hum, c_pres, c_wspeed, c_wdir, c_ground) = self._appends
+        region(region_id)
+        node(rec.node_id)
+        ts(rec.timestamp)
+        loc = rec.location
+        x(loc.x_km)
+        y(loc.y_km)
+        route(sys.intern(rec.route))
+        battery(rec.battery_mj_remaining)
+        dropped(rec.frames_dropped)
+        r = rec.raw
+        temp(r.temperature_c)
+        precip(r.precipitation_mm)
+        hum(r.humidity_pct)
+        pres(r.pressure_hpa)
+        wspeed(r.wind_speed_ms)
+        wdir(r.wind_dir_deg)
+        ground(r.groundwater_m)
+        c = rec.calibrated
+        c_temp(c.temperature_c)
+        c_precip(c.precipitation_mm)
+        c_hum(c.humidity_pct)
+        c_pres(c.pressure_hpa)
+        c_wspeed(c.wind_speed_ms)
+        c_wdir(c.wind_dir_deg)
+        c_ground(c.groundwater_m)
         return True
 
     @property
@@ -358,6 +368,8 @@ class LocalBaseStation:
         self.position = position
         self.node_locations = node_locations
         self.calibration = calibration
+        # an identity map stores the raw reading as the calibrated one
+        self._calibrate = None if calibration.is_identity() else calibration.apply
         self.capacity = capacity
         self.local_db: deque[list] = deque()  # [record, acked], oldest first
         self._route_cache: dict[tuple, str] = {}
@@ -367,7 +379,8 @@ class LocalBaseStation:
         kernel.register(self)
 
     def attach_uplink(self, remote: RemoteBaseStation, loss_prob: float = 0.0,
-                      latency_s: int = 0, max_retries: int = 20) -> None:
+                      latency_s: int = 0, max_retries: int = 20,
+                      ack_timeout_s: int = 2) -> None:
         self.uplink = TransportLink(
             self.kernel,
             self.entity_id,
@@ -377,6 +390,7 @@ class LocalBaseStation:
             loss_prob=loss_prob,
             latency_s=latency_s,
             max_retries=max_retries,
+            ack_timeout_s=ack_timeout_s,
             on_acked=self._on_uplink_ack,
         )
 
@@ -393,16 +407,13 @@ class LocalBaseStation:
         route = self._route_cache.get(msg.route)
         if route is None:
             route = self._route_cache[msg.route] = "-".join(str(i) for i in msg.route)
+        node_id = msg.origin_index
+        calibrate = self._calibrate
         record = StoredRecord(
-            timestamp=raw.timestamp,
-            node_id=msg.origin_index,
-            region_id=self.region_id,
-            raw=raw,
-            calibrated=self.calibration.apply(raw),
-            battery_mj_remaining=msg.battery_mj,
-            frames_dropped=msg.frames_dropped,
-            location=self.node_locations.get(msg.origin_index, self.position),
-            route=route,
+            raw.timestamp, node_id, self.region_id, raw,
+            raw if calibrate is None else calibrate(raw),
+            msg.battery_mj, msg.frames_dropped,
+            self.node_locations.get(node_id, self.position), route,
         )
         self.ingested += 1
         entry = [record, False]

@@ -330,6 +330,10 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ValidationError("backbone.loss_prob must lie in [0, 1]")
     if cfg.link.delay_s < 0 or cfg.backbone.latency_s < 0:
         raise ValidationError("link delays must be non-negative")
+    if cfg.backbone.ack_timeout_s < 1:
+        raise ValidationError("backbone.ack_timeout_s must be at least 1")
+    if cfg.backbone.max_retries < 0:
+        raise ValidationError("backbone.max_retries must be non-negative")
     if cfg.payload_bytes <= 0 or cfg.mac.max_frame_bytes <= 0:
         raise ValidationError("payload_bytes and mac.max_frame_bytes must be positive")
     frames_per_packet = -(-cfg.payload_bytes // cfg.mac.max_frame_bytes)

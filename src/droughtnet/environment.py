@@ -154,11 +154,12 @@ class NodeSampler:
     sample() inlines RngStream.gauss/expovariate/uniform and
     seasonal_temp over the stream's bound random(), keeping their
     float expressions, so readings equal the method-by-method ones
-    bit for bit.
+    bit for bit.  The region's constants are unpacked from one tuple
+    that __init__ builds.
     """
 
     __slots__ = ("model", "region_id", "node_id", "position", "rng", "_random", "_noise",
-                 "_spatial", "_params", "_clim", "_scen", "_precip_lambd", "_jitter")
+                 "_const")
 
     def __init__(self, model: "EnvironmentModel", region_id: int, node_id: int,
                  position: GeoPoint, rng: RngStream):
@@ -169,73 +170,80 @@ class NodeSampler:
         self.rng = rng
         self._random = rng._random
         self._noise = 0.0
-        p = self._params = model.params
-        clim = self._clim = model.climatology[region_id]
-        self._scen = model.scenarios[region_id]
+        p = model.params
+        clim = model.climatology[region_id]
+        scen = model.scenarios[region_id]
         centroid = model.centroids[region_id]
         g = p.spatial_gradient_c_per_km
-        self._spatial = g * ((position.x_km - centroid.x_km) + (position.y_km - centroid.y_km))
+        spatial = g * ((position.x_km - centroid.x_km) + (position.y_km - centroid.y_km))
         # exponential rate of an event's amount; a dry climatology makes
         # every amount 0 mm, and with no events the rate is never used
         events_per_month = model.samples_per_month * p.precip_event_prob
         mean_amount = clim.monthly_precip_mm / events_per_month if events_per_month else 0.0
-        self._precip_lambd = 1.0 / mean_amount if mean_amount else math.inf
-        # (a, b - a) of each uniform(-half_range, half_range) jitter
-        self._jitter = tuple(
-            v
-            for half in (p.humidity_jitter_pct, p.pressure_jitter_hpa, p.wind_speed_jitter_ms,
-                         p.wind_dir_jitter_deg, p.groundwater_jitter_m)
-            for v in (-half, half - -half)
+        precip_lambd = 1.0 / mean_amount if mean_amount else math.inf
+        self._const = (
+            scen.active_start_s, scen.active_end_s, scen.temperature_anomaly_c,
+            p.noise_sigma_c, p.noise_innovation_cap_c, p.noise_rho,
+            clim.mean_temp_c, clim.seasonal_amplitude_c, spatial,
+            p.precip_event_prob, scen.precipitation_scale, precip_lambd,
+            clim.humidity_pct, clim.pressure_hpa, clim.groundwater_m,
+            # wind bases outside and inside the scenario's active window
+            clim.wind_speed_ms, clim.wind_dir_deg,
+            clim.wind_speed_ms if scen.wind_speed_ms is None else scen.wind_speed_ms,
+            clim.wind_dir_deg if scen.wind_dir_deg is None else scen.wind_dir_deg,
+            # (a, b - a) of each uniform(-half_range, half_range) jitter
+            *(
+                v
+                for half in (p.humidity_jitter_pct, p.pressure_jitter_hpa,
+                             p.wind_speed_jitter_ms, p.wind_dir_jitter_deg,
+                             p.groundwater_jitter_m)
+                for v in (-half, half - -half)
+            ),
         )
 
     def sample(self, t: int) -> SensorReading:
-        p = self._params
-        clim = self._clim
-        scen = self._scen
+        (active_start, active_end, anomaly_c, sigma, cap, rho,
+         mean_temp, amplitude, spatial, event_prob, precip_scale, precip_lambd,
+         humidity_base, pressure_base, groundwater_base,
+         wind_speed_base, wind_dir_base, active_wind_speed, active_wind_dir,
+         h_lo, h_w, p_lo, p_w, ws_lo, ws_w, wd_lo, wd_w, g_lo, g_w) = self._const
         draw = self._random
-        active = t >= scen.active_start_s and (scen.active_end_s is None or t < scen.active_end_s)
-        anomaly = scen.temperature_anomaly_c if active else 0.0
+        active = t >= active_start and (active_end is None or t < active_end)
+        anomaly = anomaly_c if active else 0.0
 
         # Box-Muller, two draws
         u1 = draw()
         u2 = draw()
         if u1 <= 0.0:
             u1 = 5e-324
-        eps = 0.0 + p.noise_sigma_c * math.sqrt(-2.0 * math.log(u1)) * math.cos(TWO_PI * u2)
-        cap = p.noise_innovation_cap_c
+        eps = 0.0 + sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(TWO_PI * u2)
         if eps > cap:
             eps = cap
         elif eps < -cap:
             eps = -cap
-        noise = self._noise = p.noise_rho * self._noise + eps
+        noise = self._noise = rho * self._noise + eps
 
-        seasonal = clim.mean_temp_c - clim.seasonal_amplitude_c * math.cos(
-            TWO_PI * ((t % YEAR_S) / YEAR_S))
-        temperature = seasonal + anomaly + self._spatial + noise
+        seasonal = mean_temp - amplitude * math.cos(TWO_PI * ((t % YEAR_S) / YEAR_S))
+        temperature = seasonal + anomaly + spatial + noise
 
         precip = 0.0
-        if draw() < p.precip_event_prob:
-            scale = scen.precipitation_scale if active else 1.0
-            precip = scale * (-math.log(1.0 - draw()) / self._precip_lambd)
+        if draw() < event_prob:
+            scale = precip_scale if active else 1.0
+            precip = scale * (-math.log(1.0 - draw()) / precip_lambd)
 
-        h_lo, h_w, p_lo, p_w, ws_lo, ws_w, wd_lo, wd_w, g_lo, g_w = self._jitter
-        humidity = clim.humidity_pct - 3.0 * anomaly + (h_lo + h_w * draw())
+        humidity = humidity_base - 3.0 * anomaly + (h_lo + h_w * draw())
         humidity = humidity if humidity > 0.0 else 0.0
         humidity = humidity if humidity < 100.0 else 100.0
-        pressure = clim.pressure_hpa + (p_lo + p_w * draw())
+        pressure = pressure_base + (p_lo + p_w * draw())
 
-        wind_speed_base = clim.wind_speed_ms
-        wind_dir_base = clim.wind_dir_deg
         if active:
-            if scen.wind_speed_ms is not None:
-                wind_speed_base = scen.wind_speed_ms
-            if scen.wind_dir_deg is not None:
-                wind_dir_base = scen.wind_dir_deg
+            wind_speed_base = active_wind_speed
+            wind_dir_base = active_wind_dir
         wind_speed = wind_speed_base + (ws_lo + ws_w * draw())
         wind_speed = wind_speed if wind_speed > 0.0 else 0.0
         wind_dir = (wind_dir_base + (wd_lo + wd_w * draw())) % 360.0
 
-        groundwater = clim.groundwater_m - 0.3 * anomaly + (g_lo + g_w * draw())
+        groundwater = groundwater_base - 0.3 * anomaly + (g_lo + g_w * draw())
         groundwater = groundwater if groundwater > 0.0 else 0.0
 
         wind_dir = round(wind_dir, 1)

@@ -1,20 +1,26 @@
 """Deterministic discrete-event kernel.
 
-Virtual clock in whole seconds, a priority event queue ordered by
-(fire_at, seq), per-entity seeded random streams and delayed message
-delivery between registered entities.  Two runs with the same scenario
-and seed produce identical event sequences; determinism rests only on
-``random.Random.random()``, whose output for a fixed seed is guaranteed
-stable across Python versions.
+Virtual clock in whole seconds, an event queue dispatching in
+(fire_at, seq) order, per-entity seeded random streams and delayed
+message delivery between registered entities.  Two runs with the same
+scenario and seed produce identical event sequences; determinism rests
+only on ``random.Random.random()``, whose output for a fixed seed is
+guaranteed stable across Python versions.
+
+The queue is a calendar queue with one bucket per second (Brown,
+"Calendar queues", CACM 31(10), 1988): a whole-second clock puts several
+events on most pending seconds, so each second keeps its events in a
+FIFO list, which is seq order, and only the distinct pending seconds go
+through a heap.
 """
 
 from __future__ import annotations
 
 import hashlib
-import heapq
 import math
 import random
 from enum import Enum
+from heapq import heappop, heappush
 from typing import Any
 
 
@@ -132,8 +138,13 @@ class RngStream:
 class Kernel:
     """Single-threaded event loop owning all entity state it dispatches to.
 
-    Events are stored as (fire_at, seq, target, handler, payload) tuples;
-    seq is unique, so (fire_at, seq) is a strict total order.
+    Pending events live in per-second buckets: ``_buckets[fire_at]`` is
+    a list of (seq, target, handler, payload) tuples in scheduling
+    order, and ``_times`` is a heap of the seconds that have a bucket.
+    seq is unique and increases with every schedule, so appending keeps
+    each bucket in seq order, and an event scheduled for the running
+    second joins the tail of the bucket being dispatched.  Dispatch
+    order is therefore the strict total order (fire_at, seq).
     """
 
     def __init__(self, seed: int, trace: list[str] | None = None):
@@ -141,9 +152,11 @@ class Kernel:
         self.now: int = 0
         self.processed: int = 0
         self.trace = trace
-        self._heap: list = []
+        self._buckets: dict[int, list] = {}
+        self._times: list[int] = []
         self._seq: int = 0
         self._entities: dict[EntityId, Any] = {}
+        self._handlers: dict[EntityId, Any] = {}  # each entity's bound handle
 
     # -- entities ----------------------------------------------------------
 
@@ -152,6 +165,7 @@ class Kernel:
         if eid in self._entities:
             raise ValueError(f"entity already registered: {eid}")
         self._entities[eid] = entity
+        self._handlers[eid] = entity.handle
 
     def entity(self, eid: EntityId) -> Any:
         try:
@@ -169,10 +183,15 @@ class Kernel:
         if fire_at < self.now:
             raise SchedulingInPast(f"fire_at {fire_at} < clock {self.now}")
         try:
-            handler = self._entities[target].handle
+            handler = self._handlers[target]
         except KeyError:
             raise UnknownEntity(str(target)) from None
-        heapq.heappush(self._heap, (fire_at, self._seq, target, handler, payload))
+        bucket = self._buckets.get(fire_at)
+        if bucket is None:
+            self._buckets[fire_at] = [(self._seq, target, handler, payload)]
+            heappush(self._times, fire_at)
+        else:
+            bucket.append((self._seq, target, handler, payload))
         self._seq += 1
 
     def send_delayed(self, src: EntityId, dst: EntityId, payload: Any, delay_s: int) -> None:
@@ -184,7 +203,9 @@ class Kernel:
         self.schedule(self.now + delay_s, dst, Message(src, payload))
 
     def pending(self) -> int:
-        return len(self._heap)
+        """Events queued and not yet dispatched: every schedule made one
+        seq, and every dispatch counts one processed."""
+        return self._seq - self.processed
 
     # -- execution ---------------------------------------------------------
 
@@ -193,19 +214,33 @@ class Kernel:
 
         Returns the number of events processed.  The clock ends at the
         last processed event's time (unchanged if none fired); it never
-        runs ahead to the horizon on an empty queue.
+        runs ahead to the horizon on an empty queue.  If a handler
+        raises, the events of its second that already fired, the raising
+        one included, leave the queue, and the next call resumes with
+        the rest of that second.
         """
-        heap = self._heap
-        pop = heapq.heappop
+        times = self._times
+        buckets = self._buckets
         trace = self.trace
-        count = 0
-        while heap and heap[0][0] <= horizon:
-            fire_at, seq, target, handler, payload = pop(heap)
+        start = self.processed
+        while times and times[0] <= horizon:
+            fire_at = times[0]
             self.now = fire_at
-            if trace is not None:
-                tag = getattr(payload, "tag", None) or type(payload).__name__
-                trace.append(f"{fire_at}\t{seq}\t{target}\t{tag}")
-            handler(payload)
-            count += 1
-        self.processed += count
-        return count
+            bucket = buckets[fire_at]
+            before = self.processed
+            try:
+                # iterating the list itself also reaches events that
+                # handlers append to this second's bucket
+                for seq, target, handler, payload in bucket:
+                    self.processed += 1
+                    if trace is not None:
+                        tag = getattr(payload, "tag", None) or type(payload).__name__
+                        trace.append(f"{fire_at}\t{seq}\t{target}\t{tag}")
+                    handler(payload)
+            except BaseException:
+                del bucket[:self.processed - before]
+                if not bucket:
+                    del buckets[heappop(times)]
+                raise
+            del buckets[heappop(times)]
+        return self.processed - start

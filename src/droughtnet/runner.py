@@ -265,6 +265,7 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
             loss_prob=cfg.backbone.loss_prob,
             latency_s=cfg.backbone.latency_s,
             max_retries=cfg.backbone.max_retries,
+            ack_timeout_s=cfg.backbone.ack_timeout_s,
         )
         nodes[0].collector = station.ingest
         for node in nodes:

@@ -283,7 +283,7 @@ class SensorNode:
         "tree_parent", "descendants_expected",
         "_cycle_forwarded", "_own_sent",
         "sampler", "period_s", "stagger_s", "sampling_horizon_s",
-        "mac_queue", "_queued_frames", "mac_rng", "link_rng",
+        "mac_queue", "_queued_frames", "_mac_random", "_backoff_slots", "link_rng",
         "interest_cache", "gradients", "_sink_reinforced",
         "data_cache", "_cache_set", "data_cache_cap",
         "sensor_fields", "collector",
@@ -351,7 +351,8 @@ class SensorNode:
         self.mac_queue = deque()
         self._queued_frames = 0
         label = f"node:{entity_id.index}"
-        self.mac_rng = kernel.stream(label + ":mac")
+        self._mac_random = kernel.stream(label + ":mac")._random
+        self._backoff_slots = mac.backoff_slots
         self.link_rng = kernel.stream(label + ":link")
         self.interest_cache = {}
         self.gradients = {}
@@ -412,6 +413,14 @@ class SensorNode:
     # -- event dispatch -------------------------------------------------------
 
     def handle(self, payload) -> None:
+        # most frequent payload first: busy-channel backoff polls
+        if payload is MAC_RETRY:
+            if self.mode == MODE_SLEEPING:
+                return
+            self._mac_attempt()
+            if self._drain_sleep:
+                self._maybe_sleep()
+            return
         t = type(payload)
         if t is Message:
             body = payload.body
@@ -428,12 +437,6 @@ class SensorNode:
             raise StackError(f"unexpected message body {tb}")
         if payload is WAKE:
             self._on_wake()
-            return
-        if payload is MAC_RETRY:
-            if self.mode == MODE_SLEEPING:
-                return
-            self._mac_attempt()
-            self._maybe_sleep()
             return
         if t is LaunchInterest:
             self.launch_interest(payload.interest)
@@ -459,11 +462,10 @@ class SensorNode:
             self.active_since = end_time
 
     def _maybe_sleep(self) -> None:
-        # drain-aware: own report sent, all descendant reports forwarded,
-        # nothing queued
+        # drain-aware, and called only on drain-sleep nodes: own report
+        # sent, all descendant reports forwarded, nothing queued
         if (
-            self._drain_sleep
-            and self.mode == MODE_ACTIVE
+            self.mode == MODE_ACTIVE
             and self._own_sent
             and self._cycle_forwarded >= self.descendants_expected
             and not self.mac_queue
@@ -487,7 +489,8 @@ class SensorNode:
             if nxt < self.sampling_horizon_s:
                 self.kernel.schedule(nxt, self.entity_id, WAKE)
         self._own_sent = True
-        self._maybe_sleep()
+        if self._drain_sleep:
+            self._maybe_sleep()
 
     def _emit_reading(self, reading: SensorReading) -> None:
         if self._tree_on:
@@ -570,7 +573,8 @@ class SensorNode:
         else:
             r = pkt.body
             self.receive_reinforcement(r.interest_id, r.data_rate, src, r.path)
-        self._maybe_sleep()
+        if self._drain_sleep:
+            self._maybe_sleep()
 
     # -- interests / gradients ------------------------------------------------
 
@@ -713,8 +717,9 @@ class SensorNode:
         now = self.kernel.now
         channel = self.channel
         if channel.busy_until > now:
-            self.kernel.schedule(now + self.mac_rng.randint(1, self.mac.backoff_slots),
-                                 self.entity_id, MAC_RETRY)
+            # RngStream.randint(1, backoff_slots) on the bound random()
+            backoff = 1 + int(self._mac_random() * self._backoff_slots)
+            self.kernel.schedule(now + backoff, self.entity_id, MAC_RETRY)
             return
         pkt = queue.popleft()
         self._queued_frames -= pkt.nframes
@@ -829,7 +834,7 @@ class TransportLink:
         self.loss_prob = loss_prob
         self.latency_s = latency_s
         self.max_retries = max_retries
-        self.ack_timeout_s = max(1, ack_timeout_s)
+        self.ack_timeout_s = ack_timeout_s
         self.on_acked = on_acked
         self.transmissions = 0
         self.delivered = 0

@@ -1,6 +1,7 @@
 """Small-topology builder and instrumentation used across protocol tests."""
 
 import contextlib
+import heapq
 import math
 
 from droughtnet.backbone import CSV_COLUMNS, CentralDatabase, StoredRecord
@@ -14,7 +15,7 @@ from droughtnet.environment import (
     SensorReading,
 )
 from droughtnet.geometry import GeoPoint
-from droughtnet.kernel import EntityId, EntityKind, Kernel
+from droughtnet.kernel import EntityId, EntityKind, Kernel, SchedulingInPast, UnknownEntity
 from droughtnet.stack import (
     Channel,
     LinkParams,
@@ -230,3 +231,41 @@ def reference_from_csv_lines(lines):
             )
         )
     return db
+
+
+# -- one-heap event queue: the reference for the per-second buckets ----------
+
+
+class ReferenceHeapKernel(Kernel):
+    """Kernel with one heap of (fire_at, seq, target, payload) events in
+    place of the per-second buckets: the reference that the bucket
+    queue's dispatch order, trace and pending counts are checked
+    against."""
+
+    def __init__(self, seed, trace=None):
+        super().__init__(seed, trace)
+        self._heap = []
+
+    def schedule(self, fire_at, target, payload):
+        if fire_at < self.now:
+            raise SchedulingInPast(f"fire_at {fire_at} < clock {self.now}")
+        if target not in self._entities:
+            raise UnknownEntity(str(target))
+        heapq.heappush(self._heap, (fire_at, self._seq, target, payload))
+        self._seq += 1
+
+    def pending(self):
+        return len(self._heap)
+
+    def run_until(self, horizon):
+        count = 0
+        while self._heap and self._heap[0][0] <= horizon:
+            fire_at, seq, target, payload = heapq.heappop(self._heap)
+            self.now = fire_at
+            if self.trace is not None:
+                tag = getattr(payload, "tag", None) or type(payload).__name__
+                self.trace.append(f"{fire_at}\t{seq}\t{target}\t{tag}")
+            self._entities[target].handle(payload)
+            count += 1
+        self.processed += count
+        return count

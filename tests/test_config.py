@@ -81,6 +81,12 @@ def test_invariant_checks():
         config_from_dict({"regions": [{"region_id": 1, "anchor_km": [95.0, 0.0]}]})
     with pytest.raises(ValidationError, match="queue_cap_frames"):
         config_from_dict({"mac": {"queue_cap_frames": 1}})
+    with pytest.raises(ValidationError, match="ack_timeout_s must be at least 1"):
+        config_from_dict({"backbone": {"ack_timeout_s": 0}})
+    assert config_from_dict({"backbone": {"ack_timeout_s": 1}}).backbone.ack_timeout_s == 1
+    with pytest.raises(ValidationError, match="max_retries must be non-negative"):
+        config_from_dict({"backbone": {"max_retries": -1}})
+    assert config_from_dict({"backbone": {"max_retries": 0}}).backbone.max_retries == 0
     # central-database storage limits: signed-byte region ids, 14-bit node ids
     with pytest.raises(ValidationError, match=r"region_id 200 outside \[-128, 127\]"):
         config_from_dict({"regions": [{"region_id": 200}]})

@@ -82,7 +82,10 @@ def test_sampler_matches_method_by_method_reference():
     for region in range(1, 6):
         sampler = model.sampler(region, 1, pos, RngStream(9, f"env:{region}"))
         rng = RngStream(9, f"env:{region}")
-        state = [0.0, sampler._spatial]
+        centroid = model.centroids[region]
+        spatial = model.params.spatial_gradient_c_per_km * (
+            (pos.x_km - centroid.x_km) + (pos.y_km - centroid.y_km))
+        state = [0.0, spatial]
         for k in range(200):
             t = k * PERIOD
             got = sampler.sample(t)

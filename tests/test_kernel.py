@@ -1,4 +1,5 @@
 import copy
+import itertools
 import pickle
 
 import pytest
@@ -14,6 +15,8 @@ from droughtnet.kernel import (
     SchedulingInPast,
     UnknownEntity,
 )
+
+from helpers import ReferenceHeapKernel
 
 
 class Recorder:
@@ -190,6 +193,130 @@ def test_processing_order_matches_sort_oracle(times):
     # causality: processed times never decrease
     fired = [t for t, _ in r.log]
     assert all(a <= b for a, b in zip(fired, fired[1:]))
+
+
+class Token:
+    __slots__ = ("ident",)
+
+    def __init__(self, ident):
+        self.ident = ident
+
+    @property
+    def tag(self):
+        return f"t{self.ident}"
+
+
+class Spawner:
+    """Logs (clock, token id, pending events) for every token it handles
+    and queues the follow-ups that ``script[token id]`` lists, each as
+    (delay, target index, through send_delayed)."""
+
+    def __init__(self, kernel, index, script, log, ids):
+        self.entity_id = EntityId(EntityKind.SENSOR_NODE, index)
+        self.kernel = kernel
+        self.script = script
+        self.log = log
+        self.ids = ids
+
+    def handle(self, payload):
+        token = payload.body if isinstance(payload, Message) else payload
+        k = self.kernel
+        self.log.append((k.now, token.ident, k.pending()))
+        steps = self.script[token.ident] if token.ident < len(self.script) else ()
+        for delay, target, via_send in steps:
+            follow = Token(next(self.ids))
+            dst = EntityId(EntityKind.SENSOR_NODE, target)
+            if via_send:
+                k.send_delayed(self.entity_id, dst, follow, delay)
+            else:
+                k.schedule(k.now + delay, dst, follow)
+
+
+def run_script(kernel_cls, initial, script, cuts):
+    """Run one scripted event program; returns the handlers' log, the
+    trace lines and (fired, clock, pending) after every run_until."""
+    trace = []
+    k = kernel_cls(seed=1, trace=trace)
+    log = []
+    ids = itertools.count()
+    for i in range(3):
+        k.register(Spawner(k, i, script, log, ids))
+    for t, target in initial:
+        k.schedule(t, EntityId(EntityKind.SENSOR_NODE, target), Token(next(ids)))
+    states = []
+    for horizon, extra in cuts:
+        states.append((k.run_until(horizon), k.now, k.pending()))
+        # queued from outside between cuts: at the clock itself, whose
+        # second has already run, or before seconds queued earlier
+        for delay, target in extra:
+            k.schedule(k.now + delay, EntityId(EntityKind.SENSOR_NODE, target),
+                       Token(next(ids)))
+    states.append((k.run_until(10**6), k.now, k.pending()))
+    return log, trace, states
+
+
+follow_ups = st.lists(
+    st.tuples(st.integers(0, 6), st.integers(0, 2), st.booleans()), max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    initial=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 2)), min_size=1, max_size=30),
+    script=st.lists(follow_ups, max_size=80),
+    cuts=st.lists(
+        st.tuples(st.integers(0, 60),
+                  st.lists(st.tuples(st.integers(0, 8), st.integers(0, 2)), max_size=3)),
+        max_size=5),
+)
+def test_dispatch_matches_one_heap_reference(initial, script, cuts):
+    got = run_script(Kernel, initial, script, cuts)
+    want = run_script(ReferenceHeapKernel, initial, script, cuts)
+    assert got == want
+    assert got[2][-1][2] == 0
+
+
+class Flaky:
+    """Logs every payload; raises on "boom", and queues "echo" into the
+    running second on "spawn"."""
+
+    def __init__(self, kernel):
+        self.entity_id = EntityId(EntityKind.SENSOR_NODE, 0)
+        self.kernel = kernel
+        self.log = []
+
+    def handle(self, payload):
+        self.log.append((self.kernel.now, payload, self.kernel.pending()))
+        if payload == "spawn":
+            self.kernel.schedule(self.kernel.now, self.entity_id, "echo")
+        if payload.startswith("boom"):
+            raise RuntimeError(payload)
+
+
+def test_raising_handler_leaves_no_fired_event_queued():
+    trace = []
+    k = Kernel(seed=1, trace=trace)
+    f = Flaky(k)
+    k.register(f)
+    for p in ("spawn", "boom", "c", "d"):
+        k.schedule(5, f.entity_id, p)
+    k.schedule(6, f.entity_id, "e")
+    with pytest.raises(RuntimeError, match="boom"):
+        k.run_until(10)
+    assert f.log == [(5, "spawn", 4), (5, "boom", 4)]
+    assert (k.now, k.pending()) == (5, 4)
+    assert k.run_until(10) == 4
+    assert f.log[2:] == [(5, "c", 3), (5, "d", 2), (5, "echo", 1), (6, "e", 0)]
+    assert [line.split("\t")[1] for line in trace] == ["0", "1", "2", "3", "5", "4"]
+    assert k.pending() == 0
+    # the raising event was the last of its second: the second is gone,
+    # and an event queued at the clock afterwards still fires
+    k.schedule(7, f.entity_id, "boom-last")
+    with pytest.raises(RuntimeError):
+        k.run_until(10)
+    assert k.pending() == 0
+    k.schedule(7, f.entity_id, "after")
+    assert k.run_until(7) == 1
+    assert f.log[-1] == (7, "after", 0)
 
 
 # -- rng streams ------------------------------------------------------------

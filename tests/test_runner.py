@@ -79,6 +79,16 @@ PINNED_3_DAY = {
         "9b0b9d29e923168e7e2fffd9cdbc3fd0842a78197647d072dfce11cb26622b2a",
         70518,
     ),
+    RoutingMode.DIFFUSION: (
+        "8625e60cc4d4016703844f5014f37fb8be8536fbf3c4710e250d4b3cfd0cdb84",
+        "84322cb9379a868adbdf5fc4e1fcf77b700dff436524bcef882b263330a45563",
+        28564,
+    ),
+    RoutingMode.FLOODING: (
+        "263b3bfd3505b6658b1565cca41f45a76de6c50daaa3012fd909392c551fac64",
+        "b3c5ee605285b999664d3308518037e063d809106451c4714fafbbfc7f20c13d",
+        185371,
+    ),
 }
 
 
@@ -90,6 +100,39 @@ def test_simulated_exports_pinned(tmp_path, mode):
         for name in ("central_db.csv", "energy.csv")
     )
     assert (*digests, rep["event_count"]) == PINNED_3_DAY[mode]
+
+
+# SHA-256 of trace.tsv of 2-day seed-1 runs over a latent, lossy backbone
+# with the default ack timeout: every event's (time, seq, target, kind),
+# transport retransmits and acks included
+PINNED_2_DAY_TRACE = {
+    RoutingMode.TREE: "b9595798be27dc3494e1b00788617f435b00427ff2702e30f8899ea31d8756cd",
+    RoutingMode.COMBINED: "3e09fc376c20d0881eeb1e5080bdddfd7d0b1cf092fa95571e404932f4c0bbbe",
+}
+LOSSY_BACKBONE = replace(ScenarioConfig().backbone, latency_s=1, loss_prob=0.3)
+
+
+@pytest.mark.parametrize("mode", sorted(PINNED_2_DAY_TRACE, key=lambda m: m.value),
+                         ids=lambda m: m.value)
+def test_event_trace_pinned(tmp_path, mode):
+    cfg = cfg_days(2, seed=1, routing_mode=mode, backbone=LOSSY_BACKBONE, trace=True)
+    run_scenario(cfg, out_dir=tmp_path)
+    digest = hashlib.sha256((tmp_path / "trace.tsv").read_bytes()).hexdigest()
+    assert digest == PINNED_2_DAY_TRACE[mode]
+
+
+def test_backbone_ack_timeout_reaches_the_uplink(tmp_path):
+    digests = {}
+    for timeout in (2, 9):
+        cfg = cfg_days(2, seed=1, backbone=replace(LOSSY_BACKBONE, ack_timeout_s=timeout))
+        assert all(reg.station.uplink.ack_timeout_s == timeout
+                   for reg in build_scenario(cfg).regions)
+        run_scenario(cfg, out_dir=tmp_path / str(timeout))
+        digests[timeout] = hashlib.sha256(
+            (tmp_path / str(timeout) / "central_db.csv").read_bytes()).hexdigest()
+    # retransmits wait for the timeout, so records reach the central
+    # database in another order
+    assert digests[2] != digests[9]
 
 
 def test_compare_runs_flags_tampering(tmp_path):
