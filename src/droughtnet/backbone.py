@@ -96,7 +96,8 @@ class CentralDatabase:
         self.raw = {f: array("d") for f in SENSOR_FIELDS}
         self.cal = {f: array("d") for f in SENSOR_FIELDS}
         self._appends = tuple(col.append for col in self._csv_columns())
-        self._keys: set[int] = set()
+        # keys of the stored records while adds may come; None once released
+        self._keys: set[int] | None = set()
         self.duplicates_by_region: dict[int, int] = {}
 
     def __len__(self) -> int:
@@ -106,16 +107,30 @@ class CentralDatabase:
     def _key(region: int, node: int, ts: int) -> int:
         return (region << 54) | (node << 40) | ts
 
+    def release_keys(self) -> None:
+        """Free the key set, one int per record, when no more adds are
+        expected; the next add rebuilds it from the columns."""
+        self._keys = None
+
+    def _known_keys(self) -> set[int]:
+        keys = self._keys
+        if keys is None:
+            keys = self._keys = set(map(self._key, self.region, self.node, self.ts))
+        return keys
+
     def add(self, rec: StoredRecord) -> bool:
         """Append a record; False (and a counter bump) on a duplicate key."""
         region_id = rec.region_id
         k = (region_id << 54) | (rec.node_id << 40) | rec.timestamp  # _key, inlined
-        if k in self._keys:
+        keys = self._keys
+        if keys is None:
+            keys = self._known_keys()
+        if k in keys:
             self.duplicates_by_region[region_id] = (
                 self.duplicates_by_region.get(region_id, 0) + 1
             )
             return False
-        self._keys.add(k)
+        keys.add(k)
         # one bound append per column, in CSV_COLUMNS order
         (region, node, ts, x, y, route, battery, dropped,
          temp, precip, hum, pres, wspeed, wdir, ground,
@@ -198,7 +213,8 @@ class CentralDatabase:
         """Inverse of to_csv_lines; lines may keep their newline.  Blank
         lines are skipped, a row with the wrong field count or a bad value
         raises BackboneError naming its line, and duplicate keys are
-        dropped and counted as ``add`` drops them."""
+        dropped and counted as ``add`` drops them.  The key set is
+        released after the last block (see ``release_keys``)."""
         it = iter(lines)
         if next(it, "").strip().split(",") != CSV_COLUMNS:
             raise BackboneError("unexpected central-db CSV header")
@@ -213,6 +229,7 @@ class CentralDatabase:
             del chunk
             if parts:
                 db._extend(columns, parts)
+        db.release_keys()
         return db
 
     def _extend(self, columns: list, parts: list) -> None:
@@ -220,7 +237,7 @@ class CentralDatabase:
         counting the rest as ``add`` counts a duplicate."""
         region = parts[0]
         keys = list(map(self._key, region, parts[1], parts[2]))
-        known = self._keys
+        known = self._known_keys()
         n_known = len(known)
         if known.isdisjoint(keys):
             known.update(keys)
@@ -417,26 +434,28 @@ class LocalBaseStation:
         )
         self.ingested += 1
         entry = [record, False]
-        self._store(entry)
+        local_db = self.local_db
+        if len(local_db) >= self.capacity:
+            self._evict_acked()
+        local_db.append(entry)
         if self.uplink is not None:
             # the entry itself travels, so its ack marks it and no other
             # copy of the same reading (combined mode stores two)
             self.uplink.send(entry)
         return record
 
-    def _store(self, entry: list) -> None:
+    def _evict_acked(self) -> None:
+        """Make room in a full store by evicting its oldest acked entry;
+        if nothing is acked yet the store grows past capacity rather than
+        lose data silently."""
         local_db = self.local_db
-        if len(local_db) >= self.capacity:
-            # acks arrive in order, so the oldest acked entry is almost
-            # always the head, which a deque deletes in O(1)
-            for i, candidate in enumerate(local_db):
-                if candidate[1]:
-                    del local_db[i]
-                    self.evicted += 1
-                    break
-            # if nothing is acked yet the store grows past capacity rather
-            # than lose data silently
-        local_db.append(entry)
+        # acks arrive in order, so the oldest acked entry is almost
+        # always the head, which a deque deletes in O(1)
+        for i, candidate in enumerate(local_db):
+            if candidate[1]:
+                del local_db[i]
+                self.evicted += 1
+                return
 
     @staticmethod
     def _on_uplink_ack(entry: list) -> None:

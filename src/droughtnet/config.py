@@ -387,6 +387,23 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ValidationError(f"thresholds not monotone: {exc}") from None
     if cfg.interest.hop_limit < 1:
         raise ValidationError("interest.hop_limit must be at least 1")
+    if cfg.interest.start_s < 0:
+        raise ValidationError("interest.start_s must be non-negative: a sink cannot launch "
+                              "an interest before the run starts")
+    if cfg.interest.duration_s is not None and cfg.interest.duration_s <= 0:
+        raise ValidationError("interest.duration_s must be positive when set")
+    if cfg.data_cache_cap < 1:
+        raise ValidationError("data_cache_cap must be at least 1: the duplicate cache "
+                              "must hold the signature it has just seen")
+    if cfg.local_db_capacity < 1:
+        raise ValidationError("local_db_capacity must be at least 1: a local store "
+                              "must hold one record")
+    if cfg.drain_window_s < 0:
+        raise ValidationError("drain_window_s must be non-negative")
+    for name in cfg.energy.__dataclass_fields__:
+        # negative costs would book negative energy, and the ledger only grows
+        if not getattr(cfg.energy, name) >= 0.0:
+            raise ValidationError(f"energy.{name} must be non-negative")
     return cfg
 
 

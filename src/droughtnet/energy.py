@@ -47,15 +47,3 @@ class EnergyLedger:
     @property
     def total_mJ(self) -> float:
         return self.tx_mJ + self.rx_mJ + self.idle_mJ + self.sensing_mJ
-
-
-def tx_cost_mj(params: EnergyParams, n_bytes: int, distance_km: float) -> float:
-    """Cost of sending n_bytes over distance_km; the node stack charges
-    this formula inline on its hot path."""
-    bits = n_bytes * 8
-    return bits * (params.elec_mj_per_bit + params.amp_mj_per_bit_km2 * distance_km * distance_km)
-
-
-def rx_cost_mj(params: EnergyParams, n_bytes: int) -> float:
-    return n_bytes * 8 * params.elec_mj_per_bit
-

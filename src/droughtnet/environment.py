@@ -127,11 +127,6 @@ def default_drought_scenario() -> dict[int, DroughtScenario]:
     }
 
 
-def seasonal_temp(clim: Climatology, t: int) -> float:
-    phase = 2.0 * math.pi * ((t % YEAR_S) / YEAR_S)
-    return clim.mean_temp_c - clim.seasonal_amplitude_c * math.cos(phase)
-
-
 def normal_temp_over_window(clim: Climatology, t0: int, t1: int) -> float:
     """Window average of the seasonal curve (closed form)."""
     if t1 <= t0:
@@ -151,11 +146,12 @@ class NodeSampler:
     sample times, which is how nodes sample.  Draw order per sample is
     fixed, so a reading depends only on (seed, label, sample index).
 
-    sample() inlines RngStream.gauss/expovariate/uniform and
-    seasonal_temp over the stream's bound random(), keeping their
-    float expressions, so readings equal the method-by-method ones
-    bit for bit.  The region's constants are unpacked from one tuple
-    that __init__ builds.
+    sample() draws Gaussian noise (Box-Muller), exponential rain
+    amounts and uniform jitter straight from the stream's bound
+    random(), with the float expressions of the reference draws in the
+    tests, so readings equal the method-by-method ones bit for bit.
+    The region's constants are unpacked from one tuple that __init__
+    builds.
     """
 
     __slots__ = ("model", "region_id", "node_id", "position", "rng", "_random", "_noise",

@@ -17,7 +17,6 @@ through a heap.
 from __future__ import annotations
 
 import hashlib
-import math
 import random
 from enum import Enum
 from heapq import heappop, heappush
@@ -100,8 +99,9 @@ class RngStream:
 
     The same (seed, stream_label) always yields the same draw sequence,
     and streams never share state, so adding or removing entities does
-    not perturb anyone else's draws.  Every method is built on the
-    stable ``random()`` primitive only.
+    not perturb anyone else's draws.  Callers draw through the stable
+    ``random()`` primitive only, or through its bound ``_random`` on a
+    hot path.
     """
 
     __slots__ = ("seed", "stream_label", "_random")
@@ -114,25 +114,6 @@ class RngStream:
 
     def random(self) -> float:
         return self._random()
-
-    def uniform(self, a: float, b: float) -> float:
-        return a + (b - a) * self._random()
-
-    def randint(self, a: int, b: int) -> int:
-        """Integer in [a, b] inclusive."""
-        return a + int(self._random() * (b - a + 1))
-
-    def gauss(self, mu: float = 0.0, sigma: float = 1.0) -> float:
-        # Box-Muller, always two underlying draws per call.
-        u1 = self._random()
-        u2 = self._random()
-        if u1 <= 0.0:
-            u1 = 5e-324
-        return mu + sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-
-    def expovariate(self, lambd: float) -> float:
-        u = self._random()
-        return -math.log(1.0 - u) / lambd
 
 
 class Kernel:
@@ -223,24 +204,46 @@ class Kernel:
         buckets = self._buckets
         trace = self.trace
         start = self.processed
-        while times and times[0] <= horizon:
-            fire_at = times[0]
-            self.now = fire_at
-            bucket = buckets[fire_at]
-            before = self.processed
-            try:
-                # iterating the list itself also reaches events that
-                # handlers append to this second's bucket
-                for seq, target, handler, payload in bucket:
-                    self.processed += 1
-                    if trace is not None:
+        # the trace is fixed for the call, so each setting has its own
+        # loop and an untraced run tests for it once, not once per event
+        if trace is None:
+            while times and times[0] <= horizon:
+                fire_at = times[0]
+                self.now = fire_at
+                bucket = buckets[fire_at]
+                before = self.processed
+                try:
+                    # iterating the list itself also reaches events that
+                    # handlers append to this second's bucket
+                    for _seq, _target, handler, payload in bucket:
+                        self.processed += 1
+                        handler(payload)
+                except BaseException:
+                    self._drop_fired(bucket, before)
+                    raise
+                del buckets[heappop(times)]
+        else:
+            while times and times[0] <= horizon:
+                fire_at = times[0]
+                self.now = fire_at
+                bucket = buckets[fire_at]
+                before = self.processed
+                try:
+                    for seq, target, handler, payload in bucket:
+                        self.processed += 1
                         tag = getattr(payload, "tag", None) or type(payload).__name__
                         trace.append(f"{fire_at}\t{seq}\t{target}\t{tag}")
-                    handler(payload)
-            except BaseException:
-                del bucket[:self.processed - before]
-                if not bucket:
-                    del buckets[heappop(times)]
-                raise
-            del buckets[heappop(times)]
+                        handler(payload)
+                except BaseException:
+                    self._drop_fired(bucket, before)
+                    raise
+                del buckets[heappop(times)]
         return self.processed - start
+
+    def _drop_fired(self, bucket: list, before: int) -> None:
+        """After a handler raised: remove the events of the running second
+        that fired, the raising one included, and the second itself if
+        nothing of it is left."""
+        del bucket[:self.processed - before]
+        if not bucket:
+            del self._buckets[heappop(self._times)]

@@ -300,6 +300,7 @@ def simulate(scn: Scenario) -> int:
         )
     for node in scn.all_nodes():
         node.finalize(cfg.horizon_s)
+    scn.central.release_keys()  # the run adds no more records
     return processed
 
 

@@ -11,6 +11,15 @@ which transmit as a back-to-back burst after a single idle check,
 holding the channel one second per frame; the packet is delivered whole
 when the last frame lands.  Link loss is drawn once per packet per hop,
 so a report either arrives or is counted lost exactly once.
+
+Duplicate suppression: every report carries a signature, and a node
+drops a report whose signature it has seen recently (a FIFO cache of
+``data_cache_cap`` signatures).  Directed diffusion's exploratory
+multipath and flooding's rebroadcasts deliver copies of one report
+along several paths, so diffusion, flooding and combined mode keep the
+cache.  Pure tree mode keeps none: a tree report crosses each hop once,
+by unicast to the node's one parent, with no link-layer retransmission,
+so no node can receive its signature twice.
 """
 
 from __future__ import annotations
@@ -276,11 +285,12 @@ class SensorNode:
         "kernel", "entity_id", "node_index", "region_id", "index_in_region",
         "position", "is_sink", "routing_mode", "channel", "counters",
         "params", "ledger", "battery_mj",
-        "link", "mac", "payload_bytes", "data_frames", "interest_frames",
+        "_delay_s", "_loss_prob", "_queue_cap",
+        "payload_bytes", "data_frames", "interest_frames",
         "reinforce_frames", "link_range_km",
         "mode", "active_since",
         "neighbors", "neighbor_dist",
-        "tree_parent", "descendants_expected",
+        "tree_parent", "_tree_route", "descendants_expected",
         "_cycle_forwarded", "_own_sent",
         "sampler", "period_s", "stagger_s", "sampling_horizon_s",
         "mac_queue", "_queued_frames", "_mac_random", "_backoff_slots", "link_rng",
@@ -288,7 +298,7 @@ class SensorNode:
         "data_cache", "_cache_set", "data_cache_cap",
         "sensor_fields", "collector",
         "frames_sent", "frames_dropped", "reports_originated", "reports_forwarded",
-        "_tree_on", "_diff_on", "_flood_on", "_drain_sleep",
+        "_tree_on", "_diff_on", "_flood_on", "_dedup", "_drain_sleep",
         "_e_bit_mj", "_amp_bit_mj", "_sense_mj", "_idle_mj_s",
     )
 
@@ -328,8 +338,9 @@ class SensorNode:
         self.params = energy_params
         self.ledger = EnergyLedger()
         self.battery_mj = energy_params.battery_mj
-        self.link = link
-        self.mac = mac
+        self._delay_s = link.delay_s
+        self._loss_prob = link.loss_prob
+        self._queue_cap = mac.queue_cap_frames
         self.payload_bytes = payload_bytes
         self.data_frames = -(-payload_bytes // mac.max_frame_bytes)
         self.interest_frames = -(-INTEREST_BYTES // mac.max_frame_bytes)
@@ -341,6 +352,7 @@ class SensorNode:
         self.neighbors = []
         self.neighbor_dist = {}
         self.tree_parent = None
+        self._tree_route = (-1,)  # (parent index,): a tree report's route
         self.descendants_expected = 0
         self._cycle_forwarded = 0
         self._own_sent = False
@@ -369,6 +381,11 @@ class SensorNode:
         self._tree_on = routing_mode in (RoutingMode.TREE, RoutingMode.COMBINED)
         self._diff_on = routing_mode in (RoutingMode.DIFFUSION, RoutingMode.COMBINED)
         self._flood_on = routing_mode is RoutingMode.FLOODING
+        # pure tree mode cannot make duplicates (see the module docstring);
+        # combined mode keeps the cache for tree reports too, because they
+        # share its FIFO with diffusion signatures, so dropping them would
+        # change which diffusion copies are caught
+        self._dedup = routing_mode is not RoutingMode.TREE
         self._drain_sleep = routing_mode is RoutingMode.TREE and not is_sink
         self._e_bit_mj = energy_params.elec_mj_per_bit
         self._amp_bit_mj = energy_params.amp_mj_per_bit_km2
@@ -393,8 +410,10 @@ class SensorNode:
             if not self.is_sink:
                 raise OrphanNode(f"{self.entity_id} has no tree parent")
             self.tree_parent = None
+            self._tree_route = (-1,)
         else:
             self.tree_parent = parent.entity_id
+            self._tree_route = (parent.node_index,)
             if parent.entity_id not in self.neighbor_dist:
                 self.neighbor_dist[parent.entity_id] = self.position.distance_to(parent.position)
         self.descendants_expected = descendants
@@ -418,7 +437,7 @@ class SensorNode:
             if self.mode == MODE_SLEEPING:
                 return
             self._mac_attempt()
-            if self._drain_sleep:
+            if self._drain_sleep and not self.mac_queue:
                 self._maybe_sleep()
             return
         t = type(payload)
@@ -462,13 +481,13 @@ class SensorNode:
             self.active_since = end_time
 
     def _maybe_sleep(self) -> None:
-        # drain-aware, and called only on drain-sleep nodes: own report
-        # sent, all descendant reports forwarded, nothing queued
+        # drain-aware, and called only on drain-sleep nodes whose MAC
+        # queue is empty: sleep once the own report is sent and every
+        # descendant report forwarded
         if (
             self.mode == MODE_ACTIVE
             and self._own_sent
             and self._cycle_forwarded >= self.descendants_expected
-            and not self.mac_queue
         ):
             self._sleep()
 
@@ -489,32 +508,24 @@ class SensorNode:
             if nxt < self.sampling_horizon_s:
                 self.kernel.schedule(nxt, self.entity_id, WAKE)
         self._own_sent = True
-        if self._drain_sleep:
+        if self._drain_sleep and not self.mac_queue:
             self._maybe_sleep()
 
     def _emit_reading(self, reading: SensorReading) -> None:
         if self._tree_on:
-            msg = self._make_report(reading, interest_id=0, route=(self._parent_index(),))
-            self._cache_signature(msg.signature)
+            msg = self._make_report(reading, 0, self._tree_route)
+            if self._dedup:
+                self._cache_signature(msg.signature)
             self._enqueue(LinkPacket(KIND_DATA, msg, self.tree_parent, self.payload_bytes, self.data_frames))
         if self._diff_on or self._flood_on:
             self.send_matching_data(reading)
 
-    def _parent_index(self) -> int:
-        return self.tree_parent.index if self.tree_parent is not None else -1
-
     def _make_report(self, reading: SensorReading, interest_id: int, route=()) -> DataMessage:
+        index = self.node_index
         return DataMessage(
-            signature=report_signature(self.node_index, reading.timestamp, interest_id),
-            origin=self.entity_id,
-            origin_index=self.node_index,
-            region_id=self.region_id,
-            reading=reading,
-            hop_count=0,
-            interest_id=interest_id,
-            battery_mj=self.battery_mj - self.ledger.total_mJ,
-            frames_dropped=self.frames_dropped,
-            route=route,
+            report_signature(index, reading.timestamp, interest_id),
+            self.entity_id, index, self.region_id, reading, 0, interest_id,
+            self.battery_mj - self.ledger.total_mJ, self.frames_dropped, route,
         )
 
     def send_matching_data(self, reading: SensorReading) -> int:
@@ -573,7 +584,7 @@ class SensorNode:
         else:
             r = pkt.body
             self.receive_reinforcement(r.interest_id, r.data_rate, src, r.path)
-        if self._drain_sleep:
+        if self._drain_sleep and not self.mac_queue:
             self._maybe_sleep()
 
     # -- interests / gradients ------------------------------------------------
@@ -653,7 +664,7 @@ class SensorNode:
         return True
 
     def receive_data(self, msg: DataMessage, src: EntityId, ttl: int = 0) -> None:
-        if not self._cache_signature(msg.signature):
+        if self._dedup and not self._cache_signature(msg.signature):
             self.counters.duplicate_relay_drops += 1
             return
         if self.is_sink:
@@ -700,7 +711,7 @@ class SensorNode:
     # -- MAC ------------------------------------------------------------------
 
     def _enqueue(self, pkt: LinkPacket) -> None:
-        if self._queued_frames + pkt.nframes > self.mac.queue_cap_frames:
+        if self._queued_frames + pkt.nframes > self._queue_cap:
             self.frames_dropped += pkt.nframes
             if pkt.kind == KIND_DATA:
                 self.counters.queue_losses += 1
@@ -717,7 +728,7 @@ class SensorNode:
         now = self.kernel.now
         channel = self.channel
         if channel.busy_until > now:
-            # RngStream.randint(1, backoff_slots) on the bound random()
+            # a uniform integer in [1, backoff_slots] from the bound random()
             backoff = 1 + int(self._mac_random() * self._backoff_slots)
             self.kernel.schedule(now + backoff, self.entity_id, MAC_RETRY)
             return
@@ -726,11 +737,11 @@ class SensorNode:
         channel.busy_until = now + pkt.nframes
         self.frames_sent += pkt.nframes
         bits = pkt.nbytes * 8
-        arrive = now + (pkt.nframes - 1) + self.link.delay_s
+        arrive = now + (pkt.nframes - 1) + self._delay_s
         if pkt.dst is not None:
             d = self.neighbor_dist.get(pkt.dst, self.link_range_km)
             self.ledger.tx_mJ += bits * (self._e_bit_mj + self._amp_bit_mj * d * d)
-            if self.link.loss_prob and self.link_rng.random() < self.link.loss_prob:
+            if self._loss_prob and self.link_rng.random() < self._loss_prob:
                 if pkt.kind == KIND_DATA:
                     self.counters.rf_losses += 1
             else:
@@ -738,9 +749,9 @@ class SensorNode:
         else:
             d = self.link_range_km
             self.ledger.tx_mJ += bits * (self._e_bit_mj + self._amp_bit_mj * d * d)
-            if self.link.loss_prob:
+            lp = self._loss_prob
+            if lp:
                 rnd = self.link_rng.random
-                lp = self.link.loss_prob
                 receivers = tuple(nb for nb in self.neighbors if rnd() >= lp)
             else:
                 receivers = self.neighbors

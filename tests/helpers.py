@@ -1,4 +1,5 @@
-"""Small-topology builder and instrumentation used across protocol tests."""
+"""Small-topology builder, instrumentation and the reference versions of
+src/ fast paths, used across the tests."""
 
 import contextlib
 import heapq
@@ -8,6 +9,7 @@ from droughtnet.backbone import CSV_COLUMNS, CentralDatabase, StoredRecord
 from droughtnet.energy import EnergyParams
 from droughtnet.environment import (
     SENSOR_FIELDS,
+    YEAR_S,
     Climatology,
     DroughtScenario,
     EnvironmentModel,
@@ -15,7 +17,14 @@ from droughtnet.environment import (
     SensorReading,
 )
 from droughtnet.geometry import GeoPoint
-from droughtnet.kernel import EntityId, EntityKind, Kernel, SchedulingInPast, UnknownEntity
+from droughtnet.kernel import (
+    EntityId,
+    EntityKind,
+    Kernel,
+    RngStream,
+    SchedulingInPast,
+    UnknownEntity,
+)
 from droughtnet.stack import (
     Channel,
     LinkParams,
@@ -24,6 +33,53 @@ from droughtnet.stack import (
     RoutingMode,
     SensorNode,
 )
+
+
+# -- reference draws and formulas that src/ inlines on its hot paths ---------
+
+
+class ReferenceStream(RngStream):
+    """RngStream with the textbook draws built on ``random()``: the
+    reference for the sampler's and the MAC's inlined draws, and a
+    convenience for tests that need seeded numbers."""
+
+    __slots__ = ()
+
+    def uniform(self, a, b):
+        return a + (b - a) * self._random()
+
+    def randint(self, a, b):
+        """Integer in [a, b] inclusive."""
+        return a + int(self._random() * (b - a + 1))
+
+    def gauss(self, mu=0.0, sigma=1.0):
+        # Box-Muller, always two underlying draws per call.
+        u1 = self._random()
+        u2 = self._random()
+        if u1 <= 0.0:
+            u1 = 5e-324
+        return mu + sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+    def expovariate(self, lambd):
+        u = self._random()
+        return -math.log(1.0 - u) / lambd
+
+
+def seasonal_temp(clim, t):
+    """Seasonal normal temperature at time t, as the sampler computes it."""
+    phase = 2.0 * math.pi * ((t % YEAR_S) / YEAR_S)
+    return clim.mean_temp_c - clim.seasonal_amplitude_c * math.cos(phase)
+
+
+def tx_cost_mj(params, n_bytes, distance_km):
+    """First-order radio cost of sending n_bytes over distance_km, as the
+    node stack charges it."""
+    bits = n_bytes * 8
+    return bits * (params.elec_mj_per_bit + params.amp_mj_per_bit_km2 * distance_km * distance_km)
+
+
+def rx_cost_mj(params, n_bytes):
+    return n_bytes * 8 * params.elec_mj_per_bit
 
 
 class MiniNet:

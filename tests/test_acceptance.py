@@ -20,11 +20,12 @@ from droughtnet.analytics import (
     Thresholds,
     classify,
 )
-from droughtnet.kernel import EntityId, EntityKind, Kernel, RngStream
+from droughtnet.kernel import EntityId, EntityKind, Kernel
 from droughtnet.runner import build_binary_tree, compare_runs, run_scenario
 from droughtnet.stack import KIND_DATA, Interest, RoutingMode
 
 from helpers import (
+    ReferenceStream,
     build_net,
     random_connected_positions,
     spy_enqueue,
@@ -186,7 +187,7 @@ def test_criterion_5_diffusion_beats_flooding(year_diffusion, year_flooding):
 
 
 def _diffusion_topology_run(seed):
-    rng = RngStream(seed, "topo")
+    rng = ReferenceStream(seed, "topo")
     pts = random_connected_positions(rng)
     _topology_tally["count"] += 1
     net = build_net(pts, RoutingMode.DIFFUSION, link_range=2.0, seed=seed)
@@ -290,7 +291,7 @@ def test_criterion_6_tree_validity(seed):
     from droughtnet.geometry import GeoPoint
     from droughtnet.stack import OrphanNode
 
-    rng = RngStream(seed, "topo")
+    rng = ReferenceStream(seed, "topo")
     pts = [GeoPoint(x, y) for x, y in random_connected_positions(rng)]
     _topology_tally["count"] += 1
     # with full mutual reach a binary spanning tree always exists and
@@ -337,7 +338,7 @@ def test_criterion_7_cli_replay(tmp_path):
 
 
 def test_criterion_8_classifier_grid_monotone():
-    rng = RngStream(2024, "classifier-grid")
+    rng = ReferenceStream(2024, "classifier-grid")
     checked = 0
     for _ in range(10_000):
         anomaly = rng.uniform(-3.0, 5.0)
@@ -385,7 +386,7 @@ def test_criterion_9_kernel_ordering_100k_events():
     k = Kernel(seed=11)
     rec = Recorder(k)
     k.register(rec)
-    rng = RngStream(11, "times")
+    rng = ReferenceStream(11, "times")
     times = [rng.randint(0, 500) for _ in range(100_000)]  # heavy duplication
     for i, t in enumerate(times):
         k.schedule(t, rec.entity_id, i)

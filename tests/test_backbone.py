@@ -98,6 +98,27 @@ def test_duplicate_key_dropped_with_counter():
     assert rbs.central.duplicates_by_region == {1: 1}
 
 
+def test_add_after_key_release_still_rejects_duplicates():
+    k, lbs, rbs = make_station()
+    for t in (0, 1800):
+        lbs.ingest(make_msg(t=t))
+    db = rbs.central
+    db.release_keys()
+    assert db._keys is None
+    lbs.ingest(make_msg(t=1800))
+    assert (len(db), db.duplicates_by_region) == (2, {1: 1})
+    lbs.ingest(make_msg(t=3600))
+    assert len(db) == 3
+    # a loaded database has released its keys after the last block
+    loaded = CentralDatabase.from_csv_lines(list(db.to_csv_lines()))
+    assert loaded._keys is None
+    rbs.central = loaded
+    lbs.ingest(make_msg(t=0))
+    assert (len(loaded), loaded.duplicates_by_region) == (3, {1: 1})
+    lbs.ingest(make_msg(t=5400))
+    assert len(loaded) == 4
+
+
 def test_records_accumulate_per_region():
     k, lbs, rbs = make_station()
     for t in (0, 1800, 3600):
@@ -238,7 +259,8 @@ def test_block_codec_matches_row_wise_reference():
     again = CentralDatabase.from_csv_lines(text)
     ref = reference_from_csv_lines(text)
     assert column_bytes(again) == column_bytes(ref)
-    assert again._keys == ref._keys == db._keys
+    assert again._keys is None  # released after the last block
+    assert again._known_keys() == ref._keys == db._keys
     assert list(again.duplicates_by_region.items()) == list(ref.duplicates_by_region.items())
     assert again.duplicate_drops == 4
     assert list(again.to_csv_lines()) == list(reference_to_csv_lines(ref))

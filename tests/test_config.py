@@ -109,6 +109,36 @@ def test_invariant_checks():
         config_from_dict({"node_count_override": 5})
 
 
+@pytest.mark.parametrize("data, message", [
+    # each of these passed validate() and then crashed the run
+    ({"data_cache_cap": 0}, "data_cache_cap must be at least 1"),
+    ({"interest": {"start_s": -1}}, "interest.start_s must be non-negative"),
+    ({"interest": {"duration_s": 0}}, "interest.duration_s must be positive"),
+    # and these ran, but meant nothing
+    ({"local_db_capacity": 0}, "local_db_capacity must be at least 1"),
+    ({"local_db_capacity": -5}, "local_db_capacity must be at least 1"),
+    ({"drain_window_s": -5}, "drain_window_s must be non-negative"),
+    ({"energy": {"e_elec_nj_per_bit": -1}}, "energy.e_elec_nj_per_bit must be non-negative"),
+    ({"energy": {"e_amp_pj_per_bit_km2": -1}}, "energy.e_amp_pj_per_bit_km2 must be"),
+    ({"energy": {"e_sense_uj": -0.5}}, "energy.e_sense_uj must be non-negative"),
+    ({"energy": {"p_idle_uw": -30}}, "energy.p_idle_uw must be non-negative"),
+], ids=["data_cache_cap", "interest_start", "interest_duration", "local_db_zero",
+        "local_db_negative", "drain_window", "e_elec", "e_amp", "e_sense", "p_idle"])
+def test_configs_that_cannot_run_meaningfully_rejected(data, message):
+    with pytest.raises(ValidationError, match=message):
+        config_from_dict({"routing_mode": "diffusion", **data})
+
+
+def test_smallest_meaningful_values_accepted():
+    cfg = config_from_dict({
+        "routing_mode": "diffusion", "data_cache_cap": 1, "local_db_capacity": 1,
+        "drain_window_s": 0, "interest": {"start_s": 0, "duration_s": 1},
+        "energy": {"e_elec_nj_per_bit": 0, "e_amp_pj_per_bit_km2": 0,
+                   "e_sense_uj": 0, "p_idle_uw": 0, "battery_mj": 0},
+    })
+    assert (cfg.data_cache_cap, cfg.local_db_capacity, cfg.drain_window_s) == (1, 1, 0)
+
+
 def test_partial_region_entry_inherits_defaults():
     cfg = config_from_dict({"regions": [{"region_id": 3, "drought": {"temperature_anomaly_c": 5.0}}]})
     r3 = cfg.regions[0]

@@ -12,10 +12,11 @@ from droughtnet.environment import (
     default_climatology,
     default_drought_scenario,
     normal_temp_over_window,
-    seasonal_temp,
 )
 from droughtnet.geometry import GeoPoint
 from droughtnet.kernel import RngStream
+
+from helpers import ReferenceStream, seasonal_temp
 
 PERIOD = 1800
 
@@ -38,7 +39,7 @@ def year_of_samples(model, region, seed=42, node=1, pos=GeoPoint(6.0, 6.0)):
 
 
 def reference_sample(model, region, state, rng, t):
-    """NodeSampler.sample written with the RngStream methods and
+    """NodeSampler.sample written with the ReferenceStream draws and
     seasonal_temp; state is [noise, spatial offset]."""
     p = model.params
     clim = model.climatology[region]
@@ -81,7 +82,7 @@ def test_sampler_matches_method_by_method_reference():
     pos = GeoPoint(7.5, 4.25)
     for region in range(1, 6):
         sampler = model.sampler(region, 1, pos, RngStream(9, f"env:{region}"))
-        rng = RngStream(9, f"env:{region}")
+        rng = ReferenceStream(9, f"env:{region}")
         centroid = model.centroids[region]
         spatial = model.params.spatial_gradient_c_per_km * (
             (pos.x_km - centroid.x_km) + (pos.y_km - centroid.y_km))

@@ -16,7 +16,7 @@ from droughtnet.kernel import (
     UnknownEntity,
 )
 
-from helpers import ReferenceHeapKernel
+from helpers import ReferenceHeapKernel, ReferenceStream
 
 
 class Recorder:
@@ -232,10 +232,11 @@ class Spawner:
                 k.schedule(k.now + delay, dst, follow)
 
 
-def run_script(kernel_cls, initial, script, cuts):
+def run_script(kernel_cls, initial, script, cuts, traced=True):
     """Run one scripted event program; returns the handlers' log, the
-    trace lines and (fired, clock, pending) after every run_until."""
-    trace = []
+    trace lines (None untraced) and (fired, clock, pending) after every
+    run_until."""
+    trace = [] if traced else None
     k = kernel_cls(seed=1, trace=trace)
     log = []
     ids = itertools.count()
@@ -269,10 +270,12 @@ follow_ups = st.lists(
         max_size=5),
 )
 def test_dispatch_matches_one_heap_reference(initial, script, cuts):
-    got = run_script(Kernel, initial, script, cuts)
-    want = run_script(ReferenceHeapKernel, initial, script, cuts)
-    assert got == want
-    assert got[2][-1][2] == 0
+    # the traced and the untraced dispatch loop alike
+    for traced in (True, False):
+        got = run_script(Kernel, initial, script, cuts, traced)
+        want = run_script(ReferenceHeapKernel, initial, script, cuts, traced)
+        assert got == want
+        assert got[2][-1][2] == 0
 
 
 class Flaky:
@@ -293,30 +296,33 @@ class Flaky:
 
 
 def test_raising_handler_leaves_no_fired_event_queued():
-    trace = []
-    k = Kernel(seed=1, trace=trace)
-    f = Flaky(k)
-    k.register(f)
-    for p in ("spawn", "boom", "c", "d"):
-        k.schedule(5, f.entity_id, p)
-    k.schedule(6, f.entity_id, "e")
-    with pytest.raises(RuntimeError, match="boom"):
-        k.run_until(10)
-    assert f.log == [(5, "spawn", 4), (5, "boom", 4)]
-    assert (k.now, k.pending()) == (5, 4)
-    assert k.run_until(10) == 4
-    assert f.log[2:] == [(5, "c", 3), (5, "d", 2), (5, "echo", 1), (6, "e", 0)]
-    assert [line.split("\t")[1] for line in trace] == ["0", "1", "2", "3", "5", "4"]
-    assert k.pending() == 0
-    # the raising event was the last of its second: the second is gone,
-    # and an event queued at the clock afterwards still fires
-    k.schedule(7, f.entity_id, "boom-last")
-    with pytest.raises(RuntimeError):
-        k.run_until(10)
-    assert k.pending() == 0
-    k.schedule(7, f.entity_id, "after")
-    assert k.run_until(7) == 1
-    assert f.log[-1] == (7, "after", 0)
+    # the traced and the untraced dispatch loop alike
+    for trace in ([], None):
+        k = Kernel(seed=1, trace=trace)
+        f = Flaky(k)
+        k.register(f)
+        for p in ("spawn", "boom", "c", "d"):
+            k.schedule(5, f.entity_id, p)
+        k.schedule(6, f.entity_id, "e")
+        with pytest.raises(RuntimeError, match="boom"):
+            k.run_until(10)
+        assert f.log == [(5, "spawn", 4), (5, "boom", 4)]
+        assert (k.now, k.pending()) == (5, 4)
+        assert k.run_until(10) == 4
+        assert f.log[2:] == [(5, "c", 3), (5, "d", 2), (5, "echo", 1), (6, "e", 0)]
+        if trace is not None:
+            assert [line.split("\t")[1] for line in trace] == ["0", "1", "2", "3", "5", "4"]
+        assert k.pending() == 0
+        # the raising event was the last of its second: the second is
+        # gone, and an event queued at the clock afterwards still fires
+        k.schedule(7, f.entity_id, "boom-last")
+        with pytest.raises(RuntimeError):
+            k.run_until(10)
+        assert k.pending() == 0
+        k.schedule(7, f.entity_id, "after")
+        assert k.run_until(7) == 1
+        assert f.log[-1] == (7, "after", 0)
+        assert k.processed == 8
 
 
 # -- rng streams ------------------------------------------------------------
@@ -339,7 +345,7 @@ def test_streams_are_independent():
 
 
 def test_stream_draw_helpers_in_range():
-    s = RngStream(7, "x")
+    s = ReferenceStream(7, "x")
     for _ in range(200):
         v = s.randint(1, 16)
         assert 1 <= v <= 16

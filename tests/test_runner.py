@@ -6,7 +6,6 @@ import pytest
 
 from droughtnet.config import ScenarioConfig, validate
 from droughtnet.geometry import GeoPoint
-from droughtnet.kernel import RngStream
 from droughtnet.runner import (
     build_binary_tree,
     build_scenario,
@@ -15,6 +14,8 @@ from droughtnet.runner import (
     simulate,
 )
 from droughtnet.stack import RoutingMode
+
+from helpers import ReferenceStream
 
 DAY = 86_400
 
@@ -178,7 +179,7 @@ def test_binary_tree_on_default_placement_is_valid():
 
 
 def test_binary_tree_random_placements_reach_sink():
-    rng = RngStream(77, "placements")
+    rng = ReferenceStream(77, "placements")
     for trial in range(50):
         n = 2 + rng.randint(0, 10)
         pts = [GeoPoint(rng.uniform(0, 5), rng.uniform(0, 5)) for _ in range(n)]
@@ -220,6 +221,19 @@ def test_year_event_count_matches_schedule_oracle():
         expected += cycles * (sensing + depth_sum)
     assert processed == expected
     assert len(scn.central) == 5 * 9 * cycles
+
+
+@pytest.mark.parametrize("loss", [0.0, 0.2])
+def test_tree_run_keeps_no_duplicate_cache(loss):
+    # a tree report crosses each hop once, by unicast, with no link-layer
+    # retransmission, so pure tree mode never caches a signature and no
+    # node ever sees one twice
+    scn = build_scenario(cfg_days(3, link=replace(ScenarioConfig().link, loss_prob=loss)))
+    simulate(scn)
+    assert all(not node.data_cache for node in scn.all_nodes())
+    assert [reg.counters.duplicate_relay_drops for reg in scn.regions] == [0] * 5
+    if loss:
+        assert sum(reg.counters.rf_losses for reg in scn.regions) > 0
 
 
 # -- combined mode -----------------------------------------------------------------

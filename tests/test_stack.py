@@ -1,8 +1,8 @@
 import pytest
 
-from droughtnet.energy import EnergyParams, rx_cost_mj, tx_cost_mj
+from droughtnet.energy import EnergyParams
 from droughtnet.environment import SensorReading
-from droughtnet.kernel import EntityId, EntityKind, RngStream
+from droughtnet.kernel import EntityId, EntityKind
 from droughtnet.stack import (
     KIND_DATA,
     Interest,
@@ -13,7 +13,16 @@ from droughtnet.stack import (
     report_signature,
 )
 
-from helpers import BINARY_TREE_10, CLUSTER_10, DIAMOND, build_net, spy_enqueue
+from helpers import (
+    BINARY_TREE_10,
+    CLUSTER_10,
+    DIAMOND,
+    ReferenceStream,
+    build_net,
+    rx_cost_mj,
+    spy_enqueue,
+    tx_cost_mj,
+)
 
 
 def make_reading(node_id=1, t=0, **over):
@@ -204,7 +213,7 @@ def test_two_node_contention_matches_backoff_replay():
 
     # replay: node 1 wakes first (registration order), seizes [0, 2);
     # node 2 backs off from t=0 until it finds the channel idle
-    rng = RngStream(net.kernel.seed, "node:2:mac")
+    rng = ReferenceStream(net.kernel.seed, "node:2:mac")
     t, busy_until = 0, 2
     while True:
         t += rng.randint(1, 16)
@@ -245,7 +254,9 @@ def test_mac_queue_overflow_drops_whole_packet():
 
 
 def test_second_copy_of_signature_dropped():
-    net = build_net(CLUSTER_10, RoutingMode.TREE, tree_parents=BINARY_TREE_10)
+    # combined mode, where tree reports share the duplicate cache with
+    # diffusion copies; pure tree mode keeps no cache
+    net = build_net(CLUSTER_10, RoutingMode.COMBINED, tree_parents=BINARY_TREE_10)
     relay = net.nodes[1]
     src = net.nodes[3].entity_id
     msg = relay._make_report(make_reading(node_id=3, t=0), interest_id=0)
