@@ -13,12 +13,10 @@ from .analytics import (
     classify,
 )
 from .backbone import (
-    CalibrationMap,
     CentralDatabase,
     LocalBaseStation,
     RemoteBaseStation,
     StoredRecord,
-    backbone_link_budget,
 )
 from .config import ScenarioConfig, load_config, validate
 from .energy import EnergyLedger, EnergyParams

@@ -23,6 +23,8 @@ from .geometry import GeoPoint
 DAY_S = 86_400
 MONTH_S = 30 * DAY_S
 MIN_WINDOW_S = 30 * DAY_S
+# half-width of the wind cone that picks a region's downwind neighbour
+CONE_HALF_ANGLE_DEG = 45.0
 
 
 class AnalyticsError(Exception):
@@ -226,7 +228,6 @@ def advect_forecast(
     current: dict[int, SeverityClass],
     indicators: dict[int, DroughtIndicators],
     region_layout: dict[int, GeoPoint],
-    cone_half_angle_deg: float = 45.0,
 ) -> dict[int, SeverityClass]:
     """Severity forecast under wind advection.
 
@@ -248,7 +249,7 @@ def advect_forecast(
             if other == region or other not in current:
                 continue
             diff = _angle_diff(_bearing_deg(origin, pos), ind.wind_mean_dir_deg)
-            if diff <= cone_half_angle_deg + 1e-9:
+            if diff <= CONE_HALF_ANGLE_DEG + 1e-9:
                 cand = (diff, origin.distance_to(pos), other)
                 if best is None or cand < best:
                     best = cand

@@ -1,11 +1,13 @@
 """Tier-2/tier-3 entities: per-region local base stations with bounded
-storage, the remote base station holding the comprehensive observational
-database, calibration, and the line-of-sight backbone link budget.
+storage and the remote base station holding the comprehensive
+observational database.  The line-of-sight backbone's reach is checked
+by ``config.validate``.
 
 Every record keeps both raw and calibrated readings plus node health,
-location and a routing snapshot.  The central store is append-only and
-keyed by (region, node, timestamp); duplicates are rejected and counted.
-Storage is columnar so a full simulated year stays memory-light.
+location and a routing snapshot; a run stores the raw reading as the
+calibrated one.  The central store is append-only and keyed by (region,
+node, timestamp); duplicates are rejected and counted.  Storage is
+columnar so a full simulated year stays memory-light.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .geometry import GeoPoint
 from .kernel import EntityId, EntityKind, Kernel, Message
 from .stack import DataMessage, TransportLink, transport_dispatch
 
-DEFAULT_BACKBONE_RANGE_KM = 120.0
 DEFAULT_LOCAL_DB_CAPACITY = 10_000
 # CentralDatabase limits: region ids are stored as signed bytes, and a
 # key packs the global node id into 14 bits above a 40-bit timestamp;
@@ -36,26 +37,6 @@ CSV_BLOCK_ROWS = 1024
 
 class BackboneError(Exception):
     pass
-
-
-@dataclass(frozen=True, slots=True)
-class CalibrationMap:
-    """Per-field affine map applied at ingest; identity by default."""
-
-    coefficients: tuple = ()  # ((field, scale, offset), ...)
-
-    def is_identity(self) -> bool:
-        return all(s == 1.0 and o == 0.0 for _, s, o in self.coefficients)
-
-    def apply(self, raw: SensorReading) -> SensorReading:
-        if not self.coefficients or self.is_identity():
-            return raw
-        values = {f: getattr(raw, f) for f in SENSOR_FIELDS}
-        for f, scale, offset in self.coefficients:
-            values[f] = scale * values[f] + offset
-        return SensorReading(
-            node_id=raw.node_id, region_id=raw.region_id, timestamp=raw.timestamp, **values
-        )
 
 
 @dataclass(slots=True)
@@ -161,10 +142,6 @@ class CentralDatabase:
         c_wdir(c.wind_dir_deg)
         c_ground(c.groundwater_m)
         return True
-
-    @property
-    def duplicate_drops(self) -> int:
-        return sum(self.duplicates_by_region.values())
 
     def region_counts(self) -> dict[int, int]:
         counts: dict[int, int] = {}
@@ -330,19 +307,6 @@ def _raise_bad_value(chunk: list, columns: list, lineno: int) -> None:
                 ) from None
 
 
-@dataclass(frozen=True, slots=True)
-class LinkBudget:
-    in_range: bool
-    distance_km: float
-
-
-def backbone_link_budget(pos_a: GeoPoint, pos_b: GeoPoint,
-                         range_km: float = DEFAULT_BACKBONE_RANGE_KM) -> LinkBudget:
-    """High-gain line-of-sight 802.11 backbone reach check."""
-    d = pos_a.distance_to(pos_b)
-    return LinkBudget(in_range=d <= range_km, distance_km=d)
-
-
 class RemoteBaseStation:
     """Central processing unit: owns the observational database."""
 
@@ -376,7 +340,6 @@ class LocalBaseStation:
         region_id: int,
         position: GeoPoint,
         node_locations: dict[int, GeoPoint],
-        calibration: CalibrationMap = CalibrationMap(),
         capacity: int = DEFAULT_LOCAL_DB_CAPACITY,
     ):
         self.entity_id = EntityId(EntityKind.LOCAL_BASE_STATION, region_id)
@@ -384,9 +347,6 @@ class LocalBaseStation:
         self.region_id = region_id
         self.position = position
         self.node_locations = node_locations
-        self.calibration = calibration
-        # an identity map stores the raw reading as the calibrated one
-        self._calibrate = None if calibration.is_identity() else calibration.apply
         self.capacity = capacity
         self.local_db: deque[list] = deque()  # [record, acked], oldest first
         self._route_cache: dict[tuple, str] = {}
@@ -419,16 +379,15 @@ class LocalBaseStation:
     # -- ingestion ------------------------------------------------------------
 
     def ingest(self, msg: DataMessage) -> StoredRecord:
-        """Calibrate, store locally and forward on the reliable uplink."""
+        """Store locally and forward on the reliable uplink; the raw
+        reading is stored as the calibrated one."""
         raw = msg.reading
         route = self._route_cache.get(msg.route)
         if route is None:
             route = self._route_cache[msg.route] = "-".join(str(i) for i in msg.route)
         node_id = msg.origin_index
-        calibrate = self._calibrate
         record = StoredRecord(
-            raw.timestamp, node_id, self.region_id, raw,
-            raw if calibrate is None else calibrate(raw),
+            raw.timestamp, node_id, self.region_id, raw, raw,
             msg.battery_mj, msg.frames_dropped,
             self.node_locations.get(node_id, self.position), route,
         )

@@ -30,6 +30,7 @@ from .geometry import (
     MAP_SIZE_KM,
     REGION_SIZE_KM,
     CellShape,
+    GeoPoint,
     PlacementPlan,
     PlanningError,
     estimate_node_count,
@@ -121,6 +122,13 @@ class ScenarioConfig:
 
     def region_ids(self) -> list[int]:
         return [r.region_id for r in self.regions]
+
+    def region_centroids(self) -> dict[int, GeoPoint]:
+        """Centre of each region's square, where its sink and local base
+        station sit."""
+        half = self.region_size_km / 2.0
+        return {r.region_id: GeoPoint(r.anchor_km[0] + half, r.anchor_km[1] + half)
+                for r in self.regions}
 
     def nodes_per_region(self) -> int:
         """Cells placed in each region, sink included."""
@@ -362,6 +370,20 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
             raise ValidationError(f"region {r.region_id} climatology normals must be non-negative")
         if not 0.0 <= r.drought.precipitation_scale <= 1.0:
             raise ValidationError(f"region {r.region_id} precipitation_scale must lie in [0, 1]")
+    # the remote base station sits at the mean of the region centroids,
+    # and every local station must reach it over the line-of-sight backbone
+    if not cfg.backbone.range_km > 0:
+        raise ValidationError("backbone.range_km must be positive")
+    centroids = cfg.region_centroids()
+    remote = GeoPoint(sum(c.x_km for c in centroids.values()) / len(centroids),
+                      sum(c.y_km for c in centroids.values()) / len(centroids))
+    for rid, centroid in centroids.items():
+        distance = centroid.distance_to(remote)
+        if distance > cfg.backbone.range_km:
+            raise ValidationError(
+                f"region {rid} local base station is {distance:.1f} km from the remote "
+                f"base station, beyond backbone.range_km {cfg.backbone.range_km}"
+            )
     node_count = cfg.nodes_per_region()
     total_nodes = node_count * len(cfg.regions)
     if total_nodes > MAX_NODES:

@@ -101,10 +101,6 @@ class SensorReading:
     groundwater_m: float
 
 
-def default_climatology() -> dict[int, Climatology]:
-    return {r: Climatology() for r in range(1, 6)}
-
-
 def default_drought_scenario() -> dict[int, DroughtScenario]:
     """The canonical five-region scenario.
 
@@ -154,16 +150,12 @@ class NodeSampler:
     builds.
     """
 
-    __slots__ = ("model", "region_id", "node_id", "position", "rng", "_random", "_noise",
-                 "_const")
+    __slots__ = ("region_id", "node_id", "_random", "_noise", "_const")
 
     def __init__(self, model: "EnvironmentModel", region_id: int, node_id: int,
                  position: GeoPoint, rng: RngStream):
-        self.model = model
         self.region_id = region_id
         self.node_id = node_id
-        self.position = position
-        self.rng = rng
         self._random = rng._random
         self._noise = 0.0
         p = model.params
@@ -261,35 +253,15 @@ class EnvironmentModel:
         scenarios: dict[int, DroughtScenario],
         centroids: dict[int, GeoPoint],
         period_s: int = 1800,
-        horizon_s: int = YEAR_S,
         params: EnvironmentParams = EnvironmentParams(),
     ):
         self.climatology = climatology
         self.scenarios = scenarios
         self.centroids = centroids
-        self.period_s = period_s
-        self.horizon_s = horizon_s
         self.params = params
         self.samples_per_month = 30 * 86400 / period_s
 
-    def _check_region(self, region_id: int) -> None:
+    def sampler(self, region_id: int, node_id: int, position: GeoPoint, rng: RngStream) -> NodeSampler:
         if region_id not in self.climatology:
             raise UnknownRegion(f"region {region_id}")
-
-    def sampler(self, region_id: int, node_id: int, position: GeoPoint, rng: RngStream) -> NodeSampler:
-        self._check_region(region_id)
         return NodeSampler(self, region_id, node_id, position, rng)
-
-    def sample_truth(self, region_id: int, position: GeoPoint, t: int,
-                     rng: RngStream, node_id: int = 0) -> SensorReading:
-        """Reading at time t as a pure function of (config, seed, region,
-        position, t): replays the sampler from the start of the run.  The
-        noise index is t // period, so this agrees with a live sampler."""
-        self._check_region(region_id)
-        if t > self.horizon_s:
-            raise ValueError(f"t={t} beyond horizon {self.horizon_s}")
-        sampler = NodeSampler(self, region_id, node_id, position, rng)
-        k = t // self.period_s
-        for j in range(k):
-            sampler.sample(j * self.period_s)
-        return sampler.sample(t)

@@ -80,7 +80,6 @@ class PlacementPlan:
 @dataclass(slots=True)
 class ConnectivityReport:
     connected: bool
-    all_reach_sink: bool
     unreachable: list[int]
     edge_count: int
 
@@ -165,23 +164,16 @@ _LATTICES = {
 }
 
 
-def region_anchor(region_id: int, anchors: dict[int, tuple[float, float]] | None = None) -> tuple[float, float]:
-    table = anchors if anchors is not None else DEFAULT_ANCHORS_KM
-    try:
-        return table[region_id]
-    except KeyError:
-        raise PlanningError(f"unknown region {region_id}") from None
-
-
 def tile_region(
     region_id: int,
     shape: CellShape,
     radio_range_km: float,
     node_count: int,
-    anchor_km: tuple[float, float] | None = None,
+    anchor_km: tuple[float, float],
     region_size_km: float = REGION_SIZE_KM,
 ) -> PlacementPlan:
-    """Lattice placement of ``node_count`` cells (sink included) in a region.
+    """Lattice placement of ``node_count`` cells (sink included) in the
+    region square whose lower-left corner is ``anchor_km``.
 
     The lattice is anchored at the region centroid, which becomes the
     sink cell; sensing cells are the nearest remaining lattice points
@@ -196,7 +188,7 @@ def tile_region(
     if shape is CellShape.CIRCLE:
         raise UntileableShape("circles leave gaps or overlap; pick hexagon/square/triangle")
 
-    ax, ay = anchor_km if anchor_km is not None else region_anchor(region_id)
+    ax, ay = anchor_km
     cx, cy = ax + region_size_km / 2.0, ay + region_size_km / 2.0
     centroid = GeoPoint(cx, cy)
 
@@ -229,9 +221,8 @@ def tile_region(
     )
 
 
-def connectivity_check(plan: PlacementPlan, link_range_km: float | None = None) -> ConnectivityReport:
-    """BFS over the unit-disc graph (edge iff distance <= 2 x radio range)."""
-    reach = link_range_km if link_range_km is not None else 2.0 * plan.radio_range_km
+def connectivity_check(plan: PlacementPlan, reach: float) -> ConnectivityReport:
+    """BFS over the unit-disc graph (edge iff distance <= reach)."""
     pts = plan.all_positions()
     n = len(pts)
     adj: list[list[int]] = [[] for _ in range(n)]
@@ -254,7 +245,6 @@ def connectivity_check(plan: PlacementPlan, link_range_km: float | None = None) 
     unreachable = [i for i, s in enumerate(seen) if not s]
     return ConnectivityReport(
         connected=not unreachable,
-        all_reach_sink=not unreachable,
         unreachable=unreachable,
         edge_count=edges,
     )

@@ -39,7 +39,6 @@ class EntityKind(Enum):
     SENSOR_NODE = "SensorNode"
     LOCAL_BASE_STATION = "LocalBaseStation"
     REMOTE_BASE_STATION = "RemoteBaseStation"
-    ENVIRONMENT = "Environment"
 
 
 class EntityId:
@@ -136,23 +135,15 @@ class Kernel:
         self._buckets: dict[int, list] = {}
         self._times: list[int] = []
         self._seq: int = 0
-        self._entities: dict[EntityId, Any] = {}
         self._handlers: dict[EntityId, Any] = {}  # each entity's bound handle
 
     # -- entities ----------------------------------------------------------
 
     def register(self, entity: Any) -> None:
         eid = entity.entity_id
-        if eid in self._entities:
+        if eid in self._handlers:
             raise ValueError(f"entity already registered: {eid}")
-        self._entities[eid] = entity
         self._handlers[eid] = entity.handle
-
-    def entity(self, eid: EntityId) -> Any:
-        try:
-            return self._entities[eid]
-        except KeyError:
-            raise UnknownEntity(str(eid)) from None
 
     def stream(self, label: str) -> RngStream:
         return RngStream(self.seed, label)
@@ -179,7 +170,7 @@ class Kernel:
         """Deliver payload to dst at clock + delay_s, carrying src."""
         if delay_s < 0:
             raise ValueError(f"negative delay: {delay_s}")
-        if src not in self._entities:
+        if src not in self._handlers:
             raise UnknownEntity(str(src))
         self.schedule(self.now + delay_s, dst, Message(src, payload))
 

@@ -57,6 +57,8 @@ EXPORT_FILES = (
     "plots_energy.csv",
     "run_report.json",
 )
+# written only when the config asks for them (trace, truth_dump)
+OPTIONAL_EXPORT_FILES = ("trace.tsv", "truth_daily.csv")
 
 ENERGY_CSV_COLUMNS = (
     "node_id,region,tx_mJ,rx_mJ,idle_mJ,sensing_mJ,"
@@ -156,13 +158,6 @@ class Scenario:
             yield from reg.nodes
 
 
-def region_centroids(cfg: ScenarioConfig) -> dict[int, GeoPoint]:
-    """Centre of each configured region's square."""
-    half = cfg.region_size_km / 2.0
-    return {r.region_id: GeoPoint(r.anchor_km[0] + half, r.anchor_km[1] + half)
-            for r in cfg.regions}
-
-
 def place(cfg: ScenarioConfig) -> list[tuple[PlacementPlan, ConnectivityReport]]:
     """Each configured region's placement plan, in config order, with its
     connectivity at link range (twice the radio range)."""
@@ -182,9 +177,8 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
     env = EnvironmentModel(
         climatology={r.region_id: r.climatology for r in cfg.regions},
         scenarios={r.region_id: r.drought for r in cfg.regions},
-        centroids=region_centroids(cfg),
+        centroids=cfg.region_centroids(),
         period_s=cfg.reporting_period_s,
-        horizon_s=cfg.horizon_s,
         params=cfg.env,
     )
     remote = RemoteBaseStation(kernel)
@@ -334,7 +328,7 @@ def analyse_db(cfg: ScenarioConfig, db: CentralDatabase):
         patterns = evolve_all(db, climatologies, cfg.window_days, cfg.thresholds)
     except InsufficientSpan:
         patterns = {}
-    forecast = advect_forecast(classes, indicators, region_centroids(cfg))
+    forecast = advect_forecast(classes, indicators, cfg.region_centroids())
     return classes, indicators, patterns, forecast
 
 
@@ -490,11 +484,11 @@ def _truth_daily_lines(scn: Scenario):
 
 
 def compare_runs(dir_a: Path, dir_b: Path) -> list[str]:
-    """Byte-compare run exports; the run report is compared structurally
-    with the wall-clock field and the config's output directory dropped.
-    Returns mismatch descriptions."""
+    """Byte-compare run exports, optional ones included; the run report
+    is compared structurally with the wall-clock field and the config's
+    output directory dropped.  Returns mismatch descriptions."""
     problems = []
-    for name in EXPORT_FILES:
+    for name in EXPORT_FILES + OPTIONAL_EXPORT_FILES:
         pa, pb = Path(dir_a) / name, Path(dir_b) / name
         if not pa.exists() or not pb.exists():
             if pa.exists() != pb.exists():

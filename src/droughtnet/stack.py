@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .energy import EnergyLedger, EnergyParams
-from .environment import SENSOR_FIELDS, NodeSampler, SensorReading
+from .environment import NodeSampler, SensorReading
 from .kernel import EntityId, EntityKind, Kernel, Message, RngStream
 
 KIND_DATA = 0
@@ -133,11 +133,10 @@ class DataMessage:
         self.frames_dropped = frames_dropped
         self.route = route
 
-    def fork(self, interest_id=None):
+    def fork(self):
         return DataMessage(
             self.signature, self.origin, self.origin_index, self.region_id,
-            self.reading, self.hop_count,
-            self.interest_id if interest_id is None else interest_id,
+            self.reading, self.hop_count, self.interest_id,
             self.battery_mj, self.frames_dropped, self.route,
         )
 
@@ -257,10 +256,6 @@ class RegionCounters:
         self.sleep_losses = 0
         self.duplicate_relay_drops = 0
 
-    @property
-    def losses(self) -> int:
-        return self.rf_losses + self.queue_losses + self.sleep_losses
-
     def as_dict(self) -> dict:
         return {
             "reports_originated": self.originated,
@@ -274,8 +269,6 @@ class RegionCounters:
 
 MODE_SLEEPING = 0
 MODE_ACTIVE = 1
-
-ALL_FIELDS = frozenset(SENSOR_FIELDS)
 
 
 class SensorNode:
@@ -296,7 +289,7 @@ class SensorNode:
         "mac_queue", "_queued_frames", "_mac_random", "_backoff_slots", "link_rng",
         "interest_cache", "gradients", "_sink_reinforced",
         "data_cache", "_cache_set", "data_cache_cap",
-        "sensor_fields", "collector",
+        "collector",
         "frames_sent", "frames_dropped", "reports_originated", "reports_forwarded",
         "_tree_on", "_diff_on", "_flood_on", "_dedup", "_drain_sleep",
         "_e_bit_mj", "_amp_bit_mj", "_sense_mj", "_idle_mj_s",
@@ -323,7 +316,6 @@ class SensorNode:
         period_s: int = 1800,
         stagger_s: int = 0,
         sampling_horizon_s: int = 0,
-        sensor_fields: frozenset = ALL_FIELDS,
     ):
         self.kernel = kernel
         self.entity_id = entity_id
@@ -372,7 +364,6 @@ class SensorNode:
         self.data_cache = deque()
         self._cache_set = set()
         self.data_cache_cap = data_cache_cap
-        self.sensor_fields = sensor_fields
         self.collector = None
         self.frames_sent = 0
         self.frames_dropped = 0
@@ -538,8 +529,6 @@ class SensorNode:
             if now >= expires_at:
                 del self.interest_cache[iid]
                 self.gradients.pop(iid, None)
-                continue
-            if not interest.attributes <= self.sensor_fields:
                 continue
             msg = self._make_report(reading, interest_id=iid)
             if self.is_sink and interest.origin == self.entity_id:
@@ -836,7 +825,7 @@ class TransportLink:
 
     def __init__(self, kernel: Kernel, src: EntityId, dst: EntityId, deliver,
                  rng: RngStream, loss_prob: float = 0.0, latency_s: int = 0,
-                 max_retries: int = 20, ack_timeout_s: int = 2, on_acked=None):
+                 max_retries: int = 20, ack_timeout_s: int = 2, *, on_acked):
         self.kernel = kernel
         self.src = src
         self.dst = dst
@@ -859,8 +848,7 @@ class TransportLink:
             self.transmissions += 1
             self.delivered += 1
             self.deliver(payload, self.src)
-            if self.on_acked is not None:
-                self.on_acked(payload)
+            self.on_acked(payload)
             return
         seqno = self._next_seq
         self._next_seq += 1
@@ -886,8 +874,7 @@ class TransportLink:
         if item is None:
             return  # duplicate ack after a retransmit
         self.delivered += 1
-        if self.on_acked is not None:
-            self.on_acked(item[0])
+        self.on_acked(item[0])
 
     def _on_timeout(self, ev: _TxTimeout) -> None:
         item = self._pending.get(ev.seqno)

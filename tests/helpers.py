@@ -124,7 +124,6 @@ def build_net(
             scenarios={1: DroughtScenario()},
             centroids={1: GeoPoint(positions[0][0], positions[0][1])},
             period_s=period,
-            horizon_s=max(sampling_horizon, 1),
             params=EnvironmentParams(),
         )
     nodes = []
@@ -305,7 +304,7 @@ class ReferenceHeapKernel(Kernel):
     def schedule(self, fire_at, target, payload):
         if fire_at < self.now:
             raise SchedulingInPast(f"fire_at {fire_at} < clock {self.now}")
-        if target not in self._entities:
+        if target not in self._handlers:
             raise UnknownEntity(str(target))
         heapq.heappush(self._heap, (fire_at, self._seq, target, payload))
         self._seq += 1
@@ -321,7 +320,7 @@ class ReferenceHeapKernel(Kernel):
             if self.trace is not None:
                 tag = getattr(payload, "tag", None) or type(payload).__name__
                 self.trace.append(f"{fire_at}\t{seq}\t{target}\t{tag}")
-            self._entities[target].handle(payload)
+            self._handlers[target](payload)
             count += 1
         self.processed += count
         return count

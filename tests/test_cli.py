@@ -87,6 +87,23 @@ def test_replay_reproduces_and_detects_tampering(tmp_path, capsys):
     assert "MISMATCH" in capsys.readouterr().out
 
 
+def test_replay_compares_trace_and_truth_dump(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, json.dumps({"horizon_s": 172800, "trace": True, "truth_dump": True}))
+    out = tmp_path / "o"
+    main(["run", "--config", cfg, "--out", str(out)])
+    assert main(["replay", "--out", str(out)]) == 0
+    for name in ("trace.tsv", "truth_daily.csv"):
+        path = out / name
+        original = path.read_text(encoding="utf-8")
+        lines = original.splitlines()
+        lines[5] += "0"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["replay", "--out", str(out)]) == 1, name
+        assert f"MISMATCH {name}: byte mismatch" in capsys.readouterr().out
+        path.write_text(original, encoding="utf-8")
+
+
 def test_replay_without_report_fails(tmp_path, capsys):
     assert main(["replay", "--out", str(tmp_path)]) == 1
 

@@ -11,7 +11,7 @@ from droughtnet.config import (
     load_config,
     validate,
 )
-from droughtnet.geometry import CellShape
+from droughtnet.geometry import CellShape, GeoPoint
 from droughtnet.stack import RoutingMode
 
 
@@ -137,6 +137,30 @@ def test_smallest_meaningful_values_accepted():
                    "e_sense_uj": 0, "p_idle_uw": 0, "battery_mj": 0},
     })
     assert (cfg.data_cache_cap, cfg.local_db_capacity, cfg.drain_window_s) == (1, 1, 0)
+
+
+def test_backbone_range_bounds():
+    # the remote base station sits at the mean of the region centroids,
+    # (50, 50) on the default layout, 62.2 km from each corner region's
+    # local station
+    with pytest.raises(ValidationError, match=r"region 1 local base station is 62\.2 km .* "
+                                              r"beyond backbone\.range_km 62\.0"):
+        config_from_dict({"backbone": {"range_km": 62}})
+    for range_km in (63, 120):
+        assert config_from_dict({"backbone": {"range_km": range_km}}).backbone.range_km == range_km
+    for range_km in (0, -1):
+        with pytest.raises(ValidationError, match="backbone.range_km must be positive"):
+            config_from_dict({"backbone": {"range_km": range_km}})
+
+
+def test_station_to_itself_in_range():
+    # one region: its local station sits on the remote station
+    for range_km in (0.001, 120):
+        cfg = config_from_dict({"backbone": {"range_km": range_km},
+                                "regions": [{"region_id": 2}]})
+        assert cfg.region_centroids() == {2: GeoPoint(94.0, 6.0)}
+    with pytest.raises(ValidationError, match="backbone.range_km must be positive"):
+        config_from_dict({"backbone": {"range_km": 0}, "regions": [{"region_id": 2}]})
 
 
 def test_partial_region_entry_inherits_defaults():

@@ -9,7 +9,6 @@ from droughtnet.environment import (
     EnvironmentModel,
     EnvironmentParams,
     UnknownRegion,
-    default_climatology,
     default_drought_scenario,
     normal_temp_over_window,
 )
@@ -21,14 +20,13 @@ from helpers import ReferenceStream, seasonal_temp
 PERIOD = 1800
 
 
-def make_model(scenarios=None, params=None, period=PERIOD, horizon=YEAR_S):
+def make_model(scenarios=None, params=None, period=PERIOD):
     centroids = {r: GeoPoint(6.0, 6.0) for r in range(1, 6)}
     return EnvironmentModel(
-        climatology=default_climatology(),
+        climatology={r: Climatology() for r in range(1, 6)},
         scenarios=scenarios or default_drought_scenario(),
         centroids=centroids,
         period_s=period,
-        horizon_s=horizon,
         params=params or EnvironmentParams(),
     )
 
@@ -113,13 +111,11 @@ def test_null_rainfall_region_has_zero_precipitation():
 def test_zero_noise_zero_anomaly_temperature_is_periodic():
     params = EnvironmentParams(noise_sigma_c=0.0, noise_innovation_cap_c=0.0)
     scenarios = {r: DroughtScenario() for r in range(1, 6)}
-    model = make_model(scenarios=scenarios, params=params, horizon=2 * YEAR_S)
-    rng = RngStream(1, "x")
-    pos = GeoPoint(6.0, 6.0)
-    t = 123 * PERIOD
-    a = model.sample_truth(1, pos, t, RngStream(1, "x"))
-    b = model.sample_truth(1, pos, t + YEAR_S, rng)
-    assert a.temperature_c == b.temperature_c
+    model = make_model(scenarios=scenarios, params=params)
+    sampler = model.sampler(1, 0, GeoPoint(6.0, 6.0), RngStream(1, "x"))
+    per_year = YEAR_S // PERIOD
+    temps = [sampler.sample(k * PERIOD).temperature_c for k in range(2 * per_year)]
+    assert temps[:per_year] == temps[per_year:]
 
 
 def test_same_region_same_time_bounded_disagreement():
@@ -153,7 +149,7 @@ def test_slow_change_cap_holds(seed):
 
 def test_annual_precipitation_totals_match_normals():
     model = make_model()
-    clim = default_climatology()[1]
+    clim = model.climatology[1]
     for region, scale in ((1, 1.0), (2, 0.5), (4, 0.25)):
         total = sum(r.precipitation_mm for r in year_of_samples(model, region))
         expected = 12 * clim.monthly_precip_mm * scale
@@ -198,16 +194,7 @@ def test_reading_ranges():
 def test_unknown_region_rejected():
     model = make_model()
     with pytest.raises(UnknownRegion):
-        model.sample_truth(9, GeoPoint(0, 0), 0, RngStream(1, "z"))
-
-
-def test_sample_truth_agrees_with_live_sampler():
-    model = make_model()
-    pos = GeoPoint(4.0, 8.0)
-    live = model.sampler(2, 1, pos, RngStream(3, "env:2:1"))
-    readings = [live.sample(k * PERIOD) for k in range(10)]
-    pure = model.sample_truth(2, pos, 9 * PERIOD, RngStream(3, "env:2:1"), node_id=1)
-    assert pure == readings[9]
+        model.sampler(9, 1, GeoPoint(0, 0), RngStream(1, "z"))
 
 
 def test_window_normal_matches_quadrature_oracle():

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from droughtnet.geometry import (
+    DEFAULT_ANCHORS_KM,
+    REGION_SIZE_KM,
     CellShape,
     GeoPoint,
     InsufficientNodes,
@@ -94,7 +96,7 @@ def test_estimate_antitone_in_radio_range(r1, r2):
 
 
 def test_hex_plan_of_ten_positions_and_spacing():
-    plan = tile_region(1, CellShape.HEXAGON, 2.074, 10)
+    plan = tile_region(1, CellShape.HEXAGON, 2.074, 10, DEFAULT_ANCHORS_KM[1])
     pts = plan.all_positions()
     assert len(pts) == 10
     # brute-force pairwise check: nearest neighbours sit sqrt(3)*R apart
@@ -106,25 +108,23 @@ def test_hex_plan_of_ten_positions_and_spacing():
 
 def test_circle_is_untileable():
     with pytest.raises(UntileableShape):
-        tile_region(1, CellShape.CIRCLE, 1.80, 10)
+        tile_region(1, CellShape.CIRCLE, 1.80, 10, DEFAULT_ANCHORS_KM[1])
 
 
 def test_single_node_plan_is_sink_at_centroid():
-    plan = tile_region(1, CellShape.HEXAGON, 2.074, 1)
+    plan = tile_region(1, CellShape.HEXAGON, 2.074, 1, DEFAULT_ANCHORS_KM[1])
     assert plan.node_positions == []
     assert plan.sink_position == GeoPoint(6.0, 6.0)
 
 
 def test_too_few_nodes_for_coverage_rejected():
     with pytest.raises(InsufficientNodes):
-        tile_region(1, CellShape.HEXAGON, 2.074, 5)
+        tile_region(1, CellShape.HEXAGON, 2.074, 5, DEFAULT_ANCHORS_KM[1])
 
 
 def test_positions_inside_region_square():
     for region in (1, 2, 3, 4, 5):
-        plan = tile_region(region, CellShape.HEXAGON, 2.074, 10)
-        from droughtnet.geometry import DEFAULT_ANCHORS_KM, REGION_SIZE_KM
-
+        plan = tile_region(region, CellShape.HEXAGON, 2.074, 10, DEFAULT_ANCHORS_KM[region])
         ax, ay = DEFAULT_ANCHORS_KM[region]
         for p in plan.all_positions():
             assert ax - 1e-9 <= p.x_km <= ax + REGION_SIZE_KM + 1e-9
@@ -135,14 +135,14 @@ def test_positions_inside_region_square():
 
 def test_sensing_count_matches_estimate_for_full_plan():
     est = estimate_node_count(100.0, CellShape.HEXAGON, 2.074)
-    plan = tile_region(3, CellShape.HEXAGON, 2.074, est + 1)
+    plan = tile_region(3, CellShape.HEXAGON, 2.074, est + 1, DEFAULT_ANCHORS_KM[3])
     assert len(plan.node_positions) == est
 
 
 def test_square_and_triangle_lattices_place():
     for shape in (CellShape.SQUARE, CellShape.EQUILATERAL_TRIANGLE):
         est = estimate_node_count(100.0, shape, 2.074)
-        plan = tile_region(1, shape, 2.074, est + 1)
+        plan = tile_region(1, shape, 2.074, est + 1, DEFAULT_ANCHORS_KM[1])
         assert len(plan.all_positions()) == est + 1
 
 
@@ -176,9 +176,9 @@ def _bfs_oracle(pts, reach):
 
 
 def test_hex_plan_connected_matches_bfs_oracle():
-    plan = tile_region(1, CellShape.HEXAGON, 2.074, 10)
-    report = connectivity_check(plan)
-    assert report.connected and report.all_reach_sink
+    plan = tile_region(1, CellShape.HEXAGON, 2.074, 10, DEFAULT_ANCHORS_KM[1])
+    report = connectivity_check(plan, 2 * 2.074)
+    assert report.connected and report.unreachable == []
     assert _bfs_oracle(plan.all_positions(), 2 * 2.074) is True
 
 
@@ -190,21 +190,21 @@ def test_far_apart_nodes_disconnected():
         node_positions=[GeoPoint(100.0, 0.0)],
         sink_position=GeoPoint(0.0, 0.0),
     )
-    report = connectivity_check(plan)
+    report = connectivity_check(plan, 2 * 2.0)
     assert not report.connected
     assert report.unreachable == [1]
 
 
 def test_single_node_trivially_connected():
-    plan = tile_region(1, CellShape.HEXAGON, 2.074, 1)
-    assert connectivity_check(plan).connected
+    plan = tile_region(1, CellShape.HEXAGON, 2.074, 1, DEFAULT_ANCHORS_KM[1])
+    assert connectivity_check(plan, 2 * 2.074).connected
 
 
 # -- export ------------------------------------------------------------------
 
 
 def test_plan_dict_schema():
-    plan = tile_region(2, CellShape.HEXAGON, 2.074, 10)
+    plan = tile_region(2, CellShape.HEXAGON, 2.074, 10, DEFAULT_ANCHORS_KM[2])
     d = plan_to_dict(plan)
     assert d["region_id"] == 2
     assert d["shape"] == "hexagon"

@@ -116,7 +116,8 @@ def test_binary_tree_day_delivers_432_reports():
     assert len(net.received) == 9 * 48 == 432
     assert net.counters.originated == 432
     assert net.counters.delivered == 432
-    assert net.counters.losses == 0
+    c = net.counters
+    assert c.rf_losses + c.queue_losses + c.sleep_losses == 0
     # per-period receipts equal the non-sink node count, exactly
     by_period = {}
     for _, msg in net.received:
