@@ -5,14 +5,23 @@ empty file reproduces the canonical scenario: five hexagon-celled
 regions of 10 nodes each, 30-minute tree reporting for one simulated
 year, with the region-3 serious drought blowing toward region 4.
 
-load_config / config_to_dict round-trip exactly, which is what lets a
-stored run report reproduce its run byte for byte.
+The config dataclasses are the schema.  config_from_dict walks each
+dataclass's fields and resolved type hints to parse a file, and
+config_to_dict walks them back to JSON, so load_config / config_to_dict
+round-trip exactly: that is what lets a stored run report reproduce its
+run byte for byte.  A malformed section or value raises ValidationError
+naming its dotted key.  The one special case is a regions[] entry, which
+merges over the built-in region of its region_id.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from enum import Enum
+from functools import cache
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 from .analytics import Thresholds
 from .backbone import MAX_NODES, REGION_ID_RANGE
@@ -26,6 +35,7 @@ from .environment import (
     default_drought_scenario,
 )
 from .geometry import (
+    COVERAGE_AREA_KM2,
     DEFAULT_ANCHORS_KM,
     MAP_SIZE_KM,
     REGION_SIZE_KM,
@@ -64,7 +74,7 @@ class BackboneParams:
 class InterestConfig:
     """Query injected at each sink for diffusion/flooding/combined runs."""
 
-    attributes: tuple = SENSOR_FIELDS
+    attributes: tuple[str, ...] = SENSOR_FIELDS
     hop_limit: int = 8
     start_s: int = 0
     duration_s: int | None = None  # None: the whole run
@@ -73,12 +83,12 @@ class InterestConfig:
 @dataclass(frozen=True, slots=True)
 class RegionConfig:
     region_id: int
-    anchor_km: tuple
+    anchor_km: tuple[float, float]
     climatology: Climatology
     drought: DroughtScenario
 
 
-def default_regions() -> tuple:
+def default_regions() -> tuple[RegionConfig, ...]:
     scen = default_drought_scenario()
     return tuple(
         RegionConfig(
@@ -118,7 +128,7 @@ class ScenarioConfig:
     env: EnvironmentParams = EnvironmentParams()
     thresholds: Thresholds = Thresholds()
     interest: InterestConfig = InterestConfig()
-    regions: tuple = field(default_factory=default_regions)
+    regions: tuple[RegionConfig, ...] = field(default_factory=default_regions)
 
     def region_ids(self) -> list[int]:
         return [r.region_id for r in self.regions]
@@ -133,7 +143,7 @@ class ScenarioConfig:
     def nodes_per_region(self) -> int:
         """Cells placed in each region, sink included."""
         return self.node_count_override or estimate_node_count(
-            100.0, self.cell_shape, self.radio_range_km) + 1
+            COVERAGE_AREA_KM2, self.cell_shape, self.radio_range_km) + 1
 
     def plan_region(self, region: RegionConfig) -> PlacementPlan:
         """Where ``region``'s cells go: the one placement that validate()
@@ -157,163 +167,90 @@ class ScenarioConfig:
         return cfg
 
 
-# -- section parsing ------------------------------------------------------------
+# -- parse and echo --------------------------------------------------------------
 
 
-def _check_keys(section: str, data: dict, allowed) -> None:
-    unknown = set(data) - set(allowed)
-    if unknown:
-        raise ValidationError(f"unknown key(s) in {section}: {sorted(unknown)}")
+@cache
+def _field_types(cls) -> dict:
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
 
 
-def _num(section: str, data: dict, key, default, kind=float):
-    if key not in data:
-        return default
-    v = data[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValidationError(f"{section}.{key} must be a number, got {v!r}")
+def _parse(key: str, value, kind, base=None):
+    """``value`` read as type ``kind``, naming the dotted ``key`` when it
+    is malformed; a section merges over ``base``, its current value."""
+    if isinstance(kind, UnionType):  # X | None
+        if value is None:
+            return None
+        (kind,) = [k for k in get_args(kind) if k is not type(None)]
+    if is_dataclass(kind):
+        where = key or "config"
+        if not isinstance(value, dict):
+            raise ValidationError(f"{where} must be an object, got {value!r}")
+        types = _field_types(kind)
+        unknown = set(value) - set(types)
+        if unknown:
+            raise ValidationError(f"unknown key(s) in {where}: {sorted(unknown, key=str)}")
+        if base is None:
+            base = _region_default(key, value) if kind is RegionConfig else kind()
+        prefix = f"{key}." if key else ""
+        return replace(base, **{name: _parse(prefix + name, v, types[name], getattr(base, name))
+                                for name, v in value.items()})
+    if get_origin(kind) is tuple:
+        kinds = get_args(kind)
+        variadic = kinds[-1] is Ellipsis  # tuple[X, ...]
+        if not isinstance(value, list) or not variadic and len(value) != len(kinds):
+            size = "" if variadic else f" of {len(kinds)}"
+            raise ValidationError(f"{key} must be a list{size}, got {value!r}")
+        if variadic:
+            kinds = kinds[:1] * len(value)
+        return tuple(_parse(f"{key}[{i}]", v, k) for i, (v, k) in enumerate(zip(value, kinds)))
+    if issubclass(kind, Enum):
+        try:
+            return kind(value)
+        except (ValueError, TypeError):
+            raise ValidationError(f"{key} must be one of {[m.value for m in kind]}, "
+                                  f"got {value!r}") from None
+    if kind is bool or kind is str:
+        if not isinstance(value, kind):
+            expected = "true/false" if kind is bool else "a string"
+            raise ValidationError(f"{key} must be {expected}, got {value!r}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{key} must be a number, got {value!r}")
     if kind is int:
-        if isinstance(v, float) and not v.is_integer():
-            raise ValidationError(f"{section}.{key} must be an integer, got {v!r}")
-        return int(v)
-    return float(v)
+        if isinstance(value, float) and not value.is_integer():
+            raise ValidationError(f"{key} must be an integer, got {value!r}")
+        return int(value)
+    return float(value)
 
 
-def _flag(section: str, data: dict, key, default):
-    v = data.get(key, default)
-    if not isinstance(v, bool):
-        raise ValidationError(f"{section}.{key} must be true/false, got {v!r}")
-    return v
-
-
-def _parse_simple(section: str, data: dict, cls, int_keys=(), defaults=None):
-    base = defaults if defaults is not None else cls()
-    _check_keys(section, data, [f for f in base.__dataclass_fields__])
-    kwargs = {}
-    for name in base.__dataclass_fields__:
-        if name not in data:
-            continue
-        kind = int if name in int_keys else float
-        kwargs[name] = _num(section, data, name, getattr(base, name), kind)
-    return replace(base, **kwargs)
-
-
-def _parse_climatology(data: dict) -> Climatology:
-    return _parse_simple("climatology", data, Climatology)
-
-
-def _parse_drought(data: dict, default: DroughtScenario) -> DroughtScenario:
-    _check_keys("drought", data, [f for f in default.__dataclass_fields__])
-    kwargs = {}
-    for name in ("temperature_anomaly_c", "precipitation_scale", "wind_dir_deg", "wind_speed_ms"):
-        if name in data:
-            if data[name] is None and name in ("wind_dir_deg", "wind_speed_ms"):
-                kwargs[name] = None
-            else:
-                kwargs[name] = _num("drought", data, name, None)
-    for name in ("active_start_s", "active_end_s"):
-        if name in data:
-            kwargs[name] = None if data[name] is None else _num("drought", data, name, None, int)
-    return replace(default, **kwargs)
-
-
-def _parse_region(data: dict, defaults: dict[int, RegionConfig]) -> RegionConfig:
-    _check_keys("regions[]", data, ["region_id", "anchor_km", "climatology", "drought"])
-    if "region_id" not in data:
-        raise ValidationError("regions[] entries need a region_id")
-    rid = _num("regions[]", data, "region_id", None, int)
-    base = defaults.get(
-        rid,
-        RegionConfig(rid, (0.0, 0.0), Climatology(), DroughtScenario()),
-    )
-    anchor = base.anchor_km
-    if "anchor_km" in data:
-        raw = data["anchor_km"]
-        if not (isinstance(raw, list) and len(raw) == 2):
-            raise ValidationError(f"regions[{rid}].anchor_km must be [x, y]")
-        anchor = (float(raw[0]), float(raw[1]))
-    clim = _parse_climatology(data.get("climatology", {})) if "climatology" in data else base.climatology
-    drought = _parse_drought(data.get("drought", {}), base.drought) if "drought" in data else base.drought
-    return RegionConfig(region_id=rid, anchor_km=anchor, climatology=clim, drought=drought)
-
-
-_TOP_KEYS = [f for f in ScenarioConfig.__dataclass_fields__]
+def _region_default(key: str, value: dict) -> RegionConfig:
+    """A regions[] entry merges over the built-in region of its id."""
+    if "region_id" not in value:
+        raise ValidationError(f"{key} needs a region_id")
+    rid = _parse(f"{key}.region_id", value["region_id"], int)
+    return next((r for r in default_regions() if r.region_id == rid),
+                RegionConfig(rid, (0.0, 0.0), Climatology(), DroughtScenario()))
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
-    _check_keys("config", data, _TOP_KEYS)
-    kwargs = {}
-    for key, kind in (
-        ("seed", int), ("horizon_s", int), ("reporting_period_s", int),
-        ("stagger_step_s", int), ("radio_range_km", float), ("region_size_km", float),
-        ("payload_bytes", int), ("data_cache_cap", int), ("local_db_capacity", int),
-        ("window_days", int), ("drain_window_s", int),
-    ):
-        if key in data:
-            kwargs[key] = _num("config", data, key, None, kind)
-    if "node_count_override" in data:
-        v = data["node_count_override"]
-        kwargs["node_count_override"] = None if v is None else _num("config", data, "node_count_override", None, int)
-    for key in ("allow_fast_reporting", "trace", "truth_dump"):
-        if key in data:
-            kwargs[key] = _flag("config", data, key, False)
-    if "output_dir" in data:
-        if not isinstance(data["output_dir"], str):
-            raise ValidationError("config.output_dir must be a string")
-        kwargs["output_dir"] = data["output_dir"]
-    if "routing_mode" in data:
-        try:
-            kwargs["routing_mode"] = RoutingMode(data["routing_mode"])
-        except ValueError:
-            raise ValidationError(f"config.routing_mode must be one of "
-                                  f"{[m.value for m in RoutingMode]}") from None
-    if "cell_shape" in data:
-        try:
-            kwargs["cell_shape"] = CellShape(data["cell_shape"])
-        except ValueError:
-            raise ValidationError(f"config.cell_shape must be one of "
-                                  f"{[s.value for s in CellShape]}") from None
-    if "link" in data:
-        kwargs["link"] = _parse_simple("link", data["link"], LinkParams, int_keys=("delay_s",))
-    if "backbone" in data:
-        kwargs["backbone"] = _parse_simple(
-            "backbone", data["backbone"], BackboneParams,
-            int_keys=("latency_s", "max_retries", "ack_timeout_s"))
-    if "energy" in data:
-        kwargs["energy"] = _parse_simple("energy", data["energy"], EnergyParams)
-    if "mac" in data:
-        kwargs["mac"] = _parse_simple(
-            "mac", data["mac"], MacParams,
-            int_keys=("max_frame_bytes", "queue_cap_frames", "backoff_slots"))
-    if "env" in data:
-        kwargs["env"] = _parse_simple("env", data["env"], EnvironmentParams)
-    if "thresholds" in data:
-        kwargs["thresholds"] = _parse_simple("thresholds", data["thresholds"], Thresholds)
-    if "interest" in data:
-        idata = data["interest"]
-        _check_keys("interest", idata, ["attributes", "hop_limit", "start_s", "duration_s"])
-        attrs = InterestConfig().attributes
-        if "attributes" in idata:
-            raw = idata["attributes"]
-            if not isinstance(raw, list) or not raw:
-                raise ValidationError("interest.attributes must be a non-empty list")
-            bad = set(raw) - set(SENSOR_FIELDS)
-            if bad:
-                raise ValidationError(f"interest.attributes unknown: {sorted(bad)}")
-            attrs = tuple(raw)
-        duration = idata.get("duration_s")
-        kwargs["interest"] = InterestConfig(
-            attributes=attrs,
-            hop_limit=_num("interest", idata, "hop_limit", 8, int),
-            start_s=_num("interest", idata, "start_s", 0, int),
-            duration_s=None if duration is None else _num("interest", idata, "duration_s", None, int),
-        )
-    if "regions" in data:
-        if not isinstance(data["regions"], list) or not data["regions"]:
-            raise ValidationError("config.regions must be a non-empty list")
-        defaults = {r.region_id: r for r in default_regions()}
-        kwargs["regions"] = tuple(_parse_region(r, defaults) for r in data["regions"])
-    return validate(ScenarioConfig(**kwargs))
+    return validate(_parse("", data, ScenarioConfig))
+
+
+def _echo(value):
+    if is_dataclass(value):
+        return {f.name: _echo(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [_echo(v) for v in value]
+    return value
+
+
+def config_to_dict(cfg: ScenarioConfig) -> dict:
+    """JSON-able echo sufficient to reproduce the run exactly."""
+    return _echo(cfg)
 
 
 def validate(cfg: ScenarioConfig) -> ScenarioConfig:
@@ -407,6 +344,11 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
         cfg.thresholds.validate()
     except Exception as exc:
         raise ValidationError(f"thresholds not monotone: {exc}") from None
+    if not cfg.interest.attributes:
+        raise ValidationError("interest.attributes must not be empty")
+    unknown = set(cfg.interest.attributes) - set(SENSOR_FIELDS)
+    if unknown:
+        raise ValidationError(f"interest.attributes unknown: {sorted(unknown)}")
     if cfg.interest.hop_limit < 1:
         raise ValidationError("interest.hop_limit must be at least 1")
     if cfg.interest.start_s < 0:
@@ -443,55 +385,3 @@ def load_config(path) -> ScenarioConfig:
         raise ParseError(f"{path}: top level must be an object")
     return config_from_dict(data)
 
-
-# -- echo --------------------------------------------------------------------
-
-
-def _dataclass_dict(obj) -> dict:
-    return {f: getattr(obj, f) for f in obj.__dataclass_fields__}
-
-
-def config_to_dict(cfg: ScenarioConfig) -> dict:
-    """JSON-able echo sufficient to reproduce the run exactly."""
-    out = {
-        "seed": cfg.seed,
-        "horizon_s": cfg.horizon_s,
-        "reporting_period_s": cfg.reporting_period_s,
-        "allow_fast_reporting": cfg.allow_fast_reporting,
-        "stagger_step_s": cfg.stagger_step_s,
-        "routing_mode": cfg.routing_mode.value,
-        "cell_shape": cfg.cell_shape.value,
-        "radio_range_km": cfg.radio_range_km,
-        "region_size_km": cfg.region_size_km,
-        "node_count_override": cfg.node_count_override,
-        "payload_bytes": cfg.payload_bytes,
-        "data_cache_cap": cfg.data_cache_cap,
-        "local_db_capacity": cfg.local_db_capacity,
-        "window_days": cfg.window_days,
-        "drain_window_s": cfg.drain_window_s,
-        "trace": cfg.trace,
-        "truth_dump": cfg.truth_dump,
-        "output_dir": cfg.output_dir,
-        "link": _dataclass_dict(cfg.link),
-        "backbone": _dataclass_dict(cfg.backbone),
-        "energy": _dataclass_dict(cfg.energy),
-        "mac": _dataclass_dict(cfg.mac),
-        "env": _dataclass_dict(cfg.env),
-        "thresholds": _dataclass_dict(cfg.thresholds),
-        "interest": {
-            "attributes": list(cfg.interest.attributes),
-            "hop_limit": cfg.interest.hop_limit,
-            "start_s": cfg.interest.start_s,
-            "duration_s": cfg.interest.duration_s,
-        },
-        "regions": [
-            {
-                "region_id": r.region_id,
-                "anchor_km": list(r.anchor_km),
-                "climatology": _dataclass_dict(r.climatology),
-                "drought": _dataclass_dict(r.drought),
-            }
-            for r in cfg.regions
-        ],
-    }
-    return out

@@ -72,8 +72,11 @@ class DroughtScenario:
 class EnvironmentParams:
     noise_rho: float = 0.9
     noise_sigma_c: float = 0.5
-    # innovations clipped so |dT| between consecutive samples stays
-    # under slow_change_cap_c unconditionally
+    # innovations are clipped to noise_innovation_cap_c, which with the
+    # defaults keeps |dT| between consecutive samples under
+    # slow_change_cap_c; a drought window that starts or ends mid-run
+    # steps the temperature by its whole anomaly.  The simulator never
+    # reads slow_change_cap_c; it stays because stored run reports echo it.
     noise_innovation_cap_c: float = 0.7
     slow_change_cap_c: float = 1.5
     spatial_gradient_c_per_km: float = 0.02

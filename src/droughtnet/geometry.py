@@ -20,6 +20,9 @@ SQRT3 = math.sqrt(3.0)
 
 MAP_SIZE_KM = 100.0
 REGION_SIZE_KM = 12.0
+# Area each region's node count is estimated for, whatever its square's
+# size: region_size_km does not enter the count.
+COVERAGE_AREA_KM2 = 100.0
 
 # Region anchors (lower-left corners): four corners + centre of the map.
 DEFAULT_ANCHORS_KM: dict[int, tuple[float, float]] = {
@@ -192,7 +195,7 @@ def tile_region(
     cx, cy = ax + region_size_km / 2.0, ay + region_size_km / 2.0
     centroid = GeoPoint(cx, cy)
 
-    estimate = estimate_node_count(100.0, shape, radio_range_km)
+    estimate = estimate_node_count(COVERAGE_AREA_KM2, shape, radio_range_km)
     if node_count != 1 and node_count < estimate:
         raise InsufficientNodes(
             f"node_count {node_count} below coverage estimate {estimate}"

@@ -103,11 +103,9 @@ class RngStream:
     hot path.
     """
 
-    __slots__ = ("seed", "stream_label", "_random")
+    __slots__ = ("_random",)
 
     def __init__(self, seed: int, stream_label: str):
-        self.seed = seed
-        self.stream_label = stream_label
         digest = hashlib.sha256(f"{seed}\x1f{stream_label}".encode()).digest()
         self._random = random.Random(int.from_bytes(digest[:8], "big")).random
 

@@ -218,7 +218,6 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
                 kernel=kernel,
                 entity_id=EntityId(EntityKind.SENSOR_NODE, gid),
                 region_id=rc.region_id,
-                index_in_region=local,
                 position=pos,
                 is_sink=is_sink,
                 routing_mode=cfg.routing_mode,

@@ -275,9 +275,9 @@ class SensorNode:
     """One mote: sensing, protocol stack, radio and energy ledger."""
 
     __slots__ = (
-        "kernel", "entity_id", "node_index", "region_id", "index_in_region",
+        "kernel", "entity_id", "node_index", "region_id",
         "position", "is_sink", "routing_mode", "channel", "counters",
-        "params", "ledger", "battery_mj",
+        "ledger", "battery_mj",
         "_delay_s", "_loss_prob", "_queue_cap",
         "payload_bytes", "data_frames", "interest_frames",
         "reinforce_frames", "link_range_km",
@@ -300,7 +300,6 @@ class SensorNode:
         kernel: Kernel,
         entity_id: EntityId,
         region_id: int,
-        index_in_region: int,
         position,
         is_sink: bool,
         routing_mode: RoutingMode,
@@ -321,13 +320,11 @@ class SensorNode:
         self.entity_id = entity_id
         self.node_index = entity_id.index
         self.region_id = region_id
-        self.index_in_region = index_in_region
         self.position = position
         self.is_sink = is_sink
         self.routing_mode = routing_mode
         self.channel = channel
         self.counters = counters
-        self.params = energy_params
         self.ledger = EnergyLedger()
         self.battery_mj = energy_params.battery_mj
         self._delay_s = link.delay_s
@@ -771,14 +768,13 @@ class SensorNode:
 
 
 class _TxData:
-    __slots__ = ("link", "seqno", "payload", "attempt")
+    __slots__ = ("link", "seqno", "payload")
     tag = "tx_data"
 
-    def __init__(self, link, seqno, payload, attempt):
+    def __init__(self, link, seqno, payload):
         self.link = link
         self.seqno = seqno
         self.payload = payload
-        self.attempt = attempt
 
 
 class _TxAck:
@@ -837,8 +833,6 @@ class TransportLink:
         self.ack_timeout_s = ack_timeout_s
         self.on_acked = on_acked
         self.transmissions = 0
-        self.delivered = 0
-        self.lost = 0
         self.abandoned = 0
         self._next_seq = 0
         self._pending: dict[int, tuple] = {}
@@ -846,7 +840,6 @@ class TransportLink:
     def send(self, payload) -> None:
         if self.loss_prob == 0.0 and self.latency_s == 0:
             self.transmissions += 1
-            self.delivered += 1
             self.deliver(payload, self.src)
             self.on_acked(payload)
             return
@@ -856,12 +849,10 @@ class TransportLink:
         self._transmit(seqno)
 
     def _transmit(self, seqno: int) -> None:
-        payload, attempt = self._pending[seqno]
+        payload = self._pending[seqno][0]
         self.transmissions += 1
         if not (self.loss_prob and self.rng.random() < self.loss_prob):
-            self.kernel.send_delayed(self.src, self.dst, _TxData(self, seqno, payload, attempt), self.latency_s)
-        else:
-            self.lost += 1
+            self.kernel.send_delayed(self.src, self.dst, _TxData(self, seqno, payload), self.latency_s)
         self.kernel.send_delayed(self.src, self.src, _TxTimeout(self, seqno),
                                  self.latency_s * 2 + self.ack_timeout_s)
 
@@ -873,7 +864,6 @@ class TransportLink:
         item = self._pending.pop(ev.seqno, None)
         if item is None:
             return  # duplicate ack after a retransmit
-        self.delivered += 1
         self.on_acked(item[0])
 
     def _on_timeout(self, ev: _TxTimeout) -> None:

@@ -137,7 +137,6 @@ def build_net(
             kernel=kernel,
             entity_id=eid,
             region_id=1,
-            index_in_region=i,
             position=pos,
             is_sink=(i == 0),
             routing_mode=mode,
@@ -165,8 +164,7 @@ def build_net(
         def subtree_size(i):
             return 1 + sum(subtree_size(c) for c in children.get(i, []))
 
-        for n in nodes:
-            i = n.index_in_region
+        for i, n in enumerate(nodes):
             parent = tree_parents.get(i)
             n.set_tree_parent(
                 nodes[parent] if parent is not None else None,

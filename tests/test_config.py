@@ -1,4 +1,11 @@
+import hashlib
 import json
+import re
+from dataclasses import fields, is_dataclass, replace
+from enum import Enum
+from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import pytest
 
@@ -198,3 +205,114 @@ def test_cli_style_overrides():
 def test_config_echo_is_json_serialisable():
     echo = config_to_dict(validate(ScenarioConfig()))
     assert json.loads(json.dumps(echo)) == echo
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"link": 5}, "link must be an object"),
+    ({"interest": 3}, "interest must be an object"),
+    ({"regions": [5]}, r"regions\[0\] must be an object"),
+    ({"regions": [{"region_id": 1, "anchor_km": ["a", 0]}]}, r"regions\[0\]\.anchor_km\[0\]"),
+    ({"regions": [{"region_id": 1, "anchor_km": [True, 0]}]}, r"regions\[0\]\.anchor_km\[0\]"),
+    ({"regions": [{"region_id": 1, "anchor_km": [1.0]}]}, r"regions\[0\]\.anchor_km must be a list of 2"),
+    ({"interest": {"attributes": [["x"]]}}, r"interest\.attributes\[0\] must be a string"),
+    # used to validate, and then a 2-day run died in NodeSampler.sample
+    # comparing the sample time with None
+    ({"regions": [{"region_id": 3, "drought": {"active_start_s": None}}]},
+     r"regions\[0\]\.drought\.active_start_s must be a number"),
+], ids=["link_not_object", "interest_not_object", "region_not_object", "anchor_str",
+        "anchor_bool", "anchor_length", "attribute_not_str", "active_start_null"])
+def test_malformed_config_rejected_naming_key(data, message):
+    with pytest.raises(ValidationError, match=message):
+        config_from_dict(data)
+
+
+# SHA-256 of the default config's echo, as every stored run report holds it
+DEFAULT_ECHO_SHA256 = "d82acf2f3e1b33ced95f83b76f445f3ee4cc7a1ee2f7ead104c235954a2adacb"
+# and of _all_fields_config(), which older code echoed byte for byte the same
+ALL_FIELDS_ECHO_SHA256 = "c67adddd2a1a65afd9b68062c43b325ecc5dd569b62522f440bd005e3789450f"
+
+
+def _echo_sha256(cfg) -> str:
+    text = json.dumps(config_to_dict(cfg), indent=2, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_default_echo_pinned():
+    assert _echo_sha256(validate(ScenarioConfig())) == DEFAULT_ECHO_SHA256
+
+
+def _other_value(kind, default):
+    """A valid value of type ``kind`` that differs from ``default``, in
+    every leaf of a dataclass."""
+    if isinstance(kind, UnionType):  # X | None
+        (kind,) = [k for k in get_args(kind) if k is not type(None)]
+        if default is None:
+            return kind(1)
+    if is_dataclass(kind):
+        types = get_type_hints(kind)
+        return replace(default, **{f.name: _other_value(types[f.name], getattr(default, f.name))
+                                   for f in fields(kind)})
+    if get_origin(kind) is tuple:
+        kinds = get_args(kind)
+        if kinds[-1] is not Ellipsis:
+            return tuple(_other_value(k, v) for k, v in zip(kinds, default))
+        if is_dataclass(kinds[0]):
+            return tuple(_other_value(kinds[0], v) for v in default[1:])
+        return default[1:]
+    if issubclass(kind, Enum):
+        return [m for m in kind if m != default][-1]
+    if kind is bool:
+        return not default
+    if kind is str:
+        return default + "-x"
+    if kind is int:
+        return default + 1
+    return default * 0.75 + 0.01
+
+
+def _all_fields_config() -> ScenarioConfig:
+    return validate(_other_value(ScenarioConfig, ScenarioConfig()))
+
+
+def _assert_echo_keys(echo, value):
+    if is_dataclass(value):
+        assert list(echo) == [f.name for f in fields(value)]
+        for f in fields(value):
+            _assert_echo_keys(echo[f.name], getattr(value, f.name))
+    elif isinstance(value, tuple):
+        assert len(echo) == len(value)
+        for e, v in zip(echo, value):
+            _assert_echo_keys(e, v)
+
+
+def _leaves(echo, key=""):
+    if isinstance(echo, dict):
+        for k, v in echo.items():
+            yield from _leaves(v, f"{key}.{k}")
+    elif isinstance(echo, list) and echo and isinstance(echo[0], dict):
+        for i, v in enumerate(echo):
+            yield from _leaves(v, f"{key}[{i}]")
+    else:
+        yield key, echo
+
+
+def test_every_field_round_trips():
+    cfg = _all_fields_config()
+    echo = config_to_dict(cfg)
+    _assert_echo_keys(echo, cfg)
+    # no leaf keeps its default, so a field the parser skips fails the
+    # round trip; regions[i] is derived from default region i + 1
+    default = validate(ScenarioConfig())
+    base = config_to_dict(replace(default, regions=default.regions[1:]))
+    kept = [k for (k, a), (_, b) in zip(_leaves(echo), _leaves(base)) if a == b]
+    assert not kept
+    assert config_from_dict(json.loads(json.dumps(echo))) == cfg
+    assert _echo_sha256(cfg) == ALL_FIELDS_ECHO_SHA256
+
+
+def test_readme_configuration_example_parses():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```json\n(.*?)```", section, re.S)
+    assert block, "no JSON example under README's Configuration heading"
+    config_from_dict(json.loads(block.group(1)))

@@ -258,10 +258,14 @@ def test_latent_uplink_acks_every_stored_copy():
     ))
     scn = build_scenario(cfg)
     simulate(scn)
+    stored = scn.central.region_counts()
     for reg in scn.regions:
         station = reg.station
         assert station.uplink.abandoned == 0
-        assert station.uplink.delivered == station.ingested > 2 * 50
+        # every copy reached the central store (kept or counted duplicate),
+        # and the store evicts only acked entries, so all were acked
+        arrived = stored[reg.region_id] + scn.central.duplicates_by_region.get(reg.region_id, 0)
+        assert arrived == station.ingested > 2 * 50
         assert all(acked for _, acked in station.local_db), reg.region_id
         assert len(station.local_db) <= 50
 
