@@ -209,6 +209,30 @@ class CentralDatabase:
         db.release_keys()
         return db
 
+    def send(self, conn) -> None:
+        """Send the records down a ``multiprocessing`` connection, one
+        column per message so that neither end copies them all at once,
+        then the duplicate counts."""
+        for col in self._csv_columns():
+            if type(col) is list:
+                conn.send(col)  # routes
+            else:
+                conn.send_bytes(col)
+        conn.send(self.duplicates_by_region)
+
+    def receive(self, conn) -> None:
+        """Append what ``send`` sent from a database of other regions, so
+        that no key of it is stored here, and add its duplicate counts;
+        releases the key set (see ``release_keys``)."""
+        self.release_keys()
+        for col in self._csv_columns():
+            if type(col) is list:
+                col.extend(conn.recv())
+            else:
+                col.frombytes(conn.recv_bytes())
+        for region, n in conn.recv().items():
+            self.duplicates_by_region[region] = self.duplicates_by_region.get(region, 0) + n
+
     def _extend(self, columns: list, parts: list) -> None:
         """Append one parsed block, keeping the first row of each key and
         counting the rest as ``add`` counts a duplicate."""
@@ -310,10 +334,10 @@ def _raise_bad_value(chunk: list, columns: list, lineno: int) -> None:
 class RemoteBaseStation:
     """Central processing unit: owns the observational database."""
 
-    def __init__(self, kernel: Kernel, central: CentralDatabase | None = None):
+    def __init__(self, kernel: Kernel, central: CentralDatabase):
         self.entity_id = EntityId(EntityKind.REMOTE_BASE_STATION, 0)
         self.kernel = kernel
-        self.central = central if central is not None else CentralDatabase()
+        self.central = central
         kernel.register(self)
 
     def handle(self, payload):

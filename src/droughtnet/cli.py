@@ -3,7 +3,9 @@
 Subcommands: plan (placement only), run (full pipeline), classify
 (re-run analytics on an existing central-db export), replay (verify a
 stored run reproduces byte-identically).  DROUGHTNET_OUT overrides the
-output directory.
+output directory.  A config that does not parse or validate ends the
+command with exit status 1 and its error, which names the key, on
+stderr.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import tempfile
 from pathlib import Path
 
 from .backbone import BackboneError, CentralDatabase
-from .config import ScenarioConfig, config_from_dict, load_config, validate
+from .config import ConfigError, ScenarioConfig, config_from_dict, load_config, validate
 from .runner import analyse_db, compare_runs, place, run_scenario, write_analysis, write_placement
 
 
@@ -135,7 +137,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ConfigError as exc:
+        print(f"invalid config: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

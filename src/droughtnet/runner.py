@@ -9,9 +9,11 @@ whose config echo reproduces the run exactly.
 from __future__ import annotations
 
 import json
+import os
 import time
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 from .analytics import (
@@ -131,31 +133,42 @@ def _bfs_ranks(parents: dict[int, int], n: int) -> list[int]:
 
 
 @dataclass
+class RegionOutcome:
+    """What a run reads of one simulated region: plain data, so the
+    process that simulated the region can send it to the one that
+    writes the run."""
+
+    events: int
+    figures: dict  # the region's counters, station and uplink figures
+    energy: list[dict]  # one summary row per node
+    trace: list[str] | None
+
+
+@dataclass
 class RegionRuntime:
+    """One region's entities.  After ``simulate`` the run reads only
+    ``outcome``: a region simulated in a child process leaves its
+    entities here as they were built."""
+
     region_id: int
     plan: object
+    kernel: Kernel
     counters: RegionCounters
     station: LocalBaseStation
     nodes: list
     tree_parents: dict[int, int] | None
+    outcome: RegionOutcome | None = None  # set by simulate
 
 
 @dataclass
 class Scenario:
+    """A built run: one kernel per region, as the regions share no state
+    but the central database."""
+
     cfg: ScenarioConfig
-    kernel: Kernel
     env: EnvironmentModel
-    remote: RemoteBaseStation
+    central: CentralDatabase
     regions: list[RegionRuntime]
-    trace: list | None
-
-    @property
-    def central(self):
-        return self.remote.central
-
-    def all_nodes(self):
-        for reg in self.regions:
-            yield from reg.nodes
 
 
 def place(cfg: ScenarioConfig) -> list[tuple[PlacementPlan, ConnectivityReport]]:
@@ -169,9 +182,8 @@ def place(cfg: ScenarioConfig) -> list[tuple[PlacementPlan, ConnectivityReport]]
 
 
 def build_scenario(cfg: ScenarioConfig) -> Scenario:
-    """Wire up every entity of a run; ``cfg`` must have passed validate()."""
-    trace = [] if cfg.trace else None
-    kernel = Kernel(seed=cfg.seed, trace=trace)
+    """Wire up every entity of a run, each region on its own kernel;
+    ``cfg`` must have passed validate()."""
     link_range = 2.0 * cfg.radio_range_km
 
     env = EnvironmentModel(
@@ -181,7 +193,7 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
         period_s=cfg.reporting_period_s,
         params=cfg.env,
     )
-    remote = RemoteBaseStation(kernel)
+    central = CentralDatabase()
 
     regions: list[RegionRuntime] = []
     next_index = 0
@@ -190,6 +202,7 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
         if not conn.connected:
             raise RunError(f"region {rc.region_id} placement is disconnected: {conn.unreachable}")
         positions = plan.all_positions()
+        kernel = Kernel(seed=cfg.seed, trace=[] if cfg.trace else None)
         counters = RegionCounters(rc.region_id)
         channel = Channel()
         base_index = next_index
@@ -254,7 +267,7 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
             capacity=cfg.local_db_capacity,
         )
         station.attach_uplink(
-            remote,
+            RemoteBaseStation(kernel, central),
             loss_prob=cfg.backbone.loss_prob,
             latency_s=cfg.backbone.latency_s,
             max_retries=cfg.backbone.max_retries,
@@ -278,23 +291,127 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
             )
             kernel.schedule(cfg.interest.start_s, nodes[0].entity_id, LaunchInterest(interest))
 
-        regions.append(RegionRuntime(rc.region_id, plan, counters, station, nodes, tree_parents))
+        regions.append(
+            RegionRuntime(rc.region_id, plan, kernel, counters, station, nodes, tree_parents))
 
-    return Scenario(cfg=cfg, kernel=kernel, env=env, remote=remote, regions=regions, trace=trace)
+    return Scenario(cfg=cfg, env=env, central=central, regions=regions)
 
 
 def simulate(scn: Scenario) -> int:
-    cfg = scn.cfg
-    run_horizon = cfg.horizon_s + cfg.drain_window_s
-    processed = scn.kernel.run_until(run_horizon)
-    if scn.kernel.pending():
-        raise RunError(
-            f"{scn.kernel.pending()} events still queued past the drain window"
-        )
-    for node in scn.all_nodes():
-        node.finalize(cfg.horizon_s)
+    """Simulate every region to the horizon plus the drain window and
+    set its ``outcome``; returns the number of events processed.
+
+    The regions share no state but the central database, so they are
+    split into contiguous blocks in config order, one block per
+    available CPU.  This process simulates the first block and a forked
+    child each of the others, and the children's records are appended
+    in block order.  So for every process count the central database and
+    the trace hold each region's rows in its own arrival order, the
+    regions in config order.  An exception raised in a child is raised
+    again here.
+    """
+    import multiprocessing  # here, not at the top: it is a tenth of set-up time
+
+    n = len(scn.regions)
+    blocks = _blocks(n, min(n, len(os.sched_getaffinity(0))))
+    # a forked child inherits the built scenario, whose entities hold
+    # bound methods and so would not pickle; the simulator starts no thread
+    fork = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for block in blocks[1:]:
+            receiver, sender = fork.Pipe(duplex=False)
+            child = fork.Process(target=_simulate_in_child, args=(scn, block, sender),
+                                 daemon=True)
+            child.start()
+            sender.close()  # so that a child that dies unheard gives EOFError
+            children.append((child, receiver, block))
+        for i in blocks[0]:
+            _simulate_region(scn.cfg, scn.regions[i])
+        for child, receiver, block in children:
+            _receive_block(scn, block, child, receiver)
+    finally:
+        for child, receiver, _ in children:
+            if child.exitcode is None:
+                child.terminate()
+            child.join()
+            receiver.close()
     scn.central.release_keys()  # the run adds no more records
-    return processed
+    return sum(reg.outcome.events for reg in scn.regions)
+
+
+def _blocks(n: int, parts: int) -> list[range]:
+    """Indices 0..n-1 in ``parts`` contiguous blocks, the larger first."""
+    size, extra = divmod(n, parts)
+    bounds = [0]
+    for k in range(parts):
+        bounds.append(bounds[-1] + size + (k < extra))
+    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _simulate_region(cfg: ScenarioConfig, reg: RegionRuntime) -> None:
+    """Run one region to the horizon plus the drain window, finalize its
+    nodes and set its ``outcome``."""
+    kernel = reg.kernel
+    events = kernel.run_until(cfg.horizon_s + cfg.drain_window_s)
+    if kernel.pending():
+        raise RunError(f"region {reg.region_id}: {kernel.pending()} events "
+                       "still queued past the drain window")
+    for node in reg.nodes:
+        node.finalize(cfg.horizon_s)
+    link = reg.station.uplink
+    figures = {
+        **reg.counters.as_dict(),
+        "station_ingested": reg.station.ingested,
+        "station_evicted": reg.station.evicted,
+        "uplink_transmissions": link.transmissions,
+        "uplink_abandoned": link.abandoned,
+    }
+    reg.outcome = RegionOutcome(events, figures, [node.summary_row() for node in reg.nodes],
+                                kernel.trace)
+
+
+def _simulate_in_child(scn: Scenario, block: range, sender) -> None:
+    """Body of a forked child: simulate ``block`` and send back its
+    regions' outcomes and the central database, which holds only their
+    records, or the exception raised and its traceback."""
+    try:
+        for i in block:
+            _simulate_region(scn.cfg, scn.regions[i])
+        outcomes = [scn.regions[i].outcome for i in block]
+    except BaseException as exc:  # the parent raises it again
+        import traceback
+
+        tb = traceback.format_exc()
+        try:
+            sender.send(("raised", exc, tb))
+        except Exception:  # the exception does not pickle
+            sender.send(("raised", RunError(f"{type(exc).__name__}: {exc}"), tb))
+    else:
+        sender.send(("done", outcomes))
+        scn.central.send(sender)
+    finally:
+        sender.close()
+
+
+def _receive_block(scn: Scenario, block: range, child, receiver) -> None:
+    """Take what a child sent for ``block``: set its regions' outcomes
+    and append its records, or raise what it raised."""
+    ids = [scn.regions[i].region_id for i in block]
+    try:
+        status, *message = receiver.recv()
+        if status == "done":
+            scn.central.receive(receiver)
+    except EOFError:
+        child.join()
+        raise RunError(f"the process simulating regions {ids} exited with code "
+                       f"{child.exitcode} before it sent all it had") from None
+    child.join()
+    if status == "raised":
+        exc, tb = message
+        raise exc from RunError(f"raised in the process simulating regions {ids}:\n{tb}")
+    for i, outcome in zip(block, message[0]):
+        scn.regions[i].outcome = outcome
 
 
 def analyse(scn: Scenario):
@@ -340,21 +457,16 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> dict:
 
     per_region = {}
     for reg in scn.regions:
-        link = reg.station.uplink
         per_region[str(reg.region_id)] = {
             "node_count": len(reg.nodes),
-            **reg.counters.as_dict(),
+            **reg.outcome.figures,
             "central_records": 0,
             "central_duplicates": scn.central.duplicates_by_region.get(reg.region_id, 0),
-            "station_ingested": reg.station.ingested,
-            "station_evicted": reg.station.evicted,
-            "uplink_transmissions": link.transmissions,
-            "uplink_abandoned": link.abandoned,
         }
     for rid, count in scn.central.region_counts().items():
         per_region[str(rid)]["central_records"] = count
 
-    energy_rows = [node.summary_row() for node in scn.all_nodes()]
+    energy_rows = [row for reg in scn.regions for row in reg.outcome.energy]
     report = {
         "seed": cfg.seed,
         "routing_mode": cfg.routing_mode.value,
@@ -443,8 +555,8 @@ def write_exports(scn: Scenario, report, classes, indicators, patterns, forecast
     _write(out / "plots_temperature.csv", temp_lines)
     _write(out / "plots_precipitation.csv", precip_lines)
 
-    if scn.trace is not None:
-        _write(out / "trace.tsv", scn.trace)
+    if cfg.trace:
+        _write(out / "trace.tsv", chain.from_iterable(reg.outcome.trace for reg in scn.regions))
 
     if cfg.truth_dump:
         _write(out / "truth_daily.csv", _truth_daily_lines(scn))

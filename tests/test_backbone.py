@@ -57,7 +57,7 @@ def make_station(capacity=10_000, with_uplink=True):
         node_locations={i: GeoPoint(float(i), 0.0) for i in range(10)},
         capacity=capacity,
     )
-    rbs = RemoteBaseStation(k)
+    rbs = RemoteBaseStation(k, CentralDatabase())
     if with_uplink:
         lbs.attach_uplink(rbs)
     return k, lbs, rbs

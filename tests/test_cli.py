@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from droughtnet.cli import main
 
 TINY = '{"horizon_s": 172800}'  # two days
@@ -159,3 +161,21 @@ def test_env_var_output_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("DROUGHTNET_OUT", str(tmp_path / "envout"))
     main(["run", "--config", cfg])
     assert (tmp_path / "envout" / "run_report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["plan", "run", "classify", "replay"])
+def test_config_error_exits_without_traceback(tmp_path, capsys, command):
+    bad = {"horizon_s": 172800, "backbone": {"latency_s": "x"}}
+    if command == "replay":
+        # a stored run whose config echo no longer validates
+        (tmp_path / "o").mkdir()
+        (tmp_path / "o" / "run_report.json").write_text(json.dumps({"config": bad}))
+        argv = ["replay", "--out", str(tmp_path / "o")]
+    else:
+        argv = [command, "--config", write_cfg(tmp_path, json.dumps(bad)),
+                "--out", str(tmp_path / "o")]
+        if command == "classify":
+            argv += ["--db", str(tmp_path / "central_db.csv")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "invalid config: backbone.latency_s must be a number, got 'x'\n", err

@@ -1,19 +1,24 @@
 import hashlib
 import json
+import os
+import signal
+import time
 from dataclasses import replace
+from multiprocessing.context import ForkProcess
 
 import pytest
 
 from droughtnet.config import ScenarioConfig, validate
 from droughtnet.geometry import GeoPoint
 from droughtnet.runner import (
+    RunError,
     build_binary_tree,
     build_scenario,
     compare_runs,
     run_scenario,
     simulate,
 )
-from droughtnet.stack import RoutingMode
+from droughtnet.stack import OrphanNode, RoutingMode, SensorNode
 
 from helpers import ReferenceStream
 
@@ -71,26 +76,39 @@ def test_different_seed_diverges(tmp_path):
 # every byte of them as it is
 PINNED_3_DAY = {
     RoutingMode.TREE: (
-        "e23ab016eaf240e111f08b5ec9d9fb50da4aebe44cae14fbaa678370d8360fe9",
+        "5e8aeced85bfba00235d93cb139874e5c39d325cb626dc28076fe0b54d3b159f",
         "efa24a187834305cc7ce219ee3b6c5dd9ca108e2d4a7315b298c68795ef3078c",
         38323,
     ),
     RoutingMode.COMBINED: (
-        "2d24308d4991ad88ed26fbd4d240e539437dcc6f5e85c1248aadd73e2427b329",
+        "bf27ee6e3f056be8377b613e91eebed596245abe8625c0e3f1e5891627fe8871",
         "9b0b9d29e923168e7e2fffd9cdbc3fd0842a78197647d072dfce11cb26622b2a",
         70518,
     ),
     RoutingMode.DIFFUSION: (
-        "8625e60cc4d4016703844f5014f37fb8be8536fbf3c4710e250d4b3cfd0cdb84",
+        "72c69ffa6b45ba7255016f7bedb181607988475eb0334bbea53bb9658fc02244",
         "84322cb9379a868adbdf5fc4e1fcf77b700dff436524bcef882b263330a45563",
         28564,
     ),
     RoutingMode.FLOODING: (
-        "263b3bfd3505b6658b1565cca41f45a76de6c50daaa3012fd909392c551fac64",
+        "3fe46d9b062a8688962a7fc0de7961d0a179f1708a1351eae539851fed394fac",
         "b3c5ee605285b999664d3308518037e063d809106451c4714fafbbfc7f20c13d",
         185371,
     ),
 }
+# SHA-256 of the sorted lines of the same central_db.csv files: the rows
+# as a set, whatever their order; taken when the regions still shared
+# one kernel and their rows interleaved, and unchanged since
+PINNED_3_DAY_SORTED_DB = {
+    RoutingMode.TREE: "abc2a7ca46689ecc6fa98483885f612ff28a10a7f631e4d57c785c4dec432eb4",
+    RoutingMode.COMBINED: "adfd91d398abaa645f9e3957a977ca018ecdccb92493f8d322959063ea92a1da",
+    RoutingMode.DIFFUSION: "63139ea9a56c86f6ca096303f7a55910b32343ce8f8c08f3e5e400f8d3930e55",
+    RoutingMode.FLOODING: "60d87bd31f7036b47922137748bde5904028dcf416c1628183cd5be3149241f5",
+}
+
+
+def sorted_lines_digest(lines) -> str:
+    return hashlib.sha256("".join(sorted(lines)).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("mode", sorted(PINNED_3_DAY, key=lambda m: m.value), ids=lambda m: m.value)
@@ -101,14 +119,25 @@ def test_simulated_exports_pinned(tmp_path, mode):
         for name in ("central_db.csv", "energy.csv")
     )
     assert (*digests, rep["event_count"]) == PINNED_3_DAY[mode]
+    db_lines = (tmp_path / "central_db.csv").read_text().splitlines(keepends=True)
+    assert sorted_lines_digest(db_lines) == PINNED_3_DAY_SORTED_DB[mode]
+    # region-major: each region's rows in one block, in config order
+    regions = [int(line.split(",", 1)[0]) for line in db_lines[1:]]
+    assert regions == sorted(regions)
 
 
 # SHA-256 of trace.tsv of 2-day seed-1 runs over a latent, lossy backbone
 # with the default ack timeout: every event's (time, seq, target, kind),
 # transport retransmits and acks included
 PINNED_2_DAY_TRACE = {
-    RoutingMode.TREE: "b9595798be27dc3494e1b00788617f435b00427ff2702e30f8899ea31d8756cd",
-    RoutingMode.COMBINED: "3e09fc376c20d0881eeb1e5080bdddfd7d0b1cf092fa95571e404932f4c0bbbe",
+    RoutingMode.TREE: "4edac57497b671d47b321f86cfb64ce33d718f7594d0042706f51537c042c207",
+    RoutingMode.COMBINED: "9279666d54628cbf97928f17b754206d622af46e6bd5c402f9f72012eb60d5bf",
+}
+# SHA-256 of the same traces' lines with seq dropped, sorted: the events
+# as a multiset; taken, like PINNED_3_DAY_SORTED_DB, under one kernel
+PINNED_2_DAY_TRACE_SORTED = {
+    RoutingMode.TREE: "4ee6b5dbe8d0968e920e9a9d08c4950400c6c391f2c6052f39321591c4b58fff",
+    RoutingMode.COMBINED: "7a63c650efaec5186f72c77fe6d6e21891642ae9c4f21d3498a81b57a891ee27",
 }
 LOSSY_BACKBONE = replace(ScenarioConfig().backbone, latency_s=1, loss_prob=0.3)
 
@@ -120,6 +149,11 @@ def test_event_trace_pinned(tmp_path, mode):
     run_scenario(cfg, out_dir=tmp_path)
     digest = hashlib.sha256((tmp_path / "trace.tsv").read_bytes()).hexdigest()
     assert digest == PINNED_2_DAY_TRACE[mode]
+    events = []
+    for line in (tmp_path / "trace.tsv").read_text().splitlines():
+        fire_at, _seq, target, tag = line.split("\t")
+        events.append(f"{fire_at}\t{target}\t{tag}\n")
+    assert sorted_lines_digest(events) == PINNED_2_DAY_TRACE_SORTED[mode]
 
 
 def test_backbone_ack_timeout_reaches_the_uplink(tmp_path):
@@ -224,13 +258,15 @@ def test_year_event_count_matches_schedule_oracle():
 
 
 @pytest.mark.parametrize("loss", [0.0, 0.2])
-def test_tree_run_keeps_no_duplicate_cache(loss):
+def test_tree_run_keeps_no_duplicate_cache(loss, cpus):
     # a tree report crosses each hop once, by unicast, with no link-layer
     # retransmission, so pure tree mode never caches a signature and no
-    # node ever sees one twice
+    # node ever sees one twice; one process, so the nodes read here are
+    # the ones that ran
+    cpus(1)
     scn = build_scenario(cfg_days(3, link=replace(ScenarioConfig().link, loss_prob=loss)))
     simulate(scn)
-    assert all(not node.data_cache for node in scn.all_nodes())
+    assert all(not node.data_cache for reg in scn.regions for node in reg.nodes)
     assert [reg.counters.duplicate_relay_drops for reg in scn.regions] == [0] * 5
     if loss:
         assert sum(reg.counters.rf_losses for reg in scn.regions) > 0
@@ -249,9 +285,10 @@ def test_combined_mode_dedupes_diffusion_copies():
     assert sum(r["central_duplicates"] for r in rep["per_region"].values()) > 0
 
 
-def test_latent_uplink_acks_every_stored_copy():
+def test_latent_uplink_acks_every_stored_copy(cpus):
     # combined mode stores a tree copy and a diffusion copy of each
     # reading; each copy's own ack must mark it, or the store never evicts
+    cpus(1)  # the stations read here must be the ones that ran
     cfg = validate(replace(
         cfg_days(3, seed=1, routing_mode=RoutingMode.COMBINED, local_db_capacity=50),
         backbone=replace(ScenarioConfig().backbone, latency_s=5),
@@ -313,3 +350,85 @@ def test_truth_dump_daily_summaries(tmp_path):
         assert float(lo) <= float(mean) <= float(hi)
         if region == "3":
             assert float(precip) == 0.0
+
+
+# -- processes --------------------------------------------------------------------
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The child processes started during the test, in order."""
+    processes = []
+    start = ForkProcess.start
+    monkeypatch.setattr(ForkProcess, "start", lambda self: (processes.append(self), start(self)))
+    return processes
+
+
+@pytest.mark.parametrize("mode", list(RoutingMode), ids=lambda m: m.value)
+def test_exports_identical_for_every_process_count(tmp_path, cpus, started, mode):
+    cfg = cfg_days(3, seed=1, routing_mode=mode, trace=True, truth_dump=True)
+    for n in (1, 2, 5):
+        cpus(n)
+        del started[:]
+        run_scenario(cfg, out_dir=tmp_path / str(n))
+        assert len(started) == n - 1
+    assert compare_runs(tmp_path / "1", tmp_path / "2") == []
+    assert compare_runs(tmp_path / "1", tmp_path / "5") == []
+
+
+def on_finalize(monkeypatch, actions):
+    """Make SensorNode.finalize first call ``actions[region_id]``, if any."""
+    finalize = SensorNode.finalize
+
+    def patched(self, end_time):
+        action = actions.get(self.region_id)
+        if action is not None:
+            action()
+        finalize(self, end_time)
+
+    monkeypatch.setattr(SensorNode, "finalize", patched)
+
+
+def raiser(exc):
+    def action():
+        raise exc
+    return action
+
+
+def test_raise_in_a_child_is_raised_again(cpus, monkeypatch):
+    cpus(2)  # regions 1-3 here, 4-5 in a child
+    on_finalize(monkeypatch, {5: raiser(OrphanNode("lost in region 5"))})
+    with pytest.raises(OrphanNode, match="^lost in region 5$") as raised:
+        simulate(build_scenario(cfg_days(1)))
+    assert "regions [4, 5]" in str(raised.value.__cause__)
+    assert "lost in region 5" in str(raised.value.__cause__)  # the child's traceback
+
+
+def test_child_that_dies_unheard_is_a_run_error(cpus, monkeypatch):
+    cpus(2)
+    on_finalize(monkeypatch, {4: lambda: os._exit(3)})
+    with pytest.raises(RunError, match=r"regions \[4, 5\] exited with code 3 before it sent all it had"):
+        simulate(build_scenario(cfg_days(1)))
+
+
+def test_raise_in_this_process_stops_and_reaps_the_children(cpus, monkeypatch, started):
+    cpus(5)
+
+    def stall():
+        time.sleep(60)
+
+    on_finalize(monkeypatch, {1: raiser(ValueError("region 1")), 2: stall, 3: stall,
+                              4: stall, 5: stall})
+    t0 = time.monotonic()
+    with pytest.raises(ValueError, match="^region 1$"):
+        simulate(build_scenario(cfg_days(1)))
+    assert time.monotonic() - t0 < 30
+    assert [child.exitcode for child in started] == [-signal.SIGTERM] * 4
+
+
+def test_events_left_queued_name_the_region():
+    # a backbone latency beyond the drain window leaves uplink events queued
+    cfg = cfg_days(1, drain_window_s=0,
+                   backbone=replace(ScenarioConfig().backbone, latency_s=2000))
+    with pytest.raises(RunError, match=r"^region 1: \d+ events still queued past the drain window$"):
+        simulate(build_scenario(cfg))
