@@ -88,18 +88,15 @@ class Thresholds:
 
 @dataclass(frozen=True, slots=True)
 class DroughtIndicators:
-    region_id: int
     window: tuple[int, int]
     mean_temp_anomaly_c: float
     mean_monthly_precip_mm: float
     wind_mean_dir_deg: float
     wind_mean_speed_ms: float
-    record_count: int
 
 
 @dataclass(frozen=True, slots=True)
 class EvolutionPattern:
-    region_id: int
     entries: tuple  # ((window, SeverityClass, DroughtIndicators), ...)
 
 
@@ -132,7 +129,7 @@ def _aggregate(db: CentralDatabase, start: int, window_s: int) -> dict:
     return sums
 
 
-def _indicators_from_acc(region_id: int, window: tuple[int, int], acc: list,
+def _indicators_from_acc(window: tuple[int, int], acc: list,
                          climatology: Climatology) -> DroughtIndicators:
     n, sum_t, sum_p, sum_sin, sum_cos, sum_spd, nodes = acc
     t0, t1 = window
@@ -140,13 +137,11 @@ def _indicators_from_acc(region_id: int, window: tuple[int, int], acc: list,
     monthly = (sum_p / len(nodes)) * (MONTH_S / (t1 - t0))
     wind_dir = math.degrees(math.atan2(sum_sin / n, sum_cos / n)) % 360.0
     return DroughtIndicators(
-        region_id=region_id,
         window=window,
         mean_temp_anomaly_c=sum_t / n - normal,
         mean_monthly_precip_mm=monthly,
         wind_mean_dir_deg=wind_dir,
         wind_mean_speed_ms=sum_spd / n,
-        record_count=n,
     )
 
 
@@ -163,7 +158,7 @@ def indicators_all(db: CentralDatabase, climatologies: dict[int, Climatology],
         acc = sums.get((region_id, 0))
         if acc is None or acc[0] == 0:
             raise NoData(f"no region-{region_id} records in {window}")
-        out[region_id] = _indicators_from_acc(region_id, window, acc, clim)
+        out[region_id] = _indicators_from_acc(window, acc, clim)
     return out
 
 
@@ -192,7 +187,7 @@ def evolve_all(db: CentralDatabase, climatologies: dict[int, Climatology],
     if len(db) == 0:
         raise NoData("empty database")
     window_s = window_len_days * DAY_S
-    _, t_max = db.span()
+    t_max = max(db.ts)
     # a window counts as complete when records reach within a day of its
     # end; shorter tails (e.g. the 5-day remainder of a 365-day year over
     # 30-day windows) are dropped
@@ -210,9 +205,9 @@ def evolve_all(db: CentralDatabase, climatologies: dict[int, Climatology],
             if acc is None or acc[0] == 0:
                 raise NoData(f"no region-{region_id} records in window {k}")
             window = (k * window_s, (k + 1) * window_s)
-            ind = _indicators_from_acc(region_id, window, acc, clim)
+            ind = _indicators_from_acc(window, acc, clim)
             entries.append((window, classify(ind, thresholds), ind))
-        out[region_id] = EvolutionPattern(region_id=region_id, entries=tuple(entries))
+        out[region_id] = EvolutionPattern(entries=tuple(entries))
     return out
 
 

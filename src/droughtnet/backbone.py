@@ -149,11 +149,6 @@ class CentralDatabase:
             counts[r] = counts.get(r, 0) + 1
         return counts
 
-    def span(self) -> tuple[int, int]:
-        if not self.ts:
-            return (0, 0)
-        return (min(self.ts), max(self.ts))
-
     # -- export / import ----------------------------------------------------
 
     def _csv_columns(self) -> list:
@@ -336,7 +331,6 @@ class RemoteBaseStation:
 
     def __init__(self, kernel: Kernel, central: CentralDatabase):
         self.entity_id = EntityId(EntityKind.REMOTE_BASE_STATION, 0)
-        self.kernel = kernel
         self.central = central
         kernel.register(self)
 
@@ -362,38 +356,36 @@ class LocalBaseStation:
         self,
         kernel: Kernel,
         region_id: int,
-        position: GeoPoint,
+        remote: RemoteBaseStation,
         node_locations: dict[int, GeoPoint],
         capacity: int = DEFAULT_LOCAL_DB_CAPACITY,
+        *,
+        loss_prob: float = 0.0,
+        latency_s: int = 0,
+        max_retries: int = 20,
+        ack_timeout_s: int = 2,
     ):
         self.entity_id = EntityId(EntityKind.LOCAL_BASE_STATION, region_id)
-        self.kernel = kernel
         self.region_id = region_id
-        self.position = position
         self.node_locations = node_locations
         self.capacity = capacity
         self.local_db: deque[list] = deque()  # [record, acked], oldest first
         self._route_cache: dict[tuple, str] = {}
-        self.uplink: TransportLink | None = None
-        self.ingested = 0
-        self.evicted = 0
-        kernel.register(self)
-
-    def attach_uplink(self, remote: RemoteBaseStation, loss_prob: float = 0.0,
-                      latency_s: int = 0, max_retries: int = 20,
-                      ack_timeout_s: int = 2) -> None:
         self.uplink = TransportLink(
-            self.kernel,
+            kernel,
             self.entity_id,
             remote.entity_id,
             remote.receive_entry,
-            self.kernel.stream(f"uplink:{self.region_id}"),
+            kernel.stream(f"uplink:{region_id}"),
             loss_prob=loss_prob,
             latency_s=latency_s,
             max_retries=max_retries,
             ack_timeout_s=ack_timeout_s,
             on_acked=self._on_uplink_ack,
         )
+        self.ingested = 0
+        self.evicted = 0
+        kernel.register(self)
 
     def handle(self, payload):
         if isinstance(payload, Message) and transport_dispatch(payload.body, payload.src):
@@ -413,7 +405,7 @@ class LocalBaseStation:
         record = StoredRecord(
             raw.timestamp, node_id, self.region_id, raw, raw,
             msg.battery_mj, msg.frames_dropped,
-            self.node_locations.get(node_id, self.position), route,
+            self.node_locations[node_id], route,
         )
         self.ingested += 1
         entry = [record, False]
@@ -421,10 +413,9 @@ class LocalBaseStation:
         if len(local_db) >= self.capacity:
             self._evict_acked()
         local_db.append(entry)
-        if self.uplink is not None:
-            # the entry itself travels, so its ack marks it and no other
-            # copy of the same reading (combined mode stores two)
-            self.uplink.send(entry)
+        # the entry itself travels, so its ack marks it and no other copy
+        # of the same reading (combined mode stores two)
+        self.uplink.send(entry)
         return record
 
     def _evict_acked(self) -> None:

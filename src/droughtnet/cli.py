@@ -36,10 +36,10 @@ def _load(args) -> ScenarioConfig:
 def cmd_plan(args) -> int:
     cfg = _load(args)
     placed = place(cfg)
-    for plan, conn in placed:
+    for plan, unreachable in placed:
         print(f"region {plan.region_id}: {len(plan.all_positions())} nodes "
               f"({cfg.cell_shape.value}, range {cfg.radio_range_km} km), "
-              f"connected={conn.connected}")
+              f"connected={not unreachable}")
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_placement(out, [plan for plan, _ in placed])

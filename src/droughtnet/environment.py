@@ -92,8 +92,6 @@ class EnvironmentParams:
 
 @dataclass(slots=True)
 class SensorReading:
-    node_id: int
-    region_id: int
     timestamp: int
     temperature_c: float
     precipitation_mm: float
@@ -153,12 +151,10 @@ class NodeSampler:
     builds.
     """
 
-    __slots__ = ("region_id", "node_id", "_random", "_noise", "_const")
+    __slots__ = ("_random", "_noise", "_const")
 
-    def __init__(self, model: "EnvironmentModel", region_id: int, node_id: int,
-                 position: GeoPoint, rng: RngStream):
-        self.region_id = region_id
-        self.node_id = node_id
+    def __init__(self, model: "EnvironmentModel", region_id: int, position: GeoPoint,
+                 rng: RngStream):
         self._random = rng._random
         self._noise = 0.0
         p = model.params
@@ -241,7 +237,7 @@ class NodeSampler:
         if wind_dir >= 360.0:
             wind_dir = 0.0
         return SensorReading(
-            self.node_id, self.region_id, t,
+            t,
             round(temperature, 3), round(precip, 3), round(humidity, 2),
             round(pressure, 2), round(wind_speed, 2), wind_dir, round(groundwater, 3),
         )
@@ -264,7 +260,7 @@ class EnvironmentModel:
         self.params = params
         self.samples_per_month = 30 * 86400 / period_s
 
-    def sampler(self, region_id: int, node_id: int, position: GeoPoint, rng: RngStream) -> NodeSampler:
+    def sampler(self, region_id: int, position: GeoPoint, rng: RngStream) -> NodeSampler:
         if region_id not in self.climatology:
             raise UnknownRegion(f"region {region_id}")
-        return NodeSampler(self, region_id, node_id, position, rng)
+        return NodeSampler(self, region_id, position, rng)

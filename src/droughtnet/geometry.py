@@ -80,13 +80,6 @@ class PlacementPlan:
         return [self.sink_position, *self.node_positions]
 
 
-@dataclass(slots=True)
-class ConnectivityReport:
-    connected: bool
-    unreachable: list[int]
-    edge_count: int
-
-
 def footprint_area(shape: CellShape, radio_range_km: float) -> float:
     """Exact planar area of one cell.
 
@@ -224,18 +217,17 @@ def tile_region(
     )
 
 
-def connectivity_check(plan: PlacementPlan, reach: float) -> ConnectivityReport:
-    """BFS over the unit-disc graph (edge iff distance <= reach)."""
+def connectivity_check(plan: PlacementPlan, reach: float) -> list[int]:
+    """Indices of the cells the sink (index 0) cannot reach, by BFS over
+    the unit-disc graph (edge iff distance <= reach); [] if connected."""
     pts = plan.all_positions()
     n = len(pts)
     adj: list[list[int]] = [[] for _ in range(n)]
-    edges = 0
     for i in range(n):
         for j in range(i + 1, n):
             if pts[i].distance_to(pts[j]) <= reach + 1e-9:
                 adj[i].append(j)
                 adj[j].append(i)
-                edges += 1
     seen = [False] * n
     seen[0] = True
     queue = deque([0])
@@ -245,12 +237,7 @@ def connectivity_check(plan: PlacementPlan, reach: float) -> ConnectivityReport:
             if not seen[v]:
                 seen[v] = True
                 queue.append(v)
-    unreachable = [i for i, s in enumerate(seen) if not s]
-    return ConnectivityReport(
-        connected=not unreachable,
-        unreachable=unreachable,
-        edge_count=edges,
-    )
+    return [i for i, s in enumerate(seen) if not s]
 
 
 def plan_to_dict(plan: PlacementPlan) -> dict:

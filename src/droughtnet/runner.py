@@ -31,7 +31,6 @@ from .backbone import CentralDatabase, LocalBaseStation, RemoteBaseStation
 from .config import ScenarioConfig, config_to_dict
 from .environment import EnvironmentModel, normal_temp_over_window
 from .geometry import (
-    ConnectivityReport,
     GeoPoint,
     PlacementPlan,
     connectivity_check,
@@ -100,36 +99,22 @@ def build_binary_tree(positions: list[GeoPoint], link_range_km: float) -> dict[i
     return parents
 
 
-def _subtree_sizes(parents: dict[int, int], n: int) -> list[int]:
-    children: dict[int, list[int]] = {}
-    for c, p in parents.items():
-        children.setdefault(p, []).append(c)
-    sizes = [1] * n
-    order = []
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        stack.extend(children.get(u, []))
-    for u in reversed(order):
-        for c in children.get(u, []):
-            sizes[u] += sizes[c]
-    return sizes
-
-
-def _bfs_ranks(parents: dict[int, int], n: int) -> list[int]:
+def _tree_walk(parents: dict[int, int], n: int) -> tuple[list[int], list[int]]:
+    """Breadth-first rank from the sink (children in ascending index)
+    and descendant count of each of the n nodes of a tree."""
     children: dict[int, list[int]] = {}
     for c, p in sorted(parents.items()):
         children.setdefault(p, []).append(c)
+    order = [0]
+    for u in order:  # the breadth-first order grows as it is read
+        order.extend(children.get(u, ()))
     ranks = [0] * n
-    rank = 0
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
+    descendants = [0] * n
+    for rank, u in enumerate(order):
         ranks[u] = rank
-        rank += 1
-        queue.extend(children.get(u, []))
-    return ranks
+    for u in reversed(order[1:]):
+        descendants[parents[u]] += descendants[u] + 1
+    return ranks, descendants
 
 
 @dataclass
@@ -171,9 +156,9 @@ class Scenario:
     regions: list[RegionRuntime]
 
 
-def place(cfg: ScenarioConfig) -> list[tuple[PlacementPlan, ConnectivityReport]]:
-    """Each configured region's placement plan, in config order, with its
-    connectivity at link range (twice the radio range)."""
+def place(cfg: ScenarioConfig) -> list[tuple[PlacementPlan, list[int]]]:
+    """Each configured region's placement plan, in config order, with the
+    cells the sink cannot reach at link range (twice the radio range)."""
     placed = []
     for rc in cfg.regions:
         plan = cfg.plan_region(rc)
@@ -198,12 +183,12 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
     regions: list[RegionRuntime] = []
     next_index = 0
     tree_mode = cfg.routing_mode in (RoutingMode.TREE, RoutingMode.COMBINED)
-    for order, (rc, (plan, conn)) in enumerate(zip(cfg.regions, place(cfg))):
-        if not conn.connected:
-            raise RunError(f"region {rc.region_id} placement is disconnected: {conn.unreachable}")
+    for order, (rc, (plan, unreachable)) in enumerate(zip(cfg.regions, place(cfg))):
+        if unreachable:
+            raise RunError(f"region {rc.region_id} placement is disconnected: {unreachable}")
         positions = plan.all_positions()
         kernel = Kernel(seed=cfg.seed, trace=[] if cfg.trace else None)
-        counters = RegionCounters(rc.region_id)
+        counters = RegionCounters()
         channel = Channel()
         base_index = next_index
         next_index += len(positions)
@@ -213,9 +198,7 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
         descendants = [0] * len(positions)
         if tree_mode:
             tree_parents = build_binary_tree(positions, link_range)
-            sizes = _subtree_sizes(tree_parents, len(positions))
-            descendants = [s - 1 for s in sizes]
-            ranks = _bfs_ranks(tree_parents, len(positions))
+            ranks, descendants = _tree_walk(tree_parents, len(positions))
 
         nodes = []
         for local, pos in enumerate(positions):
@@ -224,7 +207,7 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
             sampler = None
             if not is_sink:
                 sampler = env.sampler(
-                    rc.region_id, gid, pos,
+                    rc.region_id, pos,
                     kernel.stream(f"env:{rc.region_id}:{local}"),
                 )
             node = SensorNode(
@@ -262,12 +245,9 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
         station = LocalBaseStation(
             kernel,
             region_id=rc.region_id,
-            position=plan.sink_position,
+            remote=RemoteBaseStation(kernel, central),
             node_locations={base_index + i: p for i, p in enumerate(positions)},
             capacity=cfg.local_db_capacity,
-        )
-        station.attach_uplink(
-            RemoteBaseStation(kernel, central),
             loss_prob=cfg.backbone.loss_prob,
             latency_s=cfg.backbone.latency_s,
             max_retries=cfg.backbone.max_retries,
@@ -283,8 +263,6 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
                 duration = cfg.horizon_s + cfg.drain_window_s + cfg.reporting_period_s
             interest = Interest(
                 interest_id=order + 1,
-                attributes=frozenset(cfg.interest.attributes),
-                interval_s=cfg.reporting_period_s,
                 duration_s=duration,
                 hop_limit=cfg.interest.hop_limit,
                 origin=nodes[0].entity_id,
@@ -298,7 +276,7 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
 
 
 def simulate(scn: Scenario) -> int:
-    """Simulate every region to the horizon plus the drain window and
+    """Simulate every region to its end (see ``_simulate_region``) and
     set its ``outcome``; returns the number of events processed.
 
     The regions share no state but the central database, so they are
@@ -350,13 +328,18 @@ def _blocks(n: int, parts: int) -> list[range]:
 
 
 def _simulate_region(cfg: ScenarioConfig, reg: RegionRuntime) -> None:
-    """Run one region to the horizon plus the drain window, finalize its
-    nodes and set its ``outcome``."""
+    """Run one region to its end, finalize its nodes and set its
+    ``outcome``.  The end is the horizon plus the drain window plus the
+    longest an uplink send keeps scheduling: each of its max_retries + 1
+    transmissions waits a round trip and the ack timeout."""
     kernel = reg.kernel
-    events = kernel.run_until(cfg.horizon_s + cfg.drain_window_s)
+    bb = cfg.backbone
+    end = (cfg.horizon_s + cfg.drain_window_s
+           + (bb.max_retries + 1) * (2 * bb.latency_s + bb.ack_timeout_s))
+    events = kernel.run_until(end)
     if kernel.pending():
         raise RunError(f"region {reg.region_id}: {kernel.pending()} events "
-                       "still queued past the drain window")
+                       f"still queued past the run's end at second {end}")
     for node in reg.nodes:
         node.finalize(cfg.horizon_s)
     link = reg.station.uplink

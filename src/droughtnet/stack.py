@@ -39,8 +39,6 @@ KIND_REINFORCE = 2
 INTEREST_BYTES = 32
 REINFORCE_BYTES = 16
 
-REINFORCED_DATA_RATE = 2.0
-
 
 class StackError(Exception):
     pass
@@ -76,29 +74,23 @@ class MacParams:
 
 @dataclass(frozen=True, slots=True)
 class Interest:
-    """Directed-diffusion task description named by attribute-value pairs."""
+    """Directed-diffusion task: every live interest draws every reading."""
 
     interest_id: int
-    attributes: frozenset
-    interval_s: int
     duration_s: int
     hop_limit: int
     origin: EntityId
 
     def __post_init__(self):
-        if not self.attributes:
-            raise ValueError("interest attributes must be non-empty")
-        if self.interval_s <= 0 or self.duration_s <= 0 or self.hop_limit < 1:
-            raise ValueError("interest interval, duration and hop limit must be positive")
+        if self.duration_s <= 0 or self.hop_limit < 1:
+            raise ValueError("interest duration and hop limit must be positive")
 
 
 @dataclass(slots=True)
 class GradientEntry:
     """Direction state toward the neighbour an interest arrived from."""
 
-    interest_id: int
     toward: EntityId
-    data_rate: float
     expires_at: int
     reinforced: bool = False
 
@@ -108,11 +100,8 @@ class DataMessage:
 
     __slots__ = (
         "signature",
-        "origin",
         "origin_index",
-        "region_id",
         "reading",
-        "hop_count",
         "interest_id",
         "battery_mj",
         "frames_dropped",
@@ -120,14 +109,11 @@ class DataMessage:
     )
     tag = "data"
 
-    def __init__(self, signature, origin, origin_index, region_id, reading,
-                 hop_count=0, interest_id=0, battery_mj=0.0, frames_dropped=0, route=()):
+    def __init__(self, signature, origin_index, reading, interest_id=0,
+                 battery_mj=0.0, frames_dropped=0, route=()):
         self.signature = signature
-        self.origin = origin
         self.origin_index = origin_index
-        self.region_id = region_id
         self.reading = reading
-        self.hop_count = hop_count
         self.interest_id = interest_id
         self.battery_mj = battery_mj
         self.frames_dropped = frames_dropped
@@ -135,8 +121,7 @@ class DataMessage:
 
     def fork(self):
         return DataMessage(
-            self.signature, self.origin, self.origin_index, self.region_id,
-            self.reading, self.hop_count, self.interest_id,
+            self.signature, self.origin_index, self.reading, self.interest_id,
             self.battery_mj, self.frames_dropped, self.route,
         )
 
@@ -212,18 +197,18 @@ class LaunchInterest:
 
 
 class ReinforceMsg:
-    """Interest re-sent at elevated rate back along a delivery path.
+    """Reinforcement of an interest back along a delivery path, which
+    makes each hop's gradient toward its sender the only one it uses.
 
     path is the remaining reverse route (node indices, origin first);
     an empty tuple means this receiver is the origin.
     """
 
-    __slots__ = ("interest_id", "data_rate", "path")
+    __slots__ = ("interest_id", "path")
     tag = "reinforce"
 
-    def __init__(self, interest_id, data_rate, path):
+    def __init__(self, interest_id, path):
         self.interest_id = interest_id
-        self.data_rate = data_rate
         self.path = path
 
 
@@ -238,7 +223,6 @@ class Channel:
 
 class RegionCounters:
     __slots__ = (
-        "region_id",
         "originated",
         "delivered",
         "rf_losses",
@@ -247,8 +231,7 @@ class RegionCounters:
         "duplicate_relay_drops",
     )
 
-    def __init__(self, region_id: int):
-        self.region_id = region_id
+    def __init__(self):
         self.originated = 0
         self.delivered = 0
         self.rf_losses = 0
@@ -276,7 +259,7 @@ class SensorNode:
 
     __slots__ = (
         "kernel", "entity_id", "node_index", "region_id",
-        "position", "is_sink", "routing_mode", "channel", "counters",
+        "position", "is_sink", "channel", "counters",
         "ledger", "battery_mj",
         "_delay_s", "_loss_prob", "_queue_cap",
         "payload_bytes", "data_frames", "interest_frames",
@@ -322,7 +305,6 @@ class SensorNode:
         self.region_id = region_id
         self.position = position
         self.is_sink = is_sink
-        self.routing_mode = routing_mode
         self.channel = channel
         self.counters = counters
         self.ledger = EnergyLedger()
@@ -512,7 +494,7 @@ class SensorNode:
         index = self.node_index
         return DataMessage(
             report_signature(index, reading.timestamp, interest_id),
-            self.entity_id, index, self.region_id, reading, 0, interest_id,
+            index, reading, interest_id,
             self.battery_mj - self.ledger.total_mJ, self.frames_dropped, route,
         )
 
@@ -569,7 +551,7 @@ class SensorNode:
             self.receive_interest(hop.interest, hop.hops_left, src)
         else:
             r = pkt.body
-            self.receive_reinforcement(r.interest_id, r.data_rate, src, r.path)
+            self.receive_reinforcement(r.interest_id, src, r.path)
         if self._drain_sleep and not self.mac_queue:
             self._maybe_sleep()
 
@@ -606,7 +588,7 @@ class SensorNode:
             if g.toward == toward:
                 g.expires_at = expires_at
                 return
-        entries.append(GradientEntry(iid, toward, 1.0, expires_at))
+        entries.append(GradientEntry(toward, expires_at))
 
     def _live_gradients(self, iid: int, now: int) -> list[GradientEntry]:
         entries = self.gradients.get(iid)
@@ -617,8 +599,7 @@ class SensorNode:
             self.gradients[iid] = live
         return live
 
-    def receive_reinforcement(self, iid: int, data_rate: float, src: EntityId,
-                              path: tuple) -> None:
+    def receive_reinforcement(self, iid: int, src: EntityId, path: tuple) -> None:
         """Mark the gradient toward the reinforcing neighbour (keeping at
         most one reinforced gradient per interest) and pass the
         reinforcement on along the reverse path toward the data origin."""
@@ -627,14 +608,12 @@ class SensorNode:
             raise UnknownInterest(f"reinforcement for unknown interest {iid}")
         for g in entries:
             g.reinforced = g.toward == src
-            if g.reinforced:
-                g.data_rate = data_rate
         if path:  # empty path: this node is the origin, chain complete
             nxt = EntityId(EntityKind.SENSOR_NODE, path[-1])
-            self._send_reinforce(iid, data_rate, path[:-1], nxt)
+            self._send_reinforce(iid, path[:-1], nxt)
 
-    def _send_reinforce(self, iid: int, data_rate: float, path: tuple, to: EntityId) -> None:
-        self._enqueue(LinkPacket(KIND_REINFORCE, ReinforceMsg(iid, data_rate, path), to,
+    def _send_reinforce(self, iid: int, path: tuple, to: EntityId) -> None:
+        self._enqueue(LinkPacket(KIND_REINFORCE, ReinforceMsg(iid, path), to,
                                  REINFORCE_BYTES, self.reinforce_frames))
 
     # -- data plane -----------------------------------------------------------
@@ -663,7 +642,7 @@ class SensorNode:
                 if key not in self._sink_reinforced and iid in self.interest_cache:
                     self._sink_reinforced.add(key)
                     full_path = (msg.origin_index, *msg.route)
-                    self._send_reinforce(iid, REINFORCED_DATA_RATE, full_path[:-1], src)
+                    self._send_reinforce(iid, full_path[:-1], src)
             if self.collector is not None:
                 self.collector(msg)
             return
@@ -674,7 +653,6 @@ class SensorNode:
                                          self.data_frames, ttl=ttl - 1))
             return
         if self._tree_on and not msg.interest_id:
-            msg.hop_count += 1
             self.reports_forwarded += 1
             self._cycle_forwarded += 1
             self._enqueue(LinkPacket(KIND_DATA, msg, self.tree_parent, self.payload_bytes, self.data_frames))
@@ -690,7 +668,6 @@ class SensorNode:
         self.reports_forwarded += 1
         for g in targets:
             out = msg if len(targets) == 1 else msg.fork()
-            out.hop_count = msg.hop_count + 1
             out.route = msg.route + (self.node_index,)
             self._enqueue(LinkPacket(KIND_DATA, out, g.toward, self.payload_bytes, self.data_frames))
 

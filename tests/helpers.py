@@ -116,7 +116,7 @@ def build_net(
     """Region-1 network with node 0 as sink at positions[0]."""
     kernel = Kernel(seed=seed)
     channel = Channel()
-    counters = RegionCounters(1)
+    counters = RegionCounters()
     env = None
     if with_samplers:
         env = EnvironmentModel(
@@ -132,7 +132,7 @@ def build_net(
         pos = GeoPoint(x, y)
         sampler = None
         if with_samplers and i != 0:
-            sampler = env.sampler(1, i, pos, kernel.stream(f"env:{i}"))
+            sampler = env.sampler(1, pos, kernel.stream(f"env:{i}"))
         node = SensorNode(
             kernel=kernel,
             entity_id=eid,
@@ -268,8 +268,8 @@ def reference_from_csv_lines(lines):
         raw_vals = [float(v) for v in parts[8 : 8 + n_fields]]
         cal_vals = [float(v) for v in parts[8 + n_fields : 8 + 2 * n_fields]]
         region, node, ts = int(parts[0]), int(parts[1]), int(parts[2])
-        raw = SensorReading(node, region, ts, *raw_vals)
-        cal = SensorReading(node, region, ts, *cal_vals)
+        raw = SensorReading(ts, *raw_vals)
+        cal = SensorReading(ts, *cal_vals)
         db.add(
             StoredRecord(
                 timestamp=ts,

@@ -192,16 +192,16 @@ def _diffusion_topology_run(seed):
     _topology_tally["count"] += 1
     net = build_net(pts, RoutingMode.DIFFUSION, link_range=2.0, seed=seed)
     sink = net.sink
-    interest = Interest(1, frozenset({"temperature_c"}), 1800, 10**7, 6, sink.entity_id)
+    interest = Interest(1, 10**7, 6, sink.entity_id)
     interest_log, tx_log = [], []
     with spy_interests(interest_log), spy_enqueue(tx_log):
         sink.launch_interest(interest)
         net.run(600)
         for node in net.nodes[1:]:
-            node.send_matching_data(make_reading(node_id=node.node_index, t=1000))
+            node.send_matching_data(make_reading(t=1000))
         net.run(6000)
         for node in net.nodes[1:]:
-            node.send_matching_data(make_reading(node_id=node.node_index, t=2800))
+            node.send_matching_data(make_reading(t=2800))
         net.run(12_000)
     return net, interest_log, tx_log
 
@@ -367,7 +367,7 @@ def test_criterion_8_classifier_grid_monotone():
 
 
 def _ind(anomaly, precip):
-    return DroughtIndicators(1, (0, 30 * 86400), anomaly, precip, 45.0, 3.0, 10)
+    return DroughtIndicators((0, 30 * 86400), anomaly, precip, 45.0, 3.0)
 
 
 # -- criterion 9: kernel ordering ------------------------------------------------------------

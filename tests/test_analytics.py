@@ -28,7 +28,7 @@ FLAT = Climatology(mean_temp_c=18.0, seasonal_amplitude_c=0.0)
 
 def add_row(db, region, node, t, temp=18.0, precip=0.0, wdir=45.0, wspd=3.0):
     reading = SensorReading(
-        node_id=node, region_id=region, timestamp=t,
+        timestamp=t,
         temperature_c=temp, precipitation_mm=precip, humidity_pct=60.0,
         pressure_hpa=1013.0, wind_speed_ms=wspd, wind_dir_deg=wdir,
         groundwater_m=10.0,
@@ -99,7 +99,7 @@ def test_short_window_rejected():
 
 
 def make_ind(anomaly, precip):
-    return DroughtIndicators(1, (0, MONTH_S), anomaly, precip, 45.0, 3.0, 100)
+    return DroughtIndicators((0, MONTH_S), anomaly, precip, 45.0, 3.0)
 
 
 def test_classifier_tiers():
@@ -199,8 +199,8 @@ LAYOUT = {
 }
 
 
-def wind_ind(region, dir_deg, speed):
-    return DroughtIndicators(region, (0, MONTH_S), 0.0, 0.0, dir_deg, speed, 10)
+def wind_ind(dir_deg, speed):
+    return DroughtIndicators((0, MONTH_S), 0.0, 0.0, dir_deg, speed)
 
 
 def test_serious_region_escalates_downwind_neighbour():
@@ -211,7 +211,7 @@ def test_serious_region_escalates_downwind_neighbour():
         4: SeverityClass.MODERATE,
         5: SeverityClass.NON_DROUGHT,
     }
-    indicators = {r: wind_ind(r, 45.0, 4.0) for r in current}
+    indicators = {r: wind_ind(45.0, 4.0) for r in current}
     forecast = advect_forecast(current, indicators, LAYOUT)
     assert forecast[4] is SeverityClass.SERIOUS
     assert forecast[1] is current[1] and forecast[2] is current[2]
@@ -220,7 +220,7 @@ def test_serious_region_escalates_downwind_neighbour():
 
 def test_calm_wind_keeps_forecast():
     current = {3: SeverityClass.SERIOUS, 4: SeverityClass.MODERATE}
-    indicators = {r: wind_ind(r, 45.0, 0.0) for r in current}
+    indicators = {r: wind_ind(45.0, 0.0) for r in current}
     layout = {3: LAYOUT[3], 4: LAYOUT[4]}
     assert advect_forecast(current, indicators, layout) == current
 
@@ -228,7 +228,7 @@ def test_calm_wind_keeps_forecast():
 def test_no_region_in_cone_no_escalation():
     # wind blowing due south from region 3; nothing lies in that cone
     current = {3: SeverityClass.SERIOUS, 4: SeverityClass.MODERATE}
-    indicators = {3: wind_ind(3, 270.0, 4.0), 4: wind_ind(4, 45.0, 4.0)}
+    indicators = {3: wind_ind(270.0, 4.0), 4: wind_ind(45.0, 4.0)}
     layout = {3: LAYOUT[3], 4: LAYOUT[4]}
     forecast = advect_forecast(current, indicators, layout)
     assert forecast[3] is SeverityClass.SERIOUS
@@ -239,7 +239,7 @@ def test_no_region_in_cone_no_escalation():
 def test_nearest_in_cone_wins():
     layout = {3: GeoPoint(0.0, 0.0), 4: GeoPoint(10.0, 0.0), 2: GeoPoint(30.0, 0.0)}
     current = {3: SeverityClass.SERIOUS, 4: SeverityClass.NON_DROUGHT, 2: SeverityClass.NON_DROUGHT}
-    indicators = {r: wind_ind(r, 0.0, 5.0) for r in current}
+    indicators = {r: wind_ind(0.0, 5.0) for r in current}
     forecast = advect_forecast(current, indicators, layout)
     assert forecast[4] is SeverityClass.SLIGHT
     assert forecast[2] is SeverityClass.NON_DROUGHT
@@ -253,7 +253,7 @@ def test_nearest_in_cone_wins():
 )
 def test_forecast_never_decreases(classes, dirs, speeds):
     current = {r: classes[r - 1] for r in range(1, 6)}
-    indicators = {r: wind_ind(r, dirs[r - 1], speeds[r - 1]) for r in range(1, 6)}
+    indicators = {r: wind_ind(dirs[r - 1], speeds[r - 1]) for r in range(1, 6)}
     forecast = advect_forecast(current, indicators, LAYOUT)
     assert all(forecast[r] >= current[r] for r in current)
 
@@ -273,6 +273,6 @@ def test_pattern_csv_and_forecast_json():
     assert float(first[4]) == pytest.approx(3.5)
 
     current = {1: SeverityClass.SERIOUS}
-    fc = advect_forecast(current, {1: wind_ind(1, 0.0, 0.0)}, {1: GeoPoint(0, 0)})
+    fc = advect_forecast(current, {1: wind_ind(0.0, 0.0)}, {1: GeoPoint(0, 0)})
     payload = forecast_to_json(current, fc)
     assert '"current": "Serious"' in payload

@@ -4,8 +4,8 @@ A module-level function or class, and a public method or property, must
 be named at least once more than its definition counts, outside the
 package's ``__init__`` (whose re-exports call nothing).  Names are read
 as identifier tokens, so a mention in a comment or docstring is not a
-caller.  Likewise every attribute a class in src/ stores, in a slot or
-through ``self``, is read somewhere.
+caller.  Likewise every attribute a class in src/ stores, in a slot,
+through ``self`` or as a dataclass field, is read somewhere.
 """
 
 import ast
@@ -77,33 +77,66 @@ def _declared_attributes(cls: ast.ClassDef):
 
 
 def _attribute_reads(tree: ast.Module):
-    """(class, name) of each ``self.<name>`` read inside a class, and
-    (None, name) of each read through another receiver or through
-    ``getattr`` with a literal name."""
-    def walk(node, owner):
+    """(class, name, ctor) of each attribute read: class is the
+    enclosing class for a ``self.<name>`` read and None for a read
+    through another receiver or through ``getattr`` with a literal
+    name; ctor names the class called with the read among its
+    arguments, if any.  A read that only feeds a store to an attribute
+    of the same name (``out.n = msg.n + 1``) is not yielded."""
+    def walk(node, owner, ctor, copying):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
-                yield from walk(child, child.name)
+                yield from walk(child, child.name, None, ())
                 continue
+            inner_ctor, inner_copying = ctor, copying
+            if isinstance(child, (ast.Assign, ast.AnnAssign)):
+                targets = getattr(child, "targets", None) or [child.target]
+                stored = {getattr(t, "attr", None) for t in targets}
+                inner_copying = () if None in stored else stored
+            elif isinstance(child, ast.Call) and isinstance(child.func, ast.Name):
+                inner_ctor = child.func.id
             if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
                 is_self = isinstance(child.value, ast.Name) and child.value.id == "self"
-                yield (owner if is_self else None), child.attr
+                if child.attr not in copying:
+                    yield (owner if is_self else None), child.attr, ctor
             elif (isinstance(child, ast.Call) and getattr(child.func, "id", None) == "getattr"
                   and len(child.args) > 1 and isinstance(child.args[1], ast.Constant)):
-                yield None, child.args[1].value
-            yield from walk(child, owner)
-    yield from walk(tree, None)
+                yield None, child.args[1].value, None
+            yield from walk(child, owner, inner_ctor, inner_copying)
+    yield from walk(tree, None, None, ())
+
+
+def _echoed_classes(trees) -> set:
+    """The config schema: ScenarioConfig and every dataclass named in
+    its fields' annotations, transitively.  config_to_dict echoes each
+    of their fields, so every one of them is read."""
+    annotations = {
+        cls.name: [item.annotation for item in cls.body if isinstance(item, ast.AnnAssign)]
+        for tree in trees for cls in tree.body if isinstance(cls, ast.ClassDef)
+    }
+    echoed, todo = set(), ["ScenarioConfig"]
+    while todo:
+        name = todo.pop()
+        if name in echoed or name not in annotations:
+            continue
+        echoed.add(name)
+        todo += [n.id for a in annotations[name] for n in ast.walk(a) if isinstance(n, ast.Name)]
+    return echoed
 
 
 def test_every_stored_attribute_is_read():
-    """Every ``__slots__`` entry and ``self.<name>`` assignment of a class
-    in src/ is read as an attribute in src/, scripts/ or bench/.
+    """Every ``__slots__`` entry, ``self.<name>`` assignment and
+    dataclass field of a class in src/ is read as an attribute in src/,
+    scripts/ or bench/; the fields of the config schema count as read,
+    because the config echo reads them all.
 
     A read through ``self`` counts for its own class.  A read through any
     other receiver counts for the one class that declares the name; a
     name that several classes declare (``seed`` is a slot of two classes
     and a config field) counts only in the class's own module or in a
-    file that names the class."""
+    file that names the class.  A read that is an argument of the class's
+    own constructor (``fork()`` copying a message) does not count, nor
+    does one that only feeds a store to an attribute of the same name."""
     files = [*_modules(), *(ROOT / "scripts").glob("*.py"), *(ROOT / "bench").glob("*.py")]
     trees, names, reads = {}, {}, {}
     owners: dict[str, set] = {}
@@ -117,16 +150,18 @@ def test_every_stored_attribute_is_read():
             if isinstance(cls, ast.ClassDef):
                 for name in _declared_attributes(cls):
                     owners.setdefault(name, set()).add(cls.name)
+    echoed = _echoed_classes(trees.values())
 
     def is_read(path, cls, name):
-        return any((cls, name) in got or (None, name) in got and (
-                       len(owners[name]) == 1 or where == path or cls in names[where])
-                   for where, got in reads.items())
+        return cls in echoed or any(
+            attr == name and ctor != cls and (owner == cls or owner is None and (
+                len(owners[name]) == 1 or where == path or cls in names[where]))
+            for where, got in reads.items() for owner, attr, ctor in got)
 
     unread = sorted({
         f"{path.name}:{cls.name}.{name}"
         for path in _modules() for cls in trees[path].body if isinstance(cls, ast.ClassDef)
-        for name in _stored_attributes(cls)
+        for name in _declared_attributes(cls)
         if not name.startswith("__") and not is_read(path, cls.name, name)
     })
     assert not unread, f"stored in src/ and read nowhere: {unread}"

@@ -32,7 +32,7 @@ def make_model(scenarios=None, params=None, period=PERIOD):
 
 
 def year_of_samples(model, region, seed=42, node=1, pos=GeoPoint(6.0, 6.0)):
-    sampler = model.sampler(region, node, pos, RngStream(seed, f"env:{region}:{node}"))
+    sampler = model.sampler(region, pos, RngStream(seed, f"env:{region}:{node}"))
     return [sampler.sample(k * PERIOD) for k in range(YEAR_S // PERIOD)]
 
 
@@ -79,7 +79,7 @@ def test_sampler_matches_method_by_method_reference():
     model = make_model(scenarios=scenarios)
     pos = GeoPoint(7.5, 4.25)
     for region in range(1, 6):
-        sampler = model.sampler(region, 1, pos, RngStream(9, f"env:{region}"))
+        sampler = model.sampler(region, pos, RngStream(9, f"env:{region}"))
         rng = ReferenceStream(9, f"env:{region}")
         centroid = model.centroids[region]
         spatial = model.params.spatial_gradient_c_per_km * (
@@ -91,14 +91,14 @@ def test_sampler_matches_method_by_method_reference():
             want = reference_sample(model, region, state, rng, t)
             assert (got.temperature_c, got.precipitation_mm, got.humidity_pct, got.pressure_hpa,
                     got.wind_speed_ms, got.wind_dir_deg, got.groundwater_m) == want
-            assert (got.node_id, got.region_id, got.timestamp) == (1, region, t)
+            assert got.timestamp == t
 
 
 def test_dry_climatology_samples_zero_precipitation():
     clim = {r: Climatology(monthly_precip_mm=0.0) for r in range(1, 6)}
     model = EnvironmentModel(clim, default_drought_scenario(),
                              {r: GeoPoint(6.0, 6.0) for r in range(1, 6)})
-    sampler = model.sampler(1, 1, GeoPoint(6.0, 6.0), RngStream(1, "dry"))
+    sampler = model.sampler(1, GeoPoint(6.0, 6.0), RngStream(1, "dry"))
     assert all(sampler.sample(k * PERIOD).precipitation_mm == 0.0 for k in range(500))
 
 
@@ -112,7 +112,7 @@ def test_zero_noise_zero_anomaly_temperature_is_periodic():
     params = EnvironmentParams(noise_sigma_c=0.0, noise_innovation_cap_c=0.0)
     scenarios = {r: DroughtScenario() for r in range(1, 6)}
     model = make_model(scenarios=scenarios, params=params)
-    sampler = model.sampler(1, 0, GeoPoint(6.0, 6.0), RngStream(1, "x"))
+    sampler = model.sampler(1, GeoPoint(6.0, 6.0), RngStream(1, "x"))
     per_year = YEAR_S // PERIOD
     temps = [sampler.sample(k * PERIOD).temperature_c for k in range(2 * per_year)]
     assert temps[:per_year] == temps[per_year:]
@@ -127,8 +127,8 @@ def test_same_region_same_time_bounded_disagreement():
     noise_max = params.noise_innovation_cap_c / (1.0 - params.noise_rho)
     spatial = params.spatial_gradient_c_per_km * (abs(p1.x_km - p2.x_km) + abs(p1.y_km - p2.y_km))
     bound = spatial + 2.0 * noise_max + 1e-3
-    s1 = model.sampler(1, 1, p1, RngStream(7, "a"))
-    s2 = model.sampler(1, 2, p2, RngStream(7, "b"))
+    s1 = model.sampler(1, p1, RngStream(7, "a"))
+    s2 = model.sampler(1, p2, RngStream(7, "b"))
     for k in range(500):
         t = k * PERIOD
         assert abs(s1.sample(t).temperature_c - s2.sample(t).temperature_c) <= bound
@@ -138,7 +138,7 @@ def test_same_region_same_time_bounded_disagreement():
 @given(seed=st.integers(min_value=0, max_value=2**32))
 def test_slow_change_cap_holds(seed):
     model = make_model()
-    sampler = model.sampler(3, 1, GeoPoint(5.0, 5.0), RngStream(seed, "env"))
+    sampler = model.sampler(3, GeoPoint(5.0, 5.0), RngStream(seed, "env"))
     prev = None
     for k in range(2000):
         r = sampler.sample(k * PERIOD)
@@ -194,7 +194,7 @@ def test_reading_ranges():
 def test_unknown_region_rejected():
     model = make_model()
     with pytest.raises(UnknownRegion):
-        model.sampler(9, 1, GeoPoint(0, 0), RngStream(1, "z"))
+        model.sampler(9, GeoPoint(0, 0), RngStream(1, "z"))
 
 
 def test_window_normal_matches_quadrature_oracle():

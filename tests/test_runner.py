@@ -1,24 +1,29 @@
 import hashlib
 import json
+import math
 import os
 import signal
 import time
+from collections import deque
 from dataclasses import replace
 from multiprocessing.context import ForkProcess
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from droughtnet.config import ScenarioConfig, validate
 from droughtnet.geometry import GeoPoint
 from droughtnet.runner import (
     RunError,
+    _tree_walk,
     build_binary_tree,
     build_scenario,
     compare_runs,
     run_scenario,
     simulate,
 )
-from droughtnet.stack import OrphanNode, RoutingMode, SensorNode
+from droughtnet.stack import WAKE, OrphanNode, RoutingMode, SensorNode
 
 from helpers import ReferenceStream
 
@@ -228,6 +233,37 @@ def test_binary_tree_random_placements_reach_sink():
                 walk = parents[walk]
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 99), st.floats(0.0, 2.0 * math.pi),
+                          st.floats(0.3, 1.9)), max_size=15))
+def test_tree_walk_ranks_and_descendants(steps):
+    # a connected placement: each node within link range 2 of an earlier one
+    pts = [GeoPoint(0.0, 0.0)]
+    for pick, angle, r in steps:
+        base = pts[pick % len(pts)]
+        pts.append(GeoPoint(base.x_km + r * math.cos(angle), base.y_km + r * math.sin(angle)))
+    try:
+        parents = build_binary_tree(pts, link_range_km=2.0)
+    except OrphanNode:
+        assume(False)  # the two-children rule can strand a node of a connected placement
+    n = len(pts)
+    ranks, descendants = _tree_walk(parents, n)
+    for v in range(n):
+        below = 0
+        for u in range(n):
+            walk = u
+            while walk != 0 and walk != v:
+                walk = parents[walk]
+            below += u != v and walk == v
+        assert descendants[v] == below
+    order, queue = [], deque([0])
+    while queue:
+        u = queue.popleft()
+        order.append(u)
+        queue.extend(sorted(c for c, p in parents.items() if p == u))
+    assert [ranks[u] for u in order] == list(range(n))
+
+
 # -- full-scenario event-count oracle ------------------------------------------------
 
 
@@ -426,9 +462,24 @@ def test_raise_in_this_process_stops_and_reaps_the_children(cpus, monkeypatch, s
     assert [child.exitcode for child in started] == [-signal.SIGTERM] * 4
 
 
-def test_events_left_queued_name_the_region():
-    # a backbone latency beyond the drain window leaves uplink events queued
+def test_backbone_retries_past_the_drain_window_complete():
+    # every uplink send is acked 4000 s after the data reaches the sink,
+    # long after a zero drain window has closed
     cfg = cfg_days(1, drain_window_s=0,
                    backbone=replace(ScenarioConfig().backbone, latency_s=2000))
-    with pytest.raises(RunError, match=r"^region 1: \d+ events still queued past the drain window$"):
-        simulate(build_scenario(cfg))
+    rep = run_scenario(cfg)
+    for region in rep["per_region"].values():
+        assert region["central_records"] == region["reports_originated"] == 9 * 48
+        assert region["uplink_abandoned"] == 0
+
+
+def test_events_left_queued_name_the_region():
+    # the run ends after the drain window and the 21 transmissions an
+    # uplink send may make, each a round trip plus the 2 s ack timeout
+    scn = build_scenario(cfg_days(1))
+    end = DAY + 3600 + 21 * 2
+    reg = scn.regions[0]
+    reg.kernel.schedule(end, reg.nodes[1].entity_id, WAKE)
+    reg.kernel.schedule(end + 1, reg.nodes[1].entity_id, WAKE)
+    with pytest.raises(RunError, match=rf"^region 1: 1 events still queued past the run's end at second {end}$"):
+        simulate(scn)

@@ -25,10 +25,8 @@ from helpers import (
 )
 
 
-def make_reading(node_id=1, t=0, **over):
+def make_reading(t=0, **over):
     vals = dict(
-        node_id=node_id,
-        region_id=1,
         timestamp=t,
         temperature_c=20.0,
         precipitation_mm=0.5,
@@ -42,11 +40,9 @@ def make_reading(node_id=1, t=0, **over):
     return SensorReading(**vals)
 
 
-def make_interest(iid=1, origin=None, attrs=("precipitation_mm",), hop_limit=5):
+def make_interest(iid=1, origin=None, hop_limit=5):
     return Interest(
         interest_id=iid,
-        attributes=frozenset(attrs),
-        interval_s=1800,
         duration_s=10**7,
         hop_limit=hop_limit,
         origin=origin or EntityId(EntityKind.SENSOR_NODE, 0),
@@ -77,13 +73,11 @@ def test_small_packet_single_frame():
 # -- interest validation -------------------------------------------------------
 
 
-def test_interest_requires_attributes_and_positive_fields():
+def test_interest_requires_positive_duration_and_hop_limit():
     with pytest.raises(ValueError):
-        make_interest(attrs=())
+        Interest(1, 0, 1, EntityId(EntityKind.SENSOR_NODE, 0))
     with pytest.raises(ValueError):
-        Interest(1, frozenset({"temperature_c"}), 0, 10, 1, EntityId(EntityKind.SENSOR_NODE, 0))
-    with pytest.raises(ValueError):
-        Interest(1, frozenset({"temperature_c"}), 10, 10, 0, EntityId(EntityKind.SENSOR_NODE, 0))
+        Interest(1, 10, 0, EntityId(EntityKind.SENSOR_NODE, 0))
 
 
 # -- energy model ---------------------------------------------------------------
@@ -260,7 +254,7 @@ def test_second_copy_of_signature_dropped():
     net = build_net(CLUSTER_10, RoutingMode.COMBINED, tree_parents=BINARY_TREE_10)
     relay = net.nodes[1]
     src = net.nodes[3].entity_id
-    msg = relay._make_report(make_reading(node_id=3, t=0), interest_id=0)
+    msg = relay._make_report(make_reading(t=0), interest_id=0)
     relay.receive_data(msg, src)
     before = relay.reports_forwarded
     relay.receive_data(msg, src)
@@ -274,7 +268,7 @@ def test_distinct_timestamps_both_forwarded():
     src = net.nodes[3].entity_id
     for t in (0, 1800):
         relay.receive_data(
-            relay._make_report(make_reading(node_id=3, t=t), interest_id=0), src
+            relay._make_report(make_reading(t=t), interest_id=0), src
         )
     assert relay.reports_forwarded == 2
 
@@ -354,7 +348,7 @@ def test_exploratory_then_reinforced_path():
     net.run(500)
 
     # exploratory: one copy along each gradient
-    assert x.send_matching_data(make_reading(node_id=3, t=1000)) == 2
+    assert x.send_matching_data(make_reading(t=1000)) == 2
     net.run(2000)
     assert net.counters.delivered == 1  # duplicate copy suppressed at the sink
     assert net.counters.duplicate_relay_drops >= 1
@@ -369,7 +363,7 @@ def test_exploratory_then_reinforced_path():
     # post-reinforcement: single copy on the winning path, loser starves
     loser = b if winner == a.entity_id else a
     forwarded_before = loser.reports_forwarded
-    assert x.send_matching_data(make_reading(node_id=3, t=2800)) == 1
+    assert x.send_matching_data(make_reading(t=2800)) == 1
     net.run(4000)
     assert net.counters.delivered == 2
     assert loser.reports_forwarded == forwarded_before
@@ -380,38 +374,38 @@ def test_line_topology_reinforcement_is_routing_noop():
     sink, m, x = net.nodes
     sink.launch_interest(make_interest(origin=sink.entity_id))
     net.run(200)
-    assert x.send_matching_data(make_reading(node_id=2, t=300)) == 1
+    assert x.send_matching_data(make_reading(t=300)) == 1
     net.run(600)
     assert net.counters.delivered == 1
     assert [g.reinforced for g in x.gradients[1]] == [True]
     assert any(g.reinforced for g in m.gradients[1])
     # still exactly one copy per report afterwards
-    assert x.send_matching_data(make_reading(node_id=2, t=2100)) == 1
+    assert x.send_matching_data(make_reading(t=2100)) == 1
 
 
 def test_sink_as_source_delivers_locally():
     net, sink, a, b, x = diamond_net()
     sink.launch_interest(make_interest(origin=sink.entity_id))
-    assert sink.send_matching_data(make_reading(node_id=0, t=10)) == 1
+    assert sink.send_matching_data(make_reading(t=10)) == 1
     assert net.counters.delivered == 1
-    assert net.received[0][1].hop_count == 0
+    assert net.received[0][1].route == ()
     assert not sink._sink_reinforced
 
 
 def test_no_matching_interest_no_emission():
     net, sink, a, b, x = diamond_net()
-    assert x.send_matching_data(make_reading(node_id=3)) == 0
+    assert x.send_matching_data(make_reading()) == 0
 
 
 def test_reinforce_unknown_interest_raises():
     net, sink, a, b, x = diamond_net()
     with pytest.raises(UnknownInterest):
-        a.receive_reinforcement(99, 2.0, sink.entity_id, ())
+        a.receive_reinforcement(99, sink.entity_id, ())
 
 
 def test_gradient_expiry_is_lazy():
     net, sink, a, b, x = diamond_net()
-    interest = Interest(1, frozenset({"precipitation_mm"}), 1800, 100, 5, sink.entity_id)
+    interest = Interest(1, 100, 5, sink.entity_id)
     x.receive_interest(interest, 3, a.entity_id)
     assert x._live_gradients(1, now=50)
     assert x._live_gradients(1, now=150) == []
@@ -423,12 +417,12 @@ def test_gradient_expiry_is_lazy():
 def test_flooding_delivers_once_and_rebroadcasts_once_per_node():
     net = build_net(CLUSTER_10, RoutingMode.FLOODING, link_range=10.0)
     sink = net.sink
-    sink.launch_interest(make_interest(origin=sink.entity_id, attrs=("temperature_c",), hop_limit=8))
+    sink.launch_interest(make_interest(origin=sink.entity_id, hop_limit=8))
     net.run(500)
     log = []
     with spy_enqueue(log):
         src = net.nodes[5]
-        assert src.send_matching_data(make_reading(node_id=5, t=600)) == 1
+        assert src.send_matching_data(make_reading(t=600)) == 1
         net.run(3000)
     assert net.counters.delivered == 1
     sig = report_signature(5, 600, 1)
@@ -442,7 +436,7 @@ def test_sleeping_node_drops_frames():
     net = build_net(CLUSTER_10, RoutingMode.TREE, tree_parents=BINARY_TREE_10)
     node = net.nodes[4]
     node._sleep()
-    msg = node._make_report(make_reading(node_id=9, t=0), interest_id=0)
+    msg = node._make_report(make_reading(t=0), interest_id=0)
     rx_before = node.ledger.rx_mJ
     node.receive_link(LinkPacket(KIND_DATA, msg, node.entity_id, 64, 2), net.nodes[9].entity_id)
     assert net.counters.sleep_losses == 1
@@ -464,7 +458,7 @@ def test_diffusion_cheaper_than_flooding_small_topology():
         )
         sink = net.sink
         sink.launch_interest(
-            make_interest(origin=sink.entity_id, attrs=("temperature_c",), hop_limit=8)
+            make_interest(origin=sink.entity_id, hop_limit=8)
         )
         net.run(6 * 1800 + 3600)
         energy = sum(n.ledger.tx_mJ + n.ledger.rx_mJ for n in net.nodes)
