@@ -5,16 +5,16 @@ by ``config.validate``.
 
 Every record keeps both raw and calibrated readings plus node health,
 location and a routing snapshot; a run stores the raw reading as the
-calibrated one.  The central store is append-only and keyed by (region,
-node, timestamp); duplicates are rejected and counted.  Storage is
-columnar so a full simulated year stays memory-light.
+calibrated one, kept once.  The central store is append-only and keyed
+by (region, node, timestamp); duplicates are rejected and counted.
+Storage is columnar so a full simulated year stays memory-light.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import compress, islice, repeat
 
@@ -41,13 +41,12 @@ class BackboneError(Exception):
 
 @dataclass(slots=True)
 class StoredRecord:
-    """One database row: raw + calibrated reading, health, location, route."""
+    """One database row: raw reading, health, location, route."""
 
     timestamp: int
     node_id: int
     region_id: int
     raw: SensorReading
-    calibrated: SensorReading
     battery_mj_remaining: float
     frames_dropped: int
     location: GeoPoint
@@ -60,10 +59,18 @@ CSV_COLUMNS = (
     + [f"raw_{f}" for f in SENSOR_FIELDS]
     + [f"cal_{f}" for f in SENSOR_FIELDS]
 )
+_BELOW_ANY_KEY = REGION_ID_RANGE[0] << 55  # a key's region field is a signed byte
 
 
 class CentralDatabase:
-    """Append-only columnar store keyed by (region, node, timestamp)."""
+    """Append-only columnar store keyed by (region, node, timestamp).
+
+    ``cal`` is ``raw`` (the same arrays) until a loaded CSV block's
+    calibrated cells differ from its raw ones.  A key above its node's
+    high-water mark, the highest key stored for its (region, node), is
+    new, and one equal to it a duplicate.  The first key below it builds
+    an exact set of the stored keys, which then checks every key until
+    ``release_keys``."""
 
     def __init__(self):
         self.region = array("b")
@@ -75,10 +82,11 @@ class CentralDatabase:
         self.frames_dropped = array("q")
         self.routes: list[str] = []
         self.raw = {f: array("d") for f in SENSOR_FIELDS}
-        self.cal = {f: array("d") for f in SENSOR_FIELDS}
-        self._appends = tuple(col.append for col in self._csv_columns())
-        # keys of the stored records while adds may come; None once released
-        self._keys: set[int] | None = set()
+        self.cal = self.raw
+        self._appends = tuple(col.append for col in self._stored_columns())
+        # key >> 40, i.e. (region, node) -> its highest stored key; None once released
+        self._marks: dict[int, int] | None = {}
+        self._exact: set[int] | None = None  # the slow path's key set
         self.duplicates_by_region: dict[int, int] = {}
 
     def __len__(self) -> int:
@@ -89,33 +97,45 @@ class CentralDatabase:
         return (region << 54) | (node << 40) | ts
 
     def release_keys(self) -> None:
-        """Free the key set, one int per record, when no more adds are
-        expected; the next add rebuilds it from the columns."""
-        self._keys = None
+        """Free the exact key set, if any, when no more adds are expected;
+        the next add rebuilds the high-water marks from the columns."""
+        self._exact = self._marks = None
 
-    def _known_keys(self) -> set[int]:
-        keys = self._keys
-        if keys is None:
-            keys = self._keys = set(map(self._key, self.region, self.node, self.ts))
-        return keys
+    def _admit(self, k: int, pending=()) -> bool:
+        """Whether key k is new, recording it if so; ``pending`` holds
+        the keys admitted but not yet in the columns."""
+        exact, marks = self._exact, self._marks
+        if exact is None:
+            if marks is None:  # released: rebuilt from the columns
+                keys = sorted(map(self._key, self.region, self.node, self.ts))
+                marks = self._marks = {key >> 40: key for key in keys}
+            mark = marks.get(k >> 40, _BELOW_ANY_KEY)
+            if k > mark:
+                marks[k >> 40] = k
+                return True
+            if k == mark:
+                return False
+            exact = self._exact = set(map(self._key, self.region, self.node, self.ts))
+            exact.update(pending)
+        if k in exact:
+            return False
+        exact.add(k)
+        return True
 
     def add(self, rec: StoredRecord) -> bool:
         """Append a record; False (and a counter bump) on a duplicate key."""
         region_id = rec.region_id
         k = (region_id << 54) | (rec.node_id << 40) | rec.timestamp  # _key, inlined
-        keys = self._keys
-        if keys is None:
-            keys = self._known_keys()
-        if k in keys:
-            self.duplicates_by_region[region_id] = (
-                self.duplicates_by_region.get(region_id, 0) + 1
-            )
+        marks = self._marks
+        if marks is not None and self._exact is None and k > marks.get(k >> 40, _BELOW_ANY_KEY):
+            marks[k >> 40] = k
+        elif not self._admit(k):
+            dups = self.duplicates_by_region
+            dups[region_id] = dups.get(region_id, 0) + 1
             return False
-        keys.add(k)
-        # one bound append per column, in CSV_COLUMNS order
+        # one bound append per stored column, in CSV_COLUMNS order
         (region, node, ts, x, y, route, battery, dropped,
-         temp, precip, hum, pres, wspeed, wdir, ground,
-         c_temp, c_precip, c_hum, c_pres, c_wspeed, c_wdir, c_ground) = self._appends
+         temp, precip, hum, pres, wspeed, wdir, ground) = self._appends
         region(region_id)
         node(rec.node_id)
         ts(rec.timestamp)
@@ -133,21 +153,13 @@ class CentralDatabase:
         wspeed(r.wind_speed_ms)
         wdir(r.wind_dir_deg)
         ground(r.groundwater_m)
-        c = rec.calibrated
-        c_temp(c.temperature_c)
-        c_precip(c.precipitation_mm)
-        c_hum(c.humidity_pct)
-        c_pres(c.pressure_hpa)
-        c_wspeed(c.wind_speed_ms)
-        c_wdir(c.wind_dir_deg)
-        c_ground(c.groundwater_m)
+        if self.cal is not self.raw:  # a loaded file's; a run calibrates as raw
+            for f in SENSOR_FIELDS:
+                self.cal[f].append(getattr(r, f))
         return True
 
     def region_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for r in self.region:
-            counts[r] = counts.get(r, 0) + 1
-        return counts
+        return dict(Counter(self.region))
 
     # -- export / import ----------------------------------------------------
 
@@ -160,24 +172,25 @@ class CentralDatabase:
             *(self.cal[f] for f in SENSOR_FIELDS),
         ]
 
+    def _stored_columns(self) -> list:
+        """The CSV columns' storage, each array once (cal only if not raw)."""
+        columns = self._csv_columns()
+        return columns if self.cal is not self.raw else columns[:-len(SENSOR_FIELDS)]
+
+    def _own_calibration(self) -> None:
+        """Calibrated columns of its own: copies of the raw values so far."""
+        self.cal = {f: self.raw[f][:] for f in SENSOR_FIELDS}
+
     def to_csv_lines(self):
         """Header, then one line per record (no trailing newline); every
         number as its ``repr``, rows formatted one block at a time."""
         yield ",".join(CSV_COLUMNS)
-        columns = self._csv_columns()
-        n_fields = len(SENSOR_FIELDS)
-        first_cal = len(columns) - n_fields
+        columns = self._stored_columns()
         for start in range(0, len(self.ts), CSV_BLOCK_ROWS):
-            stop = start + CSV_BLOCK_ROWS
-            parts = [col[start:stop] for col in columns]
-            cells = []
-            for k, part in enumerate(parts):
-                if k >= first_cal and part.tobytes() == parts[k - n_fields].tobytes():
-                    cells.append(cells[k - n_fields])  # identity calibration
-                elif type(part) is list:
-                    cells.append(part)  # routes
-                else:
-                    cells.append(list(map(repr, part)))
+            cells = [part if type(part) is list else list(map(repr, part))  # routes as they are
+                     for part in (col[start:start + CSV_BLOCK_ROWS] for col in columns)]
+            if len(cells) < len(CSV_COLUMNS):
+                cells += cells[-len(SENSOR_FIELDS):]  # aliased calibration: the raw cells
             yield from map(",".join, zip(*cells))
 
     @classmethod
@@ -185,13 +198,13 @@ class CentralDatabase:
         """Inverse of to_csv_lines; lines may keep their newline.  Blank
         lines are skipped, a row with the wrong field count or a bad value
         raises BackboneError naming its line, and duplicate keys are
-        dropped and counted as ``add`` drops them.  The key set is
-        released after the last block (see ``release_keys``)."""
+        dropped and counted as ``add`` drops them.  The keys are released
+        after the last block (see ``release_keys``)."""
         it = iter(lines)
         if next(it, "").strip().split(",") != CSV_COLUMNS:
             raise BackboneError("unexpected central-db CSV header")
         db = cls()
-        columns = db._csv_columns()
+        columns = db._csv_columns()  # for the cells' types only
         lineno = 2  # of the chunk's first line
         while chunk := list(islice(it, CSV_BLOCK_ROWS)):
             parts = _parse_csv_block(chunk, columns, lineno)
@@ -200,7 +213,7 @@ class CentralDatabase:
             # among them, the ints fragment the heap and raise peak RSS
             del chunk
             if parts:
-                db._extend(columns, parts)
+                db._extend(parts)
         db.release_keys()
         return db
 
@@ -208,7 +221,8 @@ class CentralDatabase:
         """Send the records down a ``multiprocessing`` connection, one
         column per message so that neither end copies them all at once,
         then the duplicate counts."""
-        for col in self._csv_columns():
+        conn.send(len(self._stored_columns()))
+        for col in self._stored_columns():
             if type(col) is list:
                 conn.send(col)  # routes
             else:
@@ -218,44 +232,50 @@ class CentralDatabase:
     def receive(self, conn) -> None:
         """Append what ``send`` sent from a database of other regions, so
         that no key of it is stored here, and add its duplicate counts;
-        releases the key set (see ``release_keys``)."""
+        releases the keys (see ``release_keys``)."""
         self.release_keys()
-        for col in self._csv_columns():
+        n_sent, n = conn.recv(), len(self)
+        if n_sent > len(self._stored_columns()):  # the sender's own calibration
+            self._own_calibration()
+        for col in self._stored_columns()[:n_sent]:
             if type(col) is list:
                 col.extend(conn.recv())
             else:
                 col.frombytes(conn.recv_bytes())
-        for region, n in conn.recv().items():
-            self.duplicates_by_region[region] = self.duplicates_by_region.get(region, 0) + n
+        if self.cal is not self.raw and n_sent < len(CSV_COLUMNS):
+            for f in SENSOR_FIELDS:  # the sender's calibration was its raw
+                self.cal[f].extend(self.raw[f][n:])
+        for region, count in conn.recv().items():
+            self.duplicates_by_region[region] = self.duplicates_by_region.get(region, 0) + count
 
-    def _extend(self, columns: list, parts: list) -> None:
+    def _extend(self, parts: list) -> None:
         """Append one parsed block, keeping the first row of each key and
         counting the rest as ``add`` counts a duplicate."""
+        n_fields = len(SENSOR_FIELDS)
+        if self.cal is self.raw:
+            if any(parts[k] is not parts[k - n_fields] for k in range(-n_fields, 0)):
+                self._own_calibration()  # the first block calibrated otherwise than raw
+            else:
+                parts = parts[:-n_fields]
         region = parts[0]
-        keys = list(map(self._key, region, parts[1], parts[2]))
-        known = self._known_keys()
-        n_known = len(known)
-        if known.isdisjoint(keys):
-            known.update(keys)
-            if len(known) - n_known < len(keys):
-                known.difference_update(keys)  # a key repeats in the block
-        if len(known) - n_known < len(keys):
-            # some key is not new: row by row, as add() would see them
-            keep = []
+        keys = [(r << 54) | (n << 40) | t for r, n, t in zip(region, parts[1], parts[2])]
+        ordered = sorted(keys)
+        lowest = {k >> 40: k for k in reversed(ordered)}
+        marks = self._marks
+        if (marks is not None and self._exact is None and len(set(ordered)) == len(ordered)
+                and all(k > marks.get(nk, _BELOW_ANY_KEY) for nk, k in lowest.items())):
+            marks.update({k >> 40: k for k in ordered})
+        else:
+            # some key is not above its mark: row by row, as add() would see them
+            keep: list[bool] = []
             dups = self.duplicates_by_region
             for r, k in zip(region, keys):
-                if k in known:
+                keep.append(self._admit(k, compress(keys, keep)))  # pending: kept so far
+                if not keep[-1]:
                     dups[r] = dups.get(r, 0) + 1
-                    keep.append(False)
-                else:
-                    known.add(k)
-                    keep.append(True)
-            parts = [
-                list(compress(p, keep)) if type(p) is list
-                else array(p.typecode, compress(p, keep))
-                for p in parts
-            ]
-        for col, part in zip(columns, parts):
+            parts = [list(compress(p, keep)) if type(p) is list
+                     else array(p.typecode, compress(p, keep)) for p in parts]
+        for col, part in zip(self._stored_columns(), parts):
             col.extend(part)
 
 
@@ -394,19 +414,16 @@ class LocalBaseStation:
 
     # -- ingestion ------------------------------------------------------------
 
-    def ingest(self, msg: DataMessage) -> StoredRecord:
-        """Store locally and forward on the reliable uplink; the raw
-        reading is stored as the calibrated one."""
+    def ingest(self, msg: DataMessage) -> None:
+        """Store locally and forward on the reliable uplink; the central
+        database stores the raw reading as the calibrated one."""
         raw = msg.reading
         route = self._route_cache.get(msg.route)
         if route is None:
             route = self._route_cache[msg.route] = "-".join(str(i) for i in msg.route)
         node_id = msg.origin_index
-        record = StoredRecord(
-            raw.timestamp, node_id, self.region_id, raw, raw,
-            msg.battery_mj, msg.frames_dropped,
-            self.node_locations[node_id], route,
-        )
+        record = StoredRecord(raw.timestamp, node_id, self.region_id, raw, msg.battery_mj,
+                              msg.frames_dropped, self.node_locations[node_id], route)
         self.ingested += 1
         entry = [record, False]
         local_db = self.local_db
@@ -416,7 +433,6 @@ class LocalBaseStation:
         # the entry itself travels, so its ack marks it and no other copy
         # of the same reading (combined mode stores two)
         self.uplink.send(entry)
-        return record
 
     def _evict_acked(self) -> None:
         """Make room in a full store by evicting its oldest acked entry;

@@ -17,6 +17,7 @@ merges over the built-in region of its region_id.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from functools import cache
@@ -307,6 +308,15 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
             raise ValidationError(f"region {r.region_id} climatology normals must be non-negative")
         if not 0.0 <= r.drought.precipitation_scale <= 1.0:
             raise ValidationError(f"region {r.region_id} precipitation_scale must lie in [0, 1]")
+    env = cfg.env
+    if not 0.0 <= env.noise_rho < 1.0:
+        raise ValidationError("env.noise_rho must lie in [0, 1)")
+    # samples off a drought edge differ by <= 2 innovation caps, a seasonal step and rounding
+    slope = max(r.climatology.seasonal_amplitude_c for r in cfg.regions) * math.tau / YEAR_S
+    bound = 2 * abs(env.noise_innovation_cap_c) + slope * cfg.reporting_period_s + 0.001
+    if not bound <= env.slow_change_cap_c:
+        raise ValidationError(f"env.noise_innovation_cap_c lets consecutive samples differ by "
+                              f"{bound:.3f} C, beyond env.slow_change_cap_c")
     # the remote base station sits at the mean of the region centroids,
     # and every local station must reach it over the line-of-sight backbone
     if not cfg.backbone.range_km > 0:

@@ -72,11 +72,10 @@ class DroughtScenario:
 class EnvironmentParams:
     noise_rho: float = 0.9
     noise_sigma_c: float = 0.5
-    # innovations are clipped to noise_innovation_cap_c, which with the
-    # defaults keeps |dT| between consecutive samples under
+    # innovations are clipped to noise_innovation_cap_c, and validate()
+    # checks that this keeps |dT| between consecutive samples within
     # slow_change_cap_c; a drought window that starts or ends mid-run
-    # steps the temperature by its whole anomaly.  The simulator never
-    # reads slow_change_cap_c; it stays because stored run reports echo it.
+    # steps the temperature by its whole anomaly.
     noise_innovation_cap_c: float = 0.7
     slow_change_cap_c: float = 1.5
     spatial_gradient_c_per_km: float = 0.02

@@ -439,15 +439,14 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> dict:
     classes, indicators, patterns, forecast = analyse(scn)
 
     per_region = {}
+    stored = scn.central.region_counts()
     for reg in scn.regions:
         per_region[str(reg.region_id)] = {
             "node_count": len(reg.nodes),
             **reg.outcome.figures,
-            "central_records": 0,
+            "central_records": stored.get(reg.region_id, 0),
             "central_duplicates": scn.central.duplicates_by_region.get(reg.region_id, 0),
         }
-    for rid, count in scn.central.region_counts().items():
-        per_region[str(rid)]["central_records"] = count
 
     energy_rows = [row for reg in scn.regions for row in reg.outcome.energy]
     report = {
@@ -466,12 +465,11 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> dict:
         },
         "energy": energy_rows,
         "total_tx_rx_mJ": sum(r["tx_mJ"] + r["rx_mJ"] for r in energy_rows),
-        "wall_clock_s": time.perf_counter() - started,
     }
-
-    if out_dir is not None:
-        write_exports(scn, report, classes, indicators, patterns, forecast, Path(out_dir))
+    if out_dir is None:
         report["wall_clock_s"] = time.perf_counter() - started
+    else:
+        write_exports(scn, report, classes, indicators, patterns, forecast, Path(out_dir), started)
     return report
 
 
@@ -497,7 +495,8 @@ def write_analysis(out: Path, classes, patterns, forecast) -> None:
 
 
 def write_exports(scn: Scenario, report, classes, indicators, patterns, forecast,
-                  out: Path) -> None:
+                  out: Path, started: float | None = None) -> None:
+    """Write every export, the report last, timing its wall_clock_s from ``started`` if given."""
     out.mkdir(parents=True, exist_ok=True)
     cfg = scn.cfg
 
@@ -544,6 +543,8 @@ def write_exports(scn: Scenario, report, classes, indicators, patterns, forecast
     if cfg.truth_dump:
         _write(out / "truth_daily.csv", _truth_daily_lines(scn))
 
+    if started is not None:
+        report["wall_clock_s"] = time.perf_counter() - started
     (out / "run_report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -552,22 +553,16 @@ def write_exports(scn: Scenario, report, classes, indicators, patterns, forecast
 def _truth_daily_lines(scn: Scenario):
     db = scn.central
     days: dict[tuple[int, int], list] = {}
-    temp = db.raw["temperature_c"]
-    precip = db.raw["precipitation_mm"]
-    for i in range(len(db.ts)):
-        key = (db.region[i], db.ts[i] // 86_400)
-        acc = days.get(key)
+    for rid, ts, t, p in zip(db.region, db.ts, db.raw["temperature_c"],
+                             db.raw["precipitation_mm"]):
+        acc = days.get((rid, ts // 86_400))
         if acc is None:
-            days[key] = [temp[i], temp[i], temp[i], 1, precip[i]]
+            days[(rid, ts // 86_400)] = [t, t, t, 1, p]
         else:
-            t = temp[i]
-            if t < acc[0]:
-                acc[0] = t
-            if t > acc[1]:
-                acc[1] = t
+            acc[0], acc[1] = min(acc[0], t), max(acc[1], t)
             acc[2] += t
             acc[3] += 1
-            acc[4] += precip[i]
+            acc[4] += p
     yield "region,day,temp_min_C,temp_max_C,temp_mean_C,precip_total_mm"
     for (rid, day) in sorted(days):
         lo, hi, tot, n, p = days[(rid, day)]

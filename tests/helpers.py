@@ -4,8 +4,9 @@ src/ fast paths, used across the tests."""
 import contextlib
 import heapq
 import math
+from array import array
 
-from droughtnet.backbone import CSV_COLUMNS, CentralDatabase, StoredRecord
+from droughtnet.backbone import CSV_COLUMNS, CentralDatabase
 from droughtnet.energy import EnergyParams
 from droughtnet.environment import (
     SENSOR_FIELDS,
@@ -14,7 +15,6 @@ from droughtnet.environment import (
     DroughtScenario,
     EnvironmentModel,
     EnvironmentParams,
-    SensorReading,
 )
 from droughtnet.geometry import GeoPoint
 from droughtnet.kernel import (
@@ -232,58 +232,74 @@ def random_connected_positions(rng, link_range=2.0, max_nodes=12):
     return pts
 
 
-# -- row-wise central-db CSV codec: the reference for the block codec --------
+# -- row-wise central-db CSV codec and key check: the references ------------
 
 
-def reference_to_csv_lines(db):
-    """One f-string per record, as CentralDatabase wrote rows before the
-    block codec."""
+def reference_to_csv_lines(rows):
+    """One line per row of values in CSV_COLUMNS order, one f-string per
+    record as CentralDatabase wrote rows before the block codec."""
     yield ",".join(CSV_COLUMNS)
-    raw_cols = [db.raw[f] for f in SENSOR_FIELDS]
-    cal_cols = [db.cal[f] for f in SENSOR_FIELDS]
-    for i in range(len(db.ts)):
-        head = (
-            f"{db.region[i]},{db.node[i]},{db.ts[i]},"
-            f"{db.x[i]!r},{db.y[i]!r},{db.routes[i]},"
-            f"{db.battery[i]!r},{db.frames_dropped[i]}"
-        )
-        raw_part = ",".join(repr(c[i]) for c in raw_cols)
-        cal_part = ",".join(repr(c[i]) for c in cal_cols)
+    n_fields = len(SENSOR_FIELDS)
+    for region, node, ts, x, y, route, battery, dropped, *sensors in rows:
+        head = f"{region},{node},{ts},{x!r},{y!r},{route},{battery!r},{dropped}"
+        raw_part = ",".join(repr(v) for v in sensors[:n_fields])
+        cal_part = ",".join(repr(v) for v in sensors[n_fields:])
         yield f"{head},{raw_part},{cal_part}"
 
 
+def rows_of(db):
+    """The database's records as rows of values in CSV_COLUMNS order."""
+    return list(zip(*db._csv_columns()))
+
+
+def column_bytes(columns):
+    """Each column's bytes, the routes as they are: equal only if bit-exact."""
+    return [c if type(c) is list else c.tobytes() for c in columns]
+
+
+class ReferenceDatabase:
+    """Rows in CSV_COLUMNS order kept one at a time against a plain set of
+    every stored key, as the central database kept them before its
+    high-water marks."""
+
+    def __init__(self):
+        self.rows = []
+        self.keys = set()
+        self.duplicates_by_region = {}
+
+    def add(self, row) -> bool:
+        key = CentralDatabase._key(*row[:3])
+        if key in self.keys:
+            self.duplicates_by_region[row[0]] = self.duplicates_by_region.get(row[0], 0) + 1
+            return False
+        self.keys.add(key)
+        self.rows.append(tuple(row))
+        return True
+
+    def columns(self):
+        """The rows as columns, stored as CentralDatabase stores them."""
+        kinds = CentralDatabase()._csv_columns()
+        cols = zip(*self.rows) if self.rows else [()] * len(kinds)
+        return [list(col) if type(kind) is list else array(kind.typecode, col)
+                for kind, col in zip(kinds, cols)]
+
+
 def reference_from_csv_lines(lines):
-    """One StoredRecord per row through CentralDatabase.add, as rows were
-    read before the block codec."""
+    """A ReferenceDatabase of the rows, read one line at a time, as rows
+    were read before the block codec."""
     it = iter(lines)
     header = next(it).rstrip("\n").split(",")
     assert header == CSV_COLUMNS
-    db = CentralDatabase()
-    n_fields = len(SENSOR_FIELDS)
+    ref = ReferenceDatabase()
     for line in it:
         line = line.rstrip("\n")
         if not line:
             continue
-        parts = line.split(",")
-        raw_vals = [float(v) for v in parts[8 : 8 + n_fields]]
-        cal_vals = [float(v) for v in parts[8 + n_fields : 8 + 2 * n_fields]]
-        region, node, ts = int(parts[0]), int(parts[1]), int(parts[2])
-        raw = SensorReading(ts, *raw_vals)
-        cal = SensorReading(ts, *cal_vals)
-        db.add(
-            StoredRecord(
-                timestamp=ts,
-                node_id=node,
-                region_id=region,
-                raw=raw,
-                calibrated=cal,
-                battery_mj_remaining=float(parts[6]),
-                frames_dropped=int(parts[7]),
-                location=GeoPoint(float(parts[3]), float(parts[4])),
-                route=parts[5],
-            )
-        )
-    return db
+        cells = line.split(",")
+        ref.add([int(c) for c in cells[:3]] + [float(cells[3]), float(cells[4]), cells[5],
+                                             float(cells[6]), int(cells[7])]
+                + [float(c) for c in cells[8:]])
+    return ref
 
 
 # -- one-heap event queue: the reference for the per-second buckets ----------

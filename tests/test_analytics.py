@@ -35,7 +35,7 @@ def add_row(db, region, node, t, temp=18.0, precip=0.0, wdir=45.0, wspd=3.0):
     )
     db.add(StoredRecord(
         timestamp=t, node_id=node, region_id=region, raw=reading,
-        calibrated=reading, battery_mj_remaining=1e6, frames_dropped=0,
+        battery_mj_remaining=1e6, frames_dropped=0,
         location=GeoPoint(0.0, 0.0), route="",
     ))
 

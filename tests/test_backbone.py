@@ -1,8 +1,13 @@
 import math
+import multiprocessing
 import random
-from dataclasses import replace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from droughtnet import backbone
 
 from droughtnet.backbone import (
     CSV_BLOCK_ROWS,
@@ -18,7 +23,13 @@ from droughtnet.geometry import GeoPoint
 from droughtnet.kernel import Kernel
 from droughtnet.stack import DataMessage, report_signature
 
-from helpers import reference_from_csv_lines, reference_to_csv_lines
+from helpers import (
+    ReferenceDatabase,
+    column_bytes,
+    reference_from_csv_lines,
+    reference_to_csv_lines,
+    rows_of,
+)
 
 
 def make_reading(t=0, temp=20.0, precip=0.5):
@@ -62,8 +73,16 @@ def make_station(capacity=10_000, **uplink):
 
 def test_identity_calibration_stores_raw_values():
     k, lbs, rbs = make_station()
-    rec = lbs.ingest(make_msg())
-    assert rec.calibrated is rec.raw
+    lbs.ingest(make_msg())
+    db = rbs.central
+    assert db.cal is db.raw
+    lines = list(db.to_csv_lines())
+    cells = lines[1].split(",")
+    assert cells[15:] == cells[8:15] == [repr(getattr(make_reading(), f)) for f in SENSOR_FIELDS]
+    # a file whose calibrated cells equal its raw ones loads aliased too
+    again = CentralDatabase.from_csv_lines(lines)
+    assert again.cal is again.raw
+    assert list(again.to_csv_lines()) == lines
 
 
 # -- central keying --------------------------------------------------------------
@@ -84,19 +103,27 @@ def test_add_after_key_release_still_rejects_duplicates():
         lbs.ingest(make_msg(t=t))
     db = rbs.central
     db.release_keys()
-    assert db._keys is None
+    # the node's last key, and an earlier one, are still known
     lbs.ingest(make_msg(t=1800))
-    assert (len(db), db.duplicates_by_region) == (2, {1: 1})
-    lbs.ingest(make_msg(t=3600))
-    assert len(db) == 3
-    # a loaded database has released its keys after the last block
-    loaded = CentralDatabase.from_csv_lines(list(db.to_csv_lines()))
-    assert loaded._keys is None
-    rbs.central = loaded
     lbs.ingest(make_msg(t=0))
-    assert (len(loaded), loaded.duplicates_by_region) == (3, {1: 1})
+    assert (len(db), db.duplicates_by_region) == (2, {1: 2})
+    lbs.ingest(make_msg(t=3600))
+    lbs.ingest(make_msg(node_id=2, t=0))
+    assert len(db) == 4
+    db.release_keys()
+    lbs.ingest(make_msg(node_id=2, t=0))
+    assert (len(db), db.duplicates_by_region) == (4, {1: 3})
+    # a loaded database has released its keys after the last block, and
+    # rebuilds them on the next add
+    loaded = CentralDatabase.from_csv_lines(list(db.to_csv_lines()))
+    rbs.central = loaded
+    for t in (0, 1800, 3600):
+        lbs.ingest(make_msg(t=t))
+    assert (len(loaded), loaded.duplicates_by_region) == (4, {1: 3})
     lbs.ingest(make_msg(t=5400))
-    assert len(loaded) == 4
+    lbs.ingest(make_msg(t=2700))  # below the mark, but new
+    assert len(loaded) == 6
+    assert list(loaded.ts) == [0, 1800, 3600, 0, 5400, 2700]
 
 
 def test_records_accumulate_per_region():
@@ -169,13 +196,13 @@ def test_central_csv_round_trip_bit_exact():
 SPECIAL = (0.0, -0.0, math.nan, math.inf, -math.inf)
 
 
-def special_db(rows, seed=5):
-    """Database of ``rows`` records mixing repeated and distinct values,
-    signed zeros, nan and infinities, with calibrated temperature and
-    pressure that differ from the raw ones."""
+def special_lines(rows, seed=5, first_calibrated=0):
+    """CSV lines of ``rows`` records mixing repeated and distinct values,
+    signed zeros, nan and infinities.  From row ``first_calibrated`` on,
+    the calibrated temperature and pressure differ from the raw ones."""
     rng = random.Random(seed)
-    db = CentralDatabase()
     positions = [rng.uniform(0.0, 100.0) for _ in range(6)] + list(SPECIAL)
+    records = []
     for i in range(rows):
         def value(field_index):
             if rng.random() < 0.05:
@@ -183,30 +210,30 @@ def special_db(rows, seed=5):
             if field_index % 2:
                 return round(rng.uniform(-50.0, 50.0), 1)  # quantized, as sampled
             return rng.uniform(-1e6, 1e6)  # full precision
-        raw = SensorReading(1800 * (i // 40), *(value(f) for f in range(len(SENSOR_FIELDS))))
-        db.add(StoredRecord(
-            timestamp=raw.timestamp, node_id=i % 40, region_id=1 + i % 5,
-            raw=raw, calibrated=replace(raw, temperature_c=1.02 * raw.temperature_c - 0.5,
-                                        pressure_hpa=raw.pressure_hpa + 0.25),
-            battery_mj_remaining=rng.choice((rng.uniform(0.0, 2e7), -0.0, math.inf)),
-            frames_dropped=rng.randrange(5),
-            location=GeoPoint(rng.choice(positions), rng.choice(positions)),
-            route="-".join(str(rng.randrange(9)) for _ in range(rng.randrange(1, 4))),
-        ))
-    return db
-
-
-def column_bytes(db):
-    return [c if type(c) is list else c.tobytes() for c in db._csv_columns()]
+        raw = [value(f) for f in range(len(SENSOR_FIELDS))]
+        cal = list(raw)
+        if i >= first_calibrated:
+            cal[0] = 1.02 * raw[0] - 0.5  # temperature_c
+            cal[3] = raw[3] + 0.25  # pressure_hpa
+        battery = rng.choice((rng.uniform(0.0, 2e7), -0.0, math.inf))
+        dropped = rng.randrange(5)
+        x, y = rng.choice(positions), rng.choice(positions)
+        route = "-".join(str(rng.randrange(9)) for _ in range(rng.randrange(1, 4)))
+        records.append((1 + i % 5, i % 40, 1800 * (i // 40), x, y, route, battery, dropped,
+                        *raw, *cal))
+    return list(reference_to_csv_lines(records))
 
 
 def test_block_codec_matches_row_wise_reference():
     rows = 3 * CSV_BLOCK_ROWS + 123
-    db = special_db(rows)
+    text = special_lines(rows)
+    db = CentralDatabase.from_csv_lines(text)
     assert len(db) == rows
     lines = list(db.to_csv_lines())
-    assert lines == list(reference_to_csv_lines(db))
-    assert column_bytes(CentralDatabase.from_csv_lines(lines)) == column_bytes(db)
+    assert lines == text
+    assert lines == list(reference_to_csv_lines(rows_of(db)))
+    assert column_bytes(db._csv_columns()) == column_bytes(
+        reference_from_csv_lines(text).columns())
     # blank lines, mixed line endings, a duplicate inside the first block,
     # one of an earlier block's row, one of a later block's row and one
     # straddling a block boundary
@@ -220,36 +247,78 @@ def test_block_codec_matches_row_wise_reference():
     text = [lines[0]] + body
     again = CentralDatabase.from_csv_lines(text)
     ref = reference_from_csv_lines(text)
-    assert column_bytes(again) == column_bytes(ref)
-    assert again._keys is None  # released after the last block
-    assert again._known_keys() == ref._keys == db._keys
+    assert column_bytes(again._csv_columns()) == column_bytes(ref.columns())
+    assert again._exact is None  # released after the last block
+    keys = set(map(CentralDatabase._key, again.region, again.node, again.ts))
+    assert keys == ref.keys == set(map(CentralDatabase._key, db.region, db.node, db.ts))
     assert list(again.duplicates_by_region.items()) == list(ref.duplicates_by_region.items())
     assert sum(again.duplicates_by_region.values()) == 4
-    assert list(again.to_csv_lines()) == list(reference_to_csv_lines(ref))
+    assert list(again.to_csv_lines()) == list(reference_to_csv_lines(ref.rows))
 
 
 def test_cal_column_equal_by_value_keeps_its_own_text():
     # raw -0.0 and calibrated 0.0 compare equal but print differently
-    db = CentralDatabase()
-    for t in (0, 1800):
-        raw = make_reading(t=t, precip=-0.0)
-        db.add(StoredRecord(t, 1, 1, raw, replace(raw, precipitation_mm=0.0),
-                            1.0, 0, GeoPoint(0.0, 0.0), "0"))
+    reading = make_reading(precip=-0.0)
+    raw = [getattr(reading, f) for f in SENSOR_FIELDS]
+    cal = [0.0 if f == "precipitation_mm" else v for f, v in zip(SENSOR_FIELDS, raw)]
+    text = list(reference_to_csv_lines(
+        (1, 1, t, 0.0, 0.0, "0", 1.0, 0, *raw, *cal) for t in (0, 1800)))
+    db = CentralDatabase.from_csv_lines(text)
+    assert db.cal is not db.raw
     lines = list(db.to_csv_lines())
-    assert lines == list(reference_to_csv_lines(db))
+    assert lines == text == list(reference_to_csv_lines(rows_of(db)))
     assert lines[1].split(",")[9] == "-0.0" and lines[1].split(",")[16] == "0.0"
+
+
+def test_calibration_first_differing_in_third_block():
+    first = 2 * CSV_BLOCK_ROWS + 5
+    text = special_lines(3 * CSV_BLOCK_ROWS + 10, first_calibrated=first)
+    db = CentralDatabase.from_csv_lines(text)
+    assert db.cal is not db.raw
+    for f in SENSOR_FIELDS:
+        assert db.cal[f][:first].tobytes() == db.raw[f][:first].tobytes()
+    assert db.cal["temperature_c"][first:] != db.raw["temperature_c"][first:]
+    assert list(db.to_csv_lines()) == text
+    assert column_bytes(db._csv_columns()) == column_bytes(
+        reference_from_csv_lines(text).columns())
+    # a record added afterwards is calibrated as its raw reading
+    t = 1 << 30
+    assert db.add(StoredRecord(t, 3, 1, make_reading(t=t), 1.0, 0, GeoPoint(0.0, 0.0), "0"))
+    assert len(db.cal["temperature_c"]) == len(db)
+    assert db.cal["temperature_c"][-1] == db.raw["temperature_c"][-1] == 20.0
+
+
+@pytest.mark.parametrize("own", [(False, False), (True, False), (False, True), (True, True)],
+                         ids=["aliased", "own-here", "own-sent", "own-both"])
+def test_send_receive_keeps_each_calibration(own):
+    """A database with its own calibrated columns sends them, and one
+    that receives them from an aliased database, or sends its raw ones
+    to one with its own, stores each row's calibration as it was."""
+    here_own, sent_own = own
+    text = special_lines(40, first_calibrated=0 if here_own else 40)
+    other = special_lines(60, seed=6, first_calibrated=0 if sent_own else 60)
+    other = [other[0]] + ["9" + line[line.index(","):] for line in other[1:]]  # region 9
+    here, sent = CentralDatabase.from_csv_lines(text), CentralDatabase.from_csv_lines(other)
+    assert (here.cal is not here.raw, sent.cal is not sent.raw) == own
+    receiver, sender = multiprocessing.Pipe(duplex=False)
+    sent.send(sender)
+    here.receive(receiver)
+    receiver.close()
+    sender.close()
+    assert list(here.to_csv_lines()) == text + other[1:]
+    assert (here.cal is here.raw) == (own == (False, False))
 
 
 @pytest.mark.parametrize("cut", [+1, -1], ids=["23-fields", "21-fields"])
 def test_csv_row_with_wrong_field_count_rejected(cut):
-    lines = list(special_db(5).to_csv_lines())
+    lines = special_lines(5)
     lines[3] = lines[3] + ",7" if cut > 0 else lines[3].rsplit(",", 1)[0]
     with pytest.raises(BackboneError, match=f"line 4: {22 + cut} fields, expected 22"):
         CentralDatabase.from_csv_lines(lines)
 
 
 def test_csv_bad_cell_names_its_line():
-    lines = list(special_db(5).to_csv_lines())
+    lines = special_lines(5)
     cells = lines[5].split(",")
     cells[10] = "wet"
     lines[5] = ",".join(cells)
@@ -273,3 +342,94 @@ def test_csv_bad_cell_names_its_line():
         good[column] = str(value)
         lines[5] = ",".join(good)
         assert len(CentralDatabase.from_csv_lines(lines)) == 5
+
+
+# -- duplicate check against a plain key set ---------------------------------------
+
+# few regions, nodes and timestamps, so that keys repeat and fall below
+# their node's high-water mark; the regions span the signed byte
+KEY = st.tuples(st.sampled_from((-128, -1, 0, 1, 127)), st.sampled_from((0, 1, 16383)),
+                st.integers(0, 5))
+KEYS = st.lists(KEY, max_size=30)
+
+
+def key_row(i, region, node, ts):
+    """A row in CSV_COLUMNS order whose battery tells the occurrence i apart."""
+    values = [float(ts + region)] * len(SENSOR_FIELDS)
+    return (region, node, ts, 0.0, 1.0, "0", float(i), 0, *values, *values)
+
+
+def below_mark(ref, row):
+    """Whether the row's key lies below its node's highest stored key."""
+    keys = [CentralDatabase._key(*r[:3]) for r in ref.rows if r[:2] == row[:2]]
+    return bool(keys) and CentralDatabase._key(*row[:3]) < max(keys)
+
+
+def add_rows(db, ref, rows):
+    """Add each row to the database and the reference; whether any key
+    fell below its node's mark."""
+    fell = False
+    for row in rows:
+        fell |= below_mark(ref, row)
+        reading = SensorReading(row[2], *row[8:15])
+        stored = db.add(StoredRecord(row[2], row[1], row[0], reading, row[6], row[7],
+                                     GeoPoint(row[3], row[4]), row[5]))
+        assert stored == ref.add(row)
+    return fell
+
+
+def assert_same(db, ref):
+    assert rows_of(db) == ref.rows
+    assert db.duplicates_by_region == ref.duplicates_by_region
+    assert db.cal is db.raw
+
+
+@settings(max_examples=150, deadline=None)
+@given(keys=KEYS, more=KEYS, sent=KEYS, cut=st.integers(0, 30))
+def test_duplicate_check_matches_a_key_set(keys, more, sent, cut):
+    rows = [key_row(i, *k) for i, k in enumerate(keys + more)]
+    # through add
+    db, ref = CentralDatabase(), ReferenceDatabase()
+    fell = add_rows(db, ref, rows)
+    assert_same(db, ref)
+    assert (db._exact is not None) == fell
+    # through add, with the keys released part way
+    db, ref = CentralDatabase(), ReferenceDatabase()
+    add_rows(db, ref, rows[:cut])
+    db.release_keys()
+    fell = add_rows(db, ref, rows[cut:])
+    assert_same(db, ref)
+    assert (db._exact is not None) == fell
+    # through add after receiving another database's region 9
+    db, ref = CentralDatabase(), ReferenceDatabase()
+    add_rows(db, ref, rows[:len(keys)])
+    other = CentralDatabase()
+    add_rows(other, ref, [key_row(100 + i, 9, n, t) for i, (_, n, t) in enumerate(sent)])
+    receiver, sender = multiprocessing.Pipe(duplex=False)
+    other.send(sender)
+    db.receive(receiver)
+    receiver.close()
+    sender.close()
+    later = rows[len(keys):] + [key_row(200 + i, 9, n, t) for i, (_, n, t) in enumerate(more)]
+    fell = add_rows(db, ref, later)
+    assert_same(db, ref)
+    assert (db._exact is not None) == fell
+    # through the CSV reader, in blocks of three rows
+    ref, fell = ReferenceDatabase(), False
+    for row in rows:
+        fell |= below_mark(ref, row)
+        ref.add(row)
+    exact_at_release = []
+    release = CentralDatabase.release_keys
+
+    def spy(self):
+        exact_at_release.append(self._exact is not None)
+        release(self)
+
+    with (mock.patch.object(backbone, "CSV_BLOCK_ROWS", 3),
+          mock.patch.object(CentralDatabase, "release_keys", spy)):
+        db = CentralDatabase.from_csv_lines(reference_to_csv_lines(rows))
+    assert_same(db, ref)
+    # a block whose keys all lie above their marks is taken whole, in any
+    # row order, so here a key below its mark need not build the set
+    assert exact_at_release in ([False], [fell])

@@ -136,6 +136,34 @@ def test_configs_that_cannot_run_meaningfully_rejected(data, message):
         config_from_dict({"routing_mode": "diffusion", **data})
 
 
+CAP_EXCEEDED = r"env.noise_innovation_cap_c lets consecutive samples differ by {} C, " \
+    r"beyond env.slow_change_cap_c"
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"env": {"noise_rho": 1.0}}, r"env.noise_rho must lie in \[0, 1\)"),
+    ({"env": {"noise_rho": -0.1}}, r"env.noise_rho must lie in \[0, 1\)"),
+    ({"env": {"noise_innovation_cap_c": 0.75}}, CAP_EXCEEDED.format(r"1\.504")),
+    ({"env": {"noise_innovation_cap_c": -0.75}}, CAP_EXCEEDED.format(r"1\.504")),
+    ({"env": {"slow_change_cap_c": 1.4}}, CAP_EXCEEDED.format(r"1\.404")),
+    # a weekly period steps the default seasonal curve by up to 0.964 C
+    ({"reporting_period_s": 7 * 86_400}, CAP_EXCEEDED.format(r"2\.365")),
+    ({"regions": [{"region_id": 1, "climatology": {"seasonal_amplitude_c": 300.0}}]},
+     CAP_EXCEEDED.format(r"1\.509")),
+], ids=["rho_one", "rho_negative", "innovation_cap", "negative_cap", "slow_cap", "weekly",
+        "amplitude"])
+def test_slow_change_cap_is_a_checked_bound(data, message):
+    with pytest.raises(ValidationError, match=message):
+        config_from_dict(data)
+
+
+def test_noise_settings_within_the_slow_change_cap_accepted():
+    # the defaults: 2 * 0.7 + 8 * 2 pi * 1800 / YEAR_S + 0.001 = 1.404 C, under 1.5 C
+    assert config_from_dict({}).env.slow_change_cap_c == 1.5
+    cfg = config_from_dict({"env": {"noise_innovation_cap_c": 0.74, "noise_rho": 0.0}})
+    assert (cfg.env.noise_innovation_cap_c, cfg.env.noise_rho) == (0.74, 0.0)
+
+
 def test_smallest_meaningful_values_accepted():
     cfg = config_from_dict({
         "routing_mode": "diffusion", "data_cache_cap": 1, "local_db_capacity": 1,

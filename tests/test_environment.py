@@ -1,7 +1,10 @@
+import math
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from droughtnet.config import ValidationError, config_from_dict
 from droughtnet.environment import (
     YEAR_S,
     Climatology,
@@ -145,6 +148,35 @@ def test_slow_change_cap_holds(seed):
         if prev is not None:
             assert abs(r.temperature_c - prev) <= model.params.slow_change_cap_c
         prev = r.temperature_c
+
+
+@settings(max_examples=25, deadline=None)
+@given(rho=st.floats(0.0, 0.99), sigma=st.floats(0.0, 4.0), share=st.floats(0.0, 1.3),
+       amplitude=st.floats(0.0, 40.0), period=st.sampled_from([1800, 6 * 3600, 86_400]),
+       seed=st.integers(0, 2**32))
+def test_validated_noise_settings_keep_the_slow_change_cap(rho, sigma, share, amplitude,
+                                                          period, seed):
+    # the innovation cap takes a share of what the seasonal step and the
+    # rounding leave of the slow-change cap; validate() accepts up to all of it
+    step = amplitude * 2 * math.pi * period / YEAR_S
+    cap = share * (1.5 - step - 0.001) / 2
+    assume(cap >= 0 and abs(share - 1.0) > 1e-9)
+    data = {
+        "reporting_period_s": period,
+        "env": {"noise_rho": rho, "noise_sigma_c": sigma, "noise_innovation_cap_c": cap},
+        "regions": [{"region_id": 1, "climatology": {"seasonal_amplitude_c": amplitude}}],
+    }
+    if share > 1.0:
+        with pytest.raises(ValidationError, match="env.slow_change_cap_c"):
+            config_from_dict(data)
+        return
+    cfg = config_from_dict(data)
+    model = make_model(scenarios={r: DroughtScenario() for r in range(1, 6)}, params=cfg.env,
+                       period=period)
+    model.climatology[1] = cfg.regions[0].climatology
+    sampler = model.sampler(1, GeoPoint(5.0, 5.0), RngStream(seed, "env"))
+    temps = [sampler.sample(k * period).temperature_c for k in range(400)]
+    assert max(abs(b - a) for a, b in zip(temps, temps[1:])) <= 1.5 + 1e-9
 
 
 def test_annual_precipitation_totals_match_normals():

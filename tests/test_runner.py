@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from droughtnet.backbone import CentralDatabase
 from droughtnet.config import ScenarioConfig, validate
 from droughtnet.geometry import GeoPoint
 from droughtnet.runner import (
@@ -45,6 +46,14 @@ def test_two_day_run_conserves_every_report(tmp_path):
         assert region["rf_losses"] == region["queue_losses"] == region["sleep_losses"] == 0
     for name in ("placement.json", "central_db.csv", "energy.csv", "run_report.json"):
         assert (tmp_path / name).exists()
+
+
+def test_report_file_holds_the_returned_wall_clock(tmp_path):
+    # one time, taken after every other export, in the file and the return value
+    started = time.perf_counter()
+    rep = run_scenario(cfg_days(2), out_dir=tmp_path)
+    stored = json.loads((tmp_path / "run_report.json").read_text(encoding="utf-8"))
+    assert 0 < stored["wall_clock_s"] == rep["wall_clock_s"] < time.perf_counter() - started
 
 
 def test_lossy_run_conservation_is_exact():
@@ -410,6 +419,41 @@ def test_exports_identical_for_every_process_count(tmp_path, cpus, started, mode
         assert len(started) == n - 1
     assert compare_runs(tmp_path / "1", tmp_path / "2") == []
     assert compare_runs(tmp_path / "1", tmp_path / "5") == []
+
+
+def assert_one_copy(db):
+    """The database holds each reading once and no per-record key
+    structure: its calibrated columns are its raw ones, and nothing but
+    its columns has an entry for every tenth record."""
+    assert db.cal is db.raw
+    columns = {id(col) for col in db._csv_columns()}
+    for name, value in vars(db).items():
+        if id(value) not in columns and hasattr(value, "__len__"):
+            assert len(value) < len(db) // 10, name
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_central_database_keeps_one_copy(monkeypatch, cpus, n):
+    released = []
+    release = CentralDatabase.release_keys
+
+    def checked_release(db):
+        assert_one_copy(db)
+        released.append(len(db))
+        release(db)
+
+    monkeypatch.setattr(CentralDatabase, "release_keys", checked_release)
+    cpus(n)
+    scn = build_scenario(cfg_days(2))
+    simulate(scn)
+    assert_one_copy(scn.central)
+    loaded = CentralDatabase.from_csv_lines(list(scn.central.to_csv_lines()))
+    assert_one_copy(loaded)
+    # with 2 processes, first when the child's regions arrive; then at the
+    # end of simulate and of the load
+    assert len(released) == n + 1
+    assert released[-2:] == [len(loaded)] * 2
+    assert len(loaded) == 5 * 9 * 96
 
 
 def on_finalize(monkeypatch, actions):
