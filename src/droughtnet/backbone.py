@@ -60,6 +60,20 @@ CSV_COLUMNS = (
     + [f"cal_{f}" for f in SENSOR_FIELDS]
 )
 _BELOW_ANY_KEY = REGION_ID_RANGE[0] << 55  # a key's region field is a signed byte
+_NEGATIVE_ZERO = array("d", [-0.0]).tobytes()
+
+
+class _ReprCache(dict):
+    """Value -> its ``repr``, formatted at the first lookup.  NaN equals
+    no key, so it is formatted at every lookup and never kept."""
+
+    __slots__ = ()
+
+    def __missing__(self, value):
+        text = repr(value)
+        if value == value:
+            self[value] = text
+        return text
 
 
 class CentralDatabase:
@@ -183,12 +197,24 @@ class CentralDatabase:
 
     def to_csv_lines(self):
         """Header, then one line per record (no trailing newline); every
-        number as its ``repr``, rows formatted one block at a time."""
+        number as its ``repr``, rows formatted one block at a time.  Each
+        distinct value of a float column is formatted once per call, except
+        in the battery column: a running total, nearly every value distinct."""
         yield ",".join(CSV_COLUMNS)
         columns = self._stored_columns()
+        caches = [_ReprCache() if type(col) is not list and col.typecode == "d"
+                  and col is not self.battery else None for col in columns]
         for start in range(0, len(self.ts), CSV_BLOCK_ROWS):
-            cells = [part if type(part) is list else list(map(repr, part))  # routes as they are
-                     for part in (col[start:start + CSV_BLOCK_ROWS] for col in columns)]
+            cells = []
+            for col, cache in zip(columns, caches):
+                part = col[start:start + CSV_BLOCK_ROWS]
+                if type(part) is list:
+                    cells.append(part)  # routes as they are
+                elif cache is None or _NEGATIVE_ZERO in part.tobytes():
+                    # -0.0 is a key equal to 0.0: a false match costs only speed
+                    cells.append(list(map(repr, part)))
+                else:
+                    cells.append(list(map(cache.__getitem__, part)))
             if len(cells) < len(CSV_COLUMNS):
                 cells += cells[-len(SENSOR_FIELDS):]  # aliased calibration: the raw cells
             yield from map(",".join, zip(*cells))

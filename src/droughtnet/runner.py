@@ -8,6 +8,7 @@ whose config echo reproduces the run exactly.
 
 from __future__ import annotations
 
+import filecmp
 import json
 import os
 import time
@@ -576,6 +577,7 @@ def compare_runs(dir_a: Path, dir_b: Path) -> list[str]:
     """Byte-compare run exports, optional ones included; the run report
     is compared structurally with the wall-clock field and the config's
     output directory dropped.  Returns mismatch descriptions."""
+    filecmp.clear_cache()  # its cached outcomes trust size and mtime
     problems = []
     for name in EXPORT_FILES + OPTIONAL_EXPORT_FILES:
         pa, pb = Path(dir_a) / name, Path(dir_b) / name
@@ -592,6 +594,6 @@ def compare_runs(dir_a: Path, dir_b: Path) -> list[str]:
             if ra != rb:
                 keys = [k for k in ra if ra.get(k) != rb.get(k)]
                 problems.append(f"{name}: differs at {keys}")
-        elif pa.read_bytes() != pb.read_bytes():
+        elif not filecmp.cmp(pa, pb, shallow=False):
             problems.append(f"{name}: byte mismatch")
     return problems

@@ -708,7 +708,7 @@ class SensorNode:
                 if pkt.kind == KIND_DATA:
                     self.counters.rf_losses += 1
             else:
-                self.kernel.send_delayed(self.entity_id, pkt.dst, pkt, arrive - now)
+                self.kernel.schedule(arrive, pkt.dst, Message(self.entity_id, pkt))
         else:
             d = self.link_range_km
             self.ledger.tx_mJ += bits * (self._e_bit_mj + self._amp_bit_mj * d * d)
@@ -719,8 +719,8 @@ class SensorNode:
             else:
                 receivers = self.neighbors
             if receivers:
-                self.kernel.send_delayed(self.entity_id, self.entity_id,
-                                         BroadcastFan(pkt, receivers), arrive - now)
+                self.kernel.schedule(arrive, self.entity_id,
+                                     Message(self.entity_id, BroadcastFan(pkt, receivers)))
         if queue:
             self.kernel.schedule(channel.busy_until, self.entity_id, MAC_RETRY)
 

@@ -270,6 +270,55 @@ def test_cal_column_equal_by_value_keeps_its_own_text():
     assert lines[1].split(",")[9] == "-0.0" and lines[1].split(",")[16] == "0.0"
 
 
+def signed_zero_rows():
+    """Rows in CSV_COLUMNS order, three blocks and a partial one, whose
+    columns the export formats through its per-column caches: 0.0 and
+    -0.0 in one block in both orders (temperature), in alternate blocks
+    (precipitation, x), repeated nan and infinities (humidity) and a
+    repeated full-precision value (pressure)."""
+    full = 0.1 + 0.2
+    rows = []
+    for i in range(3 * CSV_BLOCK_ROWS + 77):
+        block = i // CSV_BLOCK_ROWS
+        alternate = -0.0 if block % 2 else 0.0
+        sign = -1 if block % 2 else 1  # block 0 starts with 0.0, block 1 with -0.0
+        raw = [
+            0.0 * sign * (-1) ** i,
+            alternate,
+            (math.nan, math.inf, -math.inf, 55.5)[i % 4],
+            full if i % 3 else 1013.25,
+            float(i % 7),
+            -0.0 if i % 5 == 0 else 180.0,
+            10.0 + full,
+        ]
+        rows.append((1, i % 40, 1800 * (i // 40), alternate, full, "0-1", -0.0 if i % 9 else 7e6,
+                     i % 3, *raw, *raw))
+    return rows
+
+
+@pytest.mark.parametrize("own", [False, True], ids=["aliased", "own"])
+def test_repr_caches_keep_every_cell_exact(own):
+    rows = signed_zero_rows()
+    if own:  # calibrated cells with the zeros' signs flipped
+        n = len(SENSOR_FIELDS)
+        rows = [row[:-n] + tuple(-v for v in row[-n:]) for row in rows]
+    db = CentralDatabase.from_csv_lines(reference_to_csv_lines(rows))
+    assert (db.cal is not db.raw) == own
+    lines = list(db.to_csv_lines())
+    assert lines == list(reference_to_csv_lines(rows_of(db))) == list(reference_to_csv_lines(rows))
+    assert list(db.to_csv_lines()) == lines
+    cells = [line.split(",") for line in lines[1:]]
+    temperature = CSV_COLUMNS.index("raw_temperature_c")
+    assert [c[temperature] for c in cells[:4]] == ["0.0", "-0.0", "0.0", "-0.0"]
+    first = CSV_BLOCK_ROWS
+    assert [c[temperature] for c in cells[first:first + 4]] == ["-0.0", "0.0", "-0.0", "0.0"]
+    assert {c[3] for c in cells[:first]} == {"0.0"}
+    assert {c[3] for c in cells[first:2 * first]} == {"-0.0"}
+    humidity = CSV_COLUMNS.index("raw_humidity_pct")
+    assert [c[humidity] for c in cells[:8]] == ["nan", "inf", "-inf", "55.5"] * 2
+    assert {c[4] for c in cells} == {"0.30000000000000004"}
+
+
 def test_calibration_first_differing_in_third_block():
     first = 2 * CSV_BLOCK_ROWS + 5
     text = special_lines(3 * CSV_BLOCK_ROWS + 10, first_calibrated=first)

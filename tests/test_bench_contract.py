@@ -23,3 +23,16 @@ def test_traced_bench_repetition_counts_every_layer(tmp_path):
     assert result["problems"] == []
     for name in ("kernel.schedule_calls", "stack.events.link", "backbone.central_add_calls"):
         assert result[name] > 0, name
+
+
+def test_untraced_export_rounds_agree(tmp_path):
+    """A second export round must give the first one's digest, and
+    classify the run's labels, as the benchmark's repetitions check."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "rep.py"), "--routing", "combined", "--days", "2",
+         "--seed", "1", "--rounds", "2", "--work", str(tmp_path / "work")],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])["problems"] == []

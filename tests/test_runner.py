@@ -1,3 +1,4 @@
+import filecmp
 import hashlib
 import json
 import math
@@ -191,6 +192,23 @@ def test_compare_runs_flags_tampering(tmp_path):
         fh.write("tampered\n")
     problems = compare_runs(tmp_path / "a", tmp_path / "b")
     assert problems == ["energy.csv: byte mismatch"]
+
+
+def test_compare_runs_reads_past_the_first_chunk(tmp_path):
+    body = bytes(range(256)) * (3 * filecmp.BUFSIZE // 256) + b"tail"
+    for side, last in (("a", b"\n"), ("b", b"\r"), ("c", b"\n")):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "central_db.csv").write_bytes(body + last)
+    assert compare_runs(tmp_path / "a", tmp_path / "b") == ["central_db.csv: byte mismatch"]
+    # same size and mtime: neither a shallow comparison nor an outcome
+    # cached for these stat signatures may stand in for the bytes
+    mtime_ns = (tmp_path / "a" / "central_db.csv").stat().st_mtime_ns
+    path = tmp_path / "c" / "central_db.csv"
+    os.utime(path, ns=(mtime_ns, mtime_ns))
+    assert compare_runs(tmp_path / "a", tmp_path / "c") == []
+    path.write_bytes(body + b"\r")
+    os.utime(path, ns=(mtime_ns, mtime_ns))
+    assert compare_runs(tmp_path / "a", tmp_path / "c") == ["central_db.csv: byte mismatch"]
 
 
 def test_placement_export_shape(tmp_path):
