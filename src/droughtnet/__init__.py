@@ -16,7 +16,6 @@ from .backbone import (
     CentralDatabase,
     LocalBaseStation,
     RemoteBaseStation,
-    StoredRecord,
 )
 from .config import ScenarioConfig, load_config, validate
 from .energy import EnergyLedger, EnergyParams

@@ -3,11 +3,11 @@ storage and the remote base station holding the comprehensive
 observational database.  The line-of-sight backbone's reach is checked
 by ``config.validate``.
 
-Every record keeps both raw and calibrated readings plus node health,
-location and a routing snapshot; a run stores the raw reading as the
-calibrated one, kept once.  The central store is append-only and keyed
-by (region, node, timestamp); duplicates are rejected and counted.
-Storage is columnar so a full simulated year stays memory-light.
+The sink's ``DataMessage`` is the record, stored and uplinked as is.
+Every central row keeps raw and calibrated readings, stored once as a
+run calibrates as raw, plus node health, location and route.  The store
+is append-only, columnar and keyed by (region, node, timestamp);
+duplicates are rejected and counted.
 """
 
 from __future__ import annotations
@@ -15,10 +15,9 @@ from __future__ import annotations
 import sys
 from array import array
 from collections import Counter, deque
-from dataclasses import dataclass
 from itertools import compress, islice, repeat
 
-from .environment import SENSOR_FIELDS, SensorReading
+from .environment import SENSOR_FIELDS
 from .geometry import GeoPoint
 from .kernel import EntityId, EntityKind, Kernel, Message
 from .stack import DataMessage, TransportLink, transport_dispatch
@@ -37,20 +36,6 @@ CSV_BLOCK_ROWS = 1024
 
 class BackboneError(Exception):
     pass
-
-
-@dataclass(slots=True)
-class StoredRecord:
-    """One database row: raw reading, health, location, route."""
-
-    timestamp: int
-    node_id: int
-    region_id: int
-    raw: SensorReading
-    battery_mj_remaining: float
-    frames_dropped: int
-    location: GeoPoint
-    route: str
 
 
 CSV_COLUMNS = (
@@ -79,12 +64,13 @@ class _ReprCache(dict):
 class CentralDatabase:
     """Append-only columnar store keyed by (region, node, timestamp).
 
-    ``cal`` is ``raw`` (the same arrays) until a loaded CSV block's
-    calibrated cells differ from its raw ones.  A key above its node's
-    high-water mark, the highest key stored for its (region, node), is
-    new, and one equal to it a duplicate.  The first key below it builds
-    an exact set of the stored keys, which then checks every key until
-    ``release_keys``."""
+    It records a run (``add``, then ``send`` or ``receive``) or holds a
+    loaded file (``from_csv_lines``); ``add`` raises once ``receive`` or
+    the load has released the keys.  ``cal`` is ``raw`` (the same arrays)
+    unless a loaded block's calibrated cells differ from its raw ones.  A
+    key above its node's high-water mark, the highest key stored for its
+    (region, node), is new, and one equal to it a duplicate.  The first
+    key below it builds an exact set of the stored keys."""
 
     def __init__(self):
         self.region = array("b")
@@ -95,6 +81,7 @@ class CentralDatabase:
         self.battery = array("d")
         self.frames_dropped = array("q")
         self.routes: list[str] = []
+        self._route_text: dict[tuple, str] = {}  # route tuple -> its cell, one per distinct route
         self.raw = {f: array("d") for f in SENSOR_FIELDS}
         self.cal = self.raw
         self._appends = tuple(col.append for col in self._stored_columns())
@@ -111,18 +98,16 @@ class CentralDatabase:
         return (region << 54) | (node << 40) | ts
 
     def release_keys(self) -> None:
-        """Free the exact key set, if any, when no more adds are expected;
-        the next add rebuilds the high-water marks from the columns."""
+        """Free the key marks and the exact key set, if any: the database
+        takes no more adds."""
         self._exact = self._marks = None
 
     def _admit(self, k: int, pending=()) -> bool:
         """Whether key k is new, recording it if so; ``pending`` holds
         the keys admitted but not yet in the columns."""
-        exact, marks = self._exact, self._marks
+        exact = self._exact
         if exact is None:
-            if marks is None:  # released: rebuilt from the columns
-                keys = sorted(map(self._key, self.region, self.node, self.ts))
-                marks = self._marks = {key >> 40: key for key in keys}
+            marks = self._marks
             mark = marks.get(k >> 40, _BELOW_ANY_KEY)
             if k > mark:
                 marks[k >> 40] = k
@@ -136,12 +121,16 @@ class CentralDatabase:
         exact.add(k)
         return True
 
-    def add(self, rec: StoredRecord) -> bool:
-        """Append a record; False (and a counter bump) on a duplicate key."""
-        region_id = rec.region_id
-        k = (region_id << 54) | (rec.node_id << 40) | rec.timestamp  # _key, inlined
+    def add(self, region_id: int, location: GeoPoint, msg: DataMessage) -> bool:
+        """Append the reading of a sink's message with its node's health
+        and route; False (and a counter bump) on a duplicate key."""
         marks = self._marks
-        if marks is not None and self._exact is None and k > marks.get(k >> 40, _BELOW_ANY_KEY):
+        if marks is None:
+            raise BackboneError("add to a central database whose keys are released")
+        r = msg.reading
+        node_id = msg.origin_index
+        k = (region_id << 54) | (node_id << 40) | r.timestamp  # _key, inlined
+        if self._exact is None and k > marks.get(k >> 40, _BELOW_ANY_KEY):
             marks[k >> 40] = k
         elif not self._admit(k):
             dups = self.duplicates_by_region
@@ -151,15 +140,16 @@ class CentralDatabase:
         (region, node, ts, x, y, route, battery, dropped,
          temp, precip, hum, pres, wspeed, wdir, ground) = self._appends
         region(region_id)
-        node(rec.node_id)
-        ts(rec.timestamp)
-        loc = rec.location
-        x(loc.x_km)
-        y(loc.y_km)
-        route(sys.intern(rec.route))
-        battery(rec.battery_mj_remaining)
-        dropped(rec.frames_dropped)
-        r = rec.raw
+        node(node_id)
+        ts(r.timestamp)
+        x(location.x_km)
+        y(location.y_km)
+        text = self._route_text.get(msg.route)
+        if text is None:
+            text = self._route_text[msg.route] = "-".join(map(str, msg.route))
+        route(text)
+        battery(msg.battery_mj)
+        dropped(msg.frames_dropped)
         temp(r.temperature_c)
         precip(r.precipitation_mm)
         hum(r.humidity_pct)
@@ -167,9 +157,6 @@ class CentralDatabase:
         wspeed(r.wind_speed_ms)
         wdir(r.wind_dir_deg)
         ground(r.groundwater_m)
-        if self.cal is not self.raw:  # a loaded file's; a run calibrates as raw
-            for f in SENSOR_FIELDS:
-                self.cal[f].append(getattr(r, f))
         return True
 
     def region_counts(self) -> dict[int, int]:
@@ -190,10 +177,6 @@ class CentralDatabase:
         """The CSV columns' storage, each array once (cal only if not raw)."""
         columns = self._csv_columns()
         return columns if self.cal is not self.raw else columns[:-len(SENSOR_FIELDS)]
-
-    def _own_calibration(self) -> None:
-        """Calibrated columns of its own: copies of the raw values so far."""
-        self.cal = {f: self.raw[f][:] for f in SENSOR_FIELDS}
 
     def to_csv_lines(self):
         """Header, then one line per record (no trailing newline); every
@@ -244,10 +227,9 @@ class CentralDatabase:
         return db
 
     def send(self, conn) -> None:
-        """Send the records down a ``multiprocessing`` connection, one
+        """Send a run's records down a ``multiprocessing`` connection, one
         column per message so that neither end copies them all at once,
         then the duplicate counts."""
-        conn.send(len(self._stored_columns()))
         for col in self._stored_columns():
             if type(col) is list:
                 conn.send(col)  # routes
@@ -256,21 +238,15 @@ class CentralDatabase:
         conn.send(self.duplicates_by_region)
 
     def receive(self, conn) -> None:
-        """Append what ``send`` sent from a database of other regions, so
-        that no key of it is stored here, and add its duplicate counts;
+        """Append what ``send`` sent from a run's database of other regions,
+        so that no key of it is stored here, and add its duplicate counts;
         releases the keys (see ``release_keys``)."""
         self.release_keys()
-        n_sent, n = conn.recv(), len(self)
-        if n_sent > len(self._stored_columns()):  # the sender's own calibration
-            self._own_calibration()
-        for col in self._stored_columns()[:n_sent]:
+        for col in self._stored_columns():
             if type(col) is list:
                 col.extend(conn.recv())
             else:
                 col.frombytes(conn.recv_bytes())
-        if self.cal is not self.raw and n_sent < len(CSV_COLUMNS):
-            for f in SENSOR_FIELDS:  # the sender's calibration was its raw
-                self.cal[f].extend(self.raw[f][n:])
         for region, count in conn.recv().items():
             self.duplicates_by_region[region] = self.duplicates_by_region.get(region, 0) + count
 
@@ -280,7 +256,7 @@ class CentralDatabase:
         n_fields = len(SENSOR_FIELDS)
         if self.cal is self.raw:
             if any(parts[k] is not parts[k - n_fields] for k in range(-n_fields, 0)):
-                self._own_calibration()  # the first block calibrated otherwise than raw
+                self.cal = {f: self.raw[f][:] for f in SENSOR_FIELDS}  # calibrated otherwise
             else:
                 parts = parts[:-n_fields]
         region = parts[0]
@@ -373,21 +349,25 @@ def _raise_bad_value(chunk: list, columns: list, lineno: int) -> None:
 
 
 class RemoteBaseStation:
-    """Central processing unit: owns the observational database."""
+    """Central processing unit: stores one region's messages centrally."""
 
-    def __init__(self, kernel: Kernel, central: CentralDatabase):
+    def __init__(self, kernel: Kernel, central: CentralDatabase, region_id: int,
+                 node_locations: dict[int, GeoPoint]):
         self.entity_id = EntityId(EntityKind.REMOTE_BASE_STATION, 0)
         self.central = central
+        self.region_id = region_id
+        self.node_locations = node_locations
         kernel.register(self)
 
     def handle(self, payload):
-        if isinstance(payload, Message) and transport_dispatch(payload.body, payload.src):
+        if isinstance(payload, Message) and transport_dispatch(payload.body):
             return
         raise BackboneError(f"unexpected payload at remote base station: {payload!r}")
 
-    def receive_entry(self, entry: list, src: EntityId) -> None:
-        """Store the record of a local-store entry sent on an uplink."""
-        self.central.add(entry[0])
+    def receive_entry(self, entry: list) -> None:
+        """Store the message of a local-store entry sent on an uplink."""
+        msg = entry[0]
+        self.central.add(self.region_id, self.node_locations[msg.origin_index], msg)
 
 
 class LocalBaseStation:
@@ -403,7 +383,6 @@ class LocalBaseStation:
         kernel: Kernel,
         region_id: int,
         remote: RemoteBaseStation,
-        node_locations: dict[int, GeoPoint],
         capacity: int = DEFAULT_LOCAL_DB_CAPACITY,
         *,
         loss_prob: float = 0.0,
@@ -412,11 +391,8 @@ class LocalBaseStation:
         ack_timeout_s: int = 2,
     ):
         self.entity_id = EntityId(EntityKind.LOCAL_BASE_STATION, region_id)
-        self.region_id = region_id
-        self.node_locations = node_locations
         self.capacity = capacity
-        self.local_db: deque[list] = deque()  # [record, acked], oldest first
-        self._route_cache: dict[tuple, str] = {}
+        self.local_db: deque[list] = deque()  # [message, acked], oldest first
         self.uplink = TransportLink(
             kernel,
             self.entity_id,
@@ -434,24 +410,17 @@ class LocalBaseStation:
         kernel.register(self)
 
     def handle(self, payload):
-        if isinstance(payload, Message) and transport_dispatch(payload.body, payload.src):
+        if isinstance(payload, Message) and transport_dispatch(payload.body):
             return
         raise BackboneError(f"unexpected payload at base station: {payload!r}")
 
     # -- ingestion ------------------------------------------------------------
 
     def ingest(self, msg: DataMessage) -> None:
-        """Store locally and forward on the reliable uplink; the central
-        database stores the raw reading as the calibrated one."""
-        raw = msg.reading
-        route = self._route_cache.get(msg.route)
-        if route is None:
-            route = self._route_cache[msg.route] = "-".join(str(i) for i in msg.route)
-        node_id = msg.origin_index
-        record = StoredRecord(raw.timestamp, node_id, self.region_id, raw, msg.battery_mj,
-                              msg.frames_dropped, self.node_locations[node_id], route)
+        """Store the sink's message locally and forward it on the reliable
+        uplink; centrally its raw reading is stored as the calibrated one."""
         self.ingested += 1
-        entry = [record, False]
+        entry = [msg, False]
         local_db = self.local_db
         if len(local_db) >= self.capacity:
             self._evict_acked()

@@ -15,7 +15,7 @@ like), mimicking ADC resolution and keeping exports compact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .geometry import GeoPoint
 from .kernel import RngStream
@@ -61,11 +61,6 @@ class DroughtScenario:
     active_end_s: int | None = None  # None: active for the whole run
     wind_dir_deg: float | None = None  # advection wind override
     wind_speed_ms: float | None = None
-
-    def active(self, t: int) -> bool:
-        if t < self.active_start_s:
-            return False
-        return self.active_end_s is None or t < self.active_end_s
 
 
 @dataclass(frozen=True, slots=True)

@@ -246,8 +246,8 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
         station = LocalBaseStation(
             kernel,
             region_id=rc.region_id,
-            remote=RemoteBaseStation(kernel, central),
-            node_locations={base_index + i: p for i, p in enumerate(positions)},
+            remote=RemoteBaseStation(kernel, central, rc.region_id,
+                                     {base_index + i: p for i, p in enumerate(positions)}),
             capacity=cfg.local_db_capacity,
             loss_prob=cfg.backbone.loss_prob,
             latency_s=cfg.backbone.latency_s,

@@ -744,46 +744,24 @@ class SensorNode:
 # -- transport ----------------------------------------------------------------
 
 
-class _TxData:
-    __slots__ = ("link", "seqno", "payload")
-    tag = "tx_data"
+class _TxEvent:
+    """One transport event of a link: ``tag`` names it in the trace and
+    ``fire`` is the link method it calls, with the event, on dispatch."""
 
-    def __init__(self, link, seqno, payload):
-        self.link = link
+    __slots__ = ("tag", "fire", "seqno", "payload")
+
+    def __init__(self, tag, fire, seqno, payload=None):
+        self.tag = tag
+        self.fire = fire
         self.seqno = seqno
         self.payload = payload
 
 
-class _TxAck:
-    __slots__ = ("link", "seqno")
-    tag = "tx_ack"
-
-    def __init__(self, link, seqno):
-        self.link = link
-        self.seqno = seqno
-
-
-class _TxTimeout:
-    __slots__ = ("link", "seqno")
-    tag = "tx_timeout"
-
-    def __init__(self, link, seqno):
-        self.link = link
-        self.seqno = seqno
-
-
-def transport_dispatch(body, src: EntityId) -> bool:
+def transport_dispatch(body) -> bool:
     """Route transport bookkeeping payloads back to their link; entities
     call this from handle() for message bodies they do not own."""
-    t = type(body)
-    if t is _TxData:
-        body.link._on_data(body)
-        return True
-    if t is _TxAck:
-        body.link._on_ack(body)
-        return True
-    if t is _TxTimeout:
-        body.link._on_timeout(body)
+    if type(body) is _TxEvent:
+        body.fire(body)
         return True
     return False
 
@@ -802,7 +780,7 @@ class TransportLink:
         self.kernel = kernel
         self.src = src
         self.dst = dst
-        self.deliver = deliver  # called with (payload, src) at the destination
+        self.deliver = deliver  # called with the payload at the destination
         self.rng = rng
         self.loss_prob = loss_prob
         self.latency_s = latency_s
@@ -817,7 +795,7 @@ class TransportLink:
     def send(self, payload) -> None:
         if self.loss_prob == 0.0 and self.latency_s == 0:
             self.transmissions += 1
-            self.deliver(payload, self.src)
+            self.deliver(payload)
             self.on_acked(payload)
             return
         seqno = self._next_seq
@@ -829,21 +807,23 @@ class TransportLink:
         payload = self._pending[seqno][0]
         self.transmissions += 1
         if not (self.loss_prob and self.rng.random() < self.loss_prob):
-            self.kernel.send_delayed(self.src, self.dst, _TxData(self, seqno, payload), self.latency_s)
-        self.kernel.send_delayed(self.src, self.src, _TxTimeout(self, seqno),
-                                 self.latency_s * 2 + self.ack_timeout_s)
+            data = _TxEvent("tx_data", self._on_data, seqno, payload)
+            self.kernel.send_delayed(self.src, self.dst, data, self.latency_s)
+        timeout = _TxEvent("tx_timeout", self._on_timeout, seqno)
+        self.kernel.send_delayed(self.src, self.src, timeout, self.latency_s * 2 + self.ack_timeout_s)
 
-    def _on_data(self, ev: _TxData) -> None:
-        self.deliver(ev.payload, self.src)
-        self.kernel.send_delayed(self.dst, self.src, _TxAck(self, ev.seqno), self.latency_s)
+    def _on_data(self, ev: _TxEvent) -> None:
+        self.deliver(ev.payload)
+        ack = _TxEvent("tx_ack", self._on_ack, ev.seqno)
+        self.kernel.send_delayed(self.dst, self.src, ack, self.latency_s)
 
-    def _on_ack(self, ev: _TxAck) -> None:
+    def _on_ack(self, ev: _TxEvent) -> None:
         item = self._pending.pop(ev.seqno, None)
         if item is None:
             return  # duplicate ack after a retransmit
         self.on_acked(item[0])
 
-    def _on_timeout(self, ev: _TxTimeout) -> None:
+    def _on_timeout(self, ev: _TxEvent) -> None:
         item = self._pending.get(ev.seqno)
         if item is None:
             return  # already acked

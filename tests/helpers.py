@@ -71,6 +71,14 @@ def seasonal_temp(clim, t):
     return clim.mean_temp_c - clim.seasonal_amplitude_c * math.cos(phase)
 
 
+def scenario_active(scen, t):
+    """Whether a DroughtScenario's overrides apply at time t, as the
+    sampler tests it."""
+    if t < scen.active_start_s:
+        return False
+    return scen.active_end_s is None or t < scen.active_end_s
+
+
 def tx_cost_mj(params, n_bytes, distance_km):
     """First-order radio cost of sending n_bytes over distance_km, as the
     node stack charges it."""

@@ -19,9 +19,10 @@ from droughtnet.analytics import (
     indicators_all,
     patterns_to_csv_lines,
 )
-from droughtnet.backbone import CentralDatabase, StoredRecord
+from droughtnet.backbone import CentralDatabase
 from droughtnet.environment import Climatology, SensorReading
 from droughtnet.geometry import GeoPoint
+from droughtnet.stack import DataMessage, report_signature
 
 FLAT = Climatology(mean_temp_c=18.0, seasonal_amplitude_c=0.0)
 
@@ -33,10 +34,9 @@ def add_row(db, region, node, t, temp=18.0, precip=0.0, wdir=45.0, wspd=3.0):
         pressure_hpa=1013.0, wind_speed_ms=wspd, wind_dir_deg=wdir,
         groundwater_m=10.0,
     )
-    db.add(StoredRecord(
-        timestamp=t, node_id=node, region_id=region, raw=reading,
-        battery_mj_remaining=1e6, frames_dropped=0,
-        location=GeoPoint(0.0, 0.0), route="",
+    db.add(region, GeoPoint(0.0, 0.0), DataMessage(
+        signature=report_signature(node, t), origin_index=node, reading=reading,
+        battery_mj=1e6, frames_dropped=0,
     ))
 
 

@@ -16,7 +16,6 @@ from droughtnet.backbone import (
     CentralDatabase,
     LocalBaseStation,
     RemoteBaseStation,
-    StoredRecord,
 )
 from droughtnet.environment import SENSOR_FIELDS, SensorReading
 from droughtnet.geometry import GeoPoint
@@ -59,12 +58,8 @@ def make_msg(node_id=1, t=0, temp=20.0, battery=12345.6, route=(0,)):
 
 def make_station(capacity=10_000, **uplink):
     k = Kernel(seed=3)
-    rbs = RemoteBaseStation(k, CentralDatabase())
-    lbs = LocalBaseStation(
-        k, region_id=1, remote=rbs,
-        node_locations={i: GeoPoint(float(i), 0.0) for i in range(10)},
-        capacity=capacity, **uplink,
-    )
+    rbs = RemoteBaseStation(k, CentralDatabase(), 1, {i: GeoPoint(float(i), 0.0) for i in range(10)})
+    lbs = LocalBaseStation(k, region_id=1, remote=rbs, capacity=capacity, **uplink)
     return k, lbs, rbs
 
 
@@ -97,33 +92,35 @@ def test_duplicate_key_dropped_with_counter():
     assert rbs.central.duplicates_by_region == {1: 1}
 
 
-def test_add_after_key_release_still_rejects_duplicates():
+def receive_from(db, other):
+    """``db.receive`` what ``other.send`` sent down a pipe."""
+    receiver, sender = multiprocessing.Pipe(duplex=False)
+    other.send(sender)
+    db.receive(receiver)
+    receiver.close()
+    sender.close()
+
+
+def test_add_after_key_release_raises():
+    """A database records one run or holds one loaded file: once its keys
+    are released, by release_keys, by receive or by the load, it takes
+    no add."""
     k, lbs, rbs = make_station()
     for t in (0, 1800):
         lbs.ingest(make_msg(t=t))
     db = rbs.central
+    lines = list(db.to_csv_lines())
     db.release_keys()
-    # the node's last key, and an earlier one, are still known
-    lbs.ingest(make_msg(t=1800))
-    lbs.ingest(make_msg(t=0))
-    assert (len(db), db.duplicates_by_region) == (2, {1: 2})
-    lbs.ingest(make_msg(t=3600))
-    lbs.ingest(make_msg(node_id=2, t=0))
-    assert len(db) == 4
-    db.release_keys()
-    lbs.ingest(make_msg(node_id=2, t=0))
-    assert (len(db), db.duplicates_by_region) == (4, {1: 3})
-    # a loaded database has released its keys after the last block, and
-    # rebuilds them on the next add
-    loaded = CentralDatabase.from_csv_lines(list(db.to_csv_lines()))
-    rbs.central = loaded
-    for t in (0, 1800, 3600):
-        lbs.ingest(make_msg(t=t))
-    assert (len(loaded), loaded.duplicates_by_region) == (4, {1: 3})
-    lbs.ingest(make_msg(t=5400))
-    lbs.ingest(make_msg(t=2700))  # below the mark, but new
-    assert len(loaded) == 6
-    assert list(loaded.ts) == [0, 1800, 3600, 0, 5400, 2700]
+    with pytest.raises(BackboneError, match="keys are released"):
+        lbs.ingest(make_msg(t=3600))
+    received = CentralDatabase()
+    receive_from(received, CentralDatabase())
+    loaded = CentralDatabase.from_csv_lines(lines)
+    for released in (db, received, loaded):
+        with pytest.raises(BackboneError, match="keys are released"):
+            released.add(1, GeoPoint(0.0, 0.0), make_msg(t=5400))
+    assert (len(db), len(received), len(loaded)) == (2, 0, 2)
+    assert list(db.to_csv_lines()) == list(loaded.to_csv_lines()) == lines
 
 
 def test_records_accumulate_per_region():
@@ -143,7 +140,7 @@ def test_local_db_forwards_then_evicts_oldest_acked():
         lbs.ingest(make_msg(t=t * 1800))
     assert len(lbs.local_db) == 3
     assert lbs.evicted == 2
-    kept = [entry[0].timestamp for entry in lbs.local_db]
+    kept = [entry[0].reading.timestamp for entry in lbs.local_db]
     assert kept == [2 * 1800, 3 * 1800, 4 * 1800]
     # everything evicted had been acknowledged centrally first
     assert len(rbs.central) == 5
@@ -159,7 +156,7 @@ def test_local_db_evicts_first_acked_behind_unacked_head():
     k.run_until(3)  # second ack lands at 2 s, first retransmit is due at 4 s
     assert [entry[1] for entry in lbs.local_db] == [False, True]
     lbs.ingest(make_msg(t=3600))
-    assert [entry[0].timestamp for entry in lbs.local_db] == [0, 3600]
+    assert [entry[0].reading.timestamp for entry in lbs.local_db] == [0, 3600]
     assert lbs.evicted == 1
     k.run_until(100)
     assert len(rbs.central) == 3
@@ -330,32 +327,24 @@ def test_calibration_first_differing_in_third_block():
     assert list(db.to_csv_lines()) == text
     assert column_bytes(db._csv_columns()) == column_bytes(
         reference_from_csv_lines(text).columns())
-    # a record added afterwards is calibrated as its raw reading
-    t = 1 << 30
-    assert db.add(StoredRecord(t, 3, 1, make_reading(t=t), 1.0, 0, GeoPoint(0.0, 0.0), "0"))
-    assert len(db.cal["temperature_c"]) == len(db)
-    assert db.cal["temperature_c"][-1] == db.raw["temperature_c"][-1] == 20.0
+    # a loaded file takes no add, so no record is calibrated otherwise
+    with pytest.raises(BackboneError, match="keys are released"):
+        db.add(1, GeoPoint(0.0, 0.0), make_msg(node_id=3, t=1 << 30))
+    assert len(db.cal["temperature_c"]) == len(db) == 3 * CSV_BLOCK_ROWS + 10
 
 
-@pytest.mark.parametrize("own", [(False, False), (True, False), (False, True), (True, True)],
-                         ids=["aliased", "own-here", "own-sent", "own-both"])
-def test_send_receive_keeps_each_calibration(own):
-    """A database with its own calibrated columns sends them, and one
-    that receives them from an aliased database, or sends its raw ones
-    to one with its own, stores each row's calibration as it was."""
-    here_own, sent_own = own
-    text = special_lines(40, first_calibrated=0 if here_own else 40)
-    other = special_lines(60, seed=6, first_calibrated=0 if sent_own else 60)
+def test_send_receive_keeps_the_aliased_calibration():
+    """A run's database sends its raw columns once, and the one that
+    receives them stores them after its own, its calibration still its
+    raw columns."""
+    text = special_lines(40, first_calibrated=40)
+    other = special_lines(60, seed=6, first_calibrated=60)
     other = [other[0]] + ["9" + line[line.index(","):] for line in other[1:]]  # region 9
     here, sent = CentralDatabase.from_csv_lines(text), CentralDatabase.from_csv_lines(other)
-    assert (here.cal is not here.raw, sent.cal is not sent.raw) == own
-    receiver, sender = multiprocessing.Pipe(duplex=False)
-    sent.send(sender)
-    here.receive(receiver)
-    receiver.close()
-    sender.close()
+    assert here.cal is here.raw and sent.cal is sent.raw
+    receive_from(here, sent)
     assert list(here.to_csv_lines()) == text + other[1:]
-    assert (here.cal is here.raw) == (own == (False, False))
+    assert here.cal is here.raw
 
 
 @pytest.mark.parametrize("cut", [+1, -1], ids=["23-fields", "21-fields"])
@@ -420,9 +409,11 @@ def add_rows(db, ref, rows):
     fell = False
     for row in rows:
         fell |= below_mark(ref, row)
-        reading = SensorReading(row[2], *row[8:15])
-        stored = db.add(StoredRecord(row[2], row[1], row[0], reading, row[6], row[7],
-                                     GeoPoint(row[3], row[4]), row[5]))
+        region, node, ts, x, y, route, battery, dropped = row[:8]
+        msg = DataMessage(report_signature(node, ts), node, SensorReading(ts, *row[8:15]),
+                          battery_mj=battery, frames_dropped=dropped,
+                          route=tuple(map(int, route.split("-"))))
+        stored = db.add(region, GeoPoint(x, y), msg)
         assert stored == ref.add(row)
     return fell
 
@@ -434,35 +425,21 @@ def assert_same(db, ref):
 
 
 @settings(max_examples=150, deadline=None)
-@given(keys=KEYS, more=KEYS, sent=KEYS, cut=st.integers(0, 30))
-def test_duplicate_check_matches_a_key_set(keys, more, sent, cut):
+@given(keys=KEYS, more=KEYS, sent=KEYS)
+def test_duplicate_check_matches_a_key_set(keys, more, sent):
     rows = [key_row(i, *k) for i, k in enumerate(keys + more)]
     # through add
     db, ref = CentralDatabase(), ReferenceDatabase()
     fell = add_rows(db, ref, rows)
     assert_same(db, ref)
     assert (db._exact is not None) == fell
-    # through add, with the keys released part way
+    # through add, then receiving another run's database of region 9
     db, ref = CentralDatabase(), ReferenceDatabase()
-    add_rows(db, ref, rows[:cut])
-    db.release_keys()
-    fell = add_rows(db, ref, rows[cut:])
-    assert_same(db, ref)
-    assert (db._exact is not None) == fell
-    # through add after receiving another database's region 9
-    db, ref = CentralDatabase(), ReferenceDatabase()
-    add_rows(db, ref, rows[:len(keys)])
+    add_rows(db, ref, rows)
     other = CentralDatabase()
     add_rows(other, ref, [key_row(100 + i, 9, n, t) for i, (_, n, t) in enumerate(sent)])
-    receiver, sender = multiprocessing.Pipe(duplex=False)
-    other.send(sender)
-    db.receive(receiver)
-    receiver.close()
-    sender.close()
-    later = rows[len(keys):] + [key_row(200 + i, 9, n, t) for i, (_, n, t) in enumerate(more)]
-    fell = add_rows(db, ref, later)
+    receive_from(db, other)
     assert_same(db, ref)
-    assert (db._exact is not None) == fell
     # through the CSV reader, in blocks of three rows
     ref, fell = ReferenceDatabase(), False
     for row in rows:

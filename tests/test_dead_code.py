@@ -1,11 +1,14 @@
 """Every name that src/ defines has a caller in src/, scripts/ or bench/.
 
-A module-level function or class, and a public method or property, must
-be named at least once more than its definition counts, outside the
-package's ``__init__`` (whose re-exports call nothing).  Names are read
-as identifier tokens, so a mention in a comment or docstring is not a
-caller.  Likewise every attribute a class in src/ stores, in a slot,
-through ``self`` or as a dataclass field, is read somewhere.
+A module-level function or class must be named at least once more than
+its definition counts, outside the package's ``__init__`` (whose
+re-exports call nothing).  Names are read as identifier tokens, so a
+mention in a comment or docstring is not a caller.  A public method or
+property must be read as an attribute (``x.name``, or ``getattr`` with
+the literal name), so a local variable of the same name is not a caller.
+Likewise every attribute a class in src/ stores, in a slot, through
+``self`` or as a dataclass field, is read somewhere, and every name a
+module of src/ imports is used in it.
 """
 
 import ast
@@ -22,12 +25,29 @@ def _modules():
     return sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
+def _files():
+    return [*_modules(), *(ROOT / "scripts").glob("*.py"), *(ROOT / "bench").glob("*.py")]
+
+
 def _name_counts() -> Counter:
-    files = [*_modules(), *(ROOT / "scripts").glob("*.py"), *(ROOT / "bench").glob("*.py")]
     counts = Counter()
-    for path in files:
+    for path in _files():
         tokens = tokenize.generate_tokens(io.StringIO(path.read_text(encoding="utf-8")).readline)
         counts.update(tok.string for tok in tokens if tok.type == tokenize.NAME)
+    return counts
+
+
+def _attribute_read_counts() -> Counter:
+    """How often each name is read as an attribute: ``x.name``, or
+    ``getattr(x, "name")`` with a literal name."""
+    counts = Counter()
+    for path in _files():
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                counts[node.attr] += 1
+            elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+                  and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)):
+                counts[node.args[1].value] += 1
     return counts
 
 
@@ -46,15 +66,34 @@ def _definitions(tree: ast.Module):
 
 
 def test_every_defined_name_has_a_caller():
-    counts = _name_counts()
+    counts, reads = _name_counts(), _attribute_read_counts()
     defined = Counter()
     found = []
     for path in _modules():
         for qualified, name in _definitions(ast.parse(path.read_text(encoding="utf-8"))):
             defined[name] += 1
-            found.append((f"{path.name}:{qualified}", name))
-    unused = [where for where, name in found if counts[name] <= defined[name]]
+            found.append((f"{path.name}:{qualified}", qualified, name))
+    unused = [where for where, qualified, name in found
+              if (not reads[name] if "." in qualified else counts[name] <= defined[name])]
     assert not unused, f"defined in src/ and called nowhere: {unused}"
+
+
+def test_every_import_is_used():
+    """Each name a module of src/ binds by an import, ``from __future__``
+    aside, is used in that module."""
+    unused = []
+    for path in _modules():
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += [f"{path.name}: {name}" for name in bound if name not in used]
+    assert not unused, f"imported in src/ and used nowhere: {unused}"
 
 
 def _stored_attributes(cls: ast.ClassDef):

@@ -18,7 +18,7 @@ from droughtnet.environment import (
 from droughtnet.geometry import GeoPoint
 from droughtnet.kernel import RngStream
 
-from helpers import ReferenceStream, seasonal_temp
+from helpers import ReferenceStream, scenario_active, seasonal_temp
 
 PERIOD = 1800
 
@@ -45,7 +45,7 @@ def reference_sample(model, region, state, rng, t):
     p = model.params
     clim = model.climatology[region]
     scen = model.scenarios[region]
-    active = scen.active(t)
+    active = scenario_active(scen, t)
     anomaly = scen.temperature_anomaly_c if active else 0.0
     eps = rng.gauss(0.0, p.noise_sigma_c)
     eps = max(-p.noise_innovation_cap_c, min(p.noise_innovation_cap_c, eps))
@@ -242,8 +242,15 @@ def test_window_normal_matches_quadrature_oracle():
 
 
 def test_anomaly_window_gating():
+    """The sampler applies a scenario from active_start_s up to, and not
+    including, active_end_s, as the reference's gate does."""
     scen = DroughtScenario(temperature_anomaly_c=2.0, active_start_s=100, active_end_s=200)
-    assert not scen.active(99)
-    assert scen.active(100)
-    assert scen.active(199)
-    assert not scen.active(200)
+    times = (99, 100, 199, 200)
+    assert [scenario_active(scen, t) for t in times] == [False, True, True, False]
+    plain = {r: DroughtScenario() for r in range(1, 6)}
+    samplers = [make_model(scenarios=s).sampler(1, GeoPoint(6.0, 6.0), RngStream(7, "env:1:1"))
+                for s in (plain, {**plain, 1: scen})]
+    for t in times:
+        without, with_scen = (sampler.sample(t) for sampler in samplers)
+        shift = with_scen.temperature_c - without.temperature_c
+        assert shift == pytest.approx(2.0 if scenario_active(scen, t) else 0.0, abs=2e-3)

@@ -474,6 +474,29 @@ def test_central_database_keeps_one_copy(monkeypatch, cpus, n):
     assert len(loaded) == 5 * 9 * 96
 
 
+@pytest.mark.parametrize("lossy", [False, True], ids=["lossless", "lossy"])
+@pytest.mark.parametrize("mode", list(RoutingMode), ids=lambda m: m.value)
+def test_run_keys_stay_above_their_marks(monkeypatch, cpus, mode, lossy):
+    """A run's adds, combined mode's second copies and a lossy, latent
+    backbone's late arrivals included, never fall below their node's
+    high-water mark, so the database releases its keys without having
+    built the exact key set."""
+    exact_at_release = []
+    release = CentralDatabase.release_keys
+
+    def spy(db):
+        exact_at_release.append(db._exact is not None)
+        release(db)
+
+    monkeypatch.setattr(CentralDatabase, "release_keys", spy)
+    cpus(1)
+    over = {"backbone": replace(ScenarioConfig().backbone, latency_s=1, loss_prob=0.3)} if lossy else {}
+    scn = build_scenario(cfg_days(3, routing_mode=mode, **over))
+    simulate(scn)
+    assert exact_at_release == [False]
+    assert len(scn.central) > 0
+
+
 def on_finalize(monkeypatch, actions):
     """Make SensorNode.finalize first call ``actions[region_id]``, if any."""
     finalize = SensorNode.finalize

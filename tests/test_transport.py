@@ -13,9 +13,9 @@ class TxHost:
 
     def handle(self, payload):
         assert isinstance(payload, Message)
-        assert transport_dispatch(payload.body, payload.src)
+        assert transport_dispatch(payload.body)
 
-    def receive(self, payload, src):
+    def receive(self, payload):
         self.got.append(payload)
 
 
