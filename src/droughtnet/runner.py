@@ -281,18 +281,18 @@ def simulate(scn: Scenario) -> int:
     set its ``outcome``; returns the number of events processed.
 
     The regions share no state but the central database, so they are
-    split into contiguous blocks in config order, one block per
-    available CPU.  This process simulates the first block and a forked
-    child each of the others, and the children's records are appended
-    in block order.  So for every process count the central database and
-    the trace hold each region's rows in its own arrival order, the
-    regions in config order.  An exception raised in a child is raised
-    again here.
+    split into contiguous blocks in config order, none longer than its
+    fair share of the available CPUs (see ``_blocks``).  This process
+    simulates the first block and a forked child each of the others, and
+    the children's records are appended in block order.  So for every
+    process count the central database and the trace hold each region's
+    rows in its own arrival order, the regions in config order.  An
+    exception raised in a child is raised again here.
     """
     import multiprocessing  # here, not at the top: it is a tenth of set-up time
 
     n = len(scn.regions)
-    blocks = _blocks(n, min(n, len(os.sched_getaffinity(0))))
+    blocks = _blocks(n, len(os.sched_getaffinity(0)))
     # a forked child inherits the built scenario, whose entities hold
     # bound methods and so would not pickle; the simulator starts no thread
     fork = multiprocessing.get_context("fork")
@@ -319,8 +319,11 @@ def simulate(scn: Scenario) -> int:
     return sum(reg.outcome.events for reg in scn.regions)
 
 
-def _blocks(n: int, parts: int) -> list[range]:
-    """Indices 0..n-1 in ``parts`` contiguous blocks, the larger first."""
+def _blocks(n: int, cpus: int) -> list[range]:
+    """Indices 0..n-1 in contiguous blocks, the larger first, at most
+    2 * cpus of them, none longer than ``max(1, n // cpus)``: shared over
+    the CPUs they end after max(largest, n / cpus) region-times."""
+    parts = -(-n // max(1, n // cpus))
     size, extra = divmod(n, parts)
     bounds = [0]
     for k in range(parts):
@@ -574,9 +577,9 @@ def _truth_daily_lines(scn: Scenario):
 
 
 def compare_runs(dir_a: Path, dir_b: Path) -> list[str]:
-    """Byte-compare run exports, optional ones included; the run report
-    is compared structurally with the wall-clock field and the config's
-    output directory dropped.  Returns mismatch descriptions."""
+    """Mismatches between two runs' exports, compared byte by byte (a
+    required one missing from both is one); the run report is compared
+    as JSON without the wall clock and the config's output directory."""
     filecmp.clear_cache()  # its cached outcomes trust size and mtime
     problems = []
     for name in EXPORT_FILES + OPTIONAL_EXPORT_FILES:
@@ -584,6 +587,8 @@ def compare_runs(dir_a: Path, dir_b: Path) -> list[str]:
         if not pa.exists() or not pb.exists():
             if pa.exists() != pb.exists():
                 problems.append(f"{name}: present in one run only")
+            elif name in EXPORT_FILES:
+                problems.append(f"{name}: missing from both runs")
             continue
         if name == "run_report.json":
             ra = json.loads(pa.read_text(encoding="utf-8"))

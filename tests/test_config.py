@@ -106,14 +106,22 @@ def test_invariant_checks():
     cfg = config_from_dict({"node_count_override": 16384, "radio_range_km": 0.05,
                             "regions": [{"region_id": 1}]})
     assert cfg.nodes_per_region() == 16384
-    # the region square must hold every cell the run will place
-    with pytest.raises(ValidationError, match=r"cannot place 10 nodes .* region_size_km 4\.0"):
-        config_from_dict({"horizon_s": 172800, "region_size_km": 4.0})
     assert config_from_dict({"horizon_s": 172800}).nodes_per_region() == 10
     with pytest.raises(ValidationError, match="circles leave gaps"):
         config_from_dict({"cell_shape": "circle"})
     with pytest.raises(ValidationError, match="node_count 5 below coverage estimate 9"):
         config_from_dict({"node_count_override": 5})
+
+
+@pytest.mark.parametrize("size_km", [4.0, 10.0])
+@pytest.mark.parametrize("shape", list(CellShape), ids=lambda c: c.value)
+def test_region_square_must_hold_every_cell(shape, size_km):
+    # the node count covers 100 km² in any square, so no square of that
+    # area or less fits the cells, whatever their shape
+    square = re.escape(f"region_size_km {size_km} square")
+    with pytest.raises(ValidationError, match=rf"cannot place \d+ nodes .* {square}"):
+        config_from_dict({"horizon_s": 172800, "region_size_km": size_km,
+                          "cell_shape": shape.value})
 
 
 @pytest.mark.parametrize("data, message", [

@@ -1,5 +1,6 @@
 import filecmp
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -17,7 +18,9 @@ from droughtnet.backbone import CentralDatabase
 from droughtnet.config import ScenarioConfig, validate
 from droughtnet.geometry import GeoPoint
 from droughtnet.runner import (
+    EXPORT_FILES,
     RunError,
+    _blocks,
     _tree_walk,
     build_binary_tree,
     build_scenario,
@@ -198,6 +201,8 @@ def test_compare_runs_reads_past_the_first_chunk(tmp_path):
     body = bytes(range(256)) * (3 * filecmp.BUFSIZE // 256) + b"tail"
     for side, last in (("a", b"\n"), ("b", b"\r"), ("c", b"\n")):
         (tmp_path / side).mkdir()
+        for name in EXPORT_FILES:  # the same stand-in in every run
+            (tmp_path / side / name).write_text("{}", encoding="utf-8")
         (tmp_path / side / "central_db.csv").write_bytes(body + last)
     assert compare_runs(tmp_path / "a", tmp_path / "b") == ["central_db.csv: byte mismatch"]
     # same size and mtime: neither a shallow comparison nor an outcome
@@ -209,6 +214,14 @@ def test_compare_runs_reads_past_the_first_chunk(tmp_path):
     path.write_bytes(body + b"\r")
     os.utime(path, ns=(mtime_ns, mtime_ns))
     assert compare_runs(tmp_path / "a", tmp_path / "c") == ["central_db.csv: byte mismatch"]
+
+
+def test_compare_runs_flags_runs_that_are_not_there(tmp_path):
+    missing = [f"{name}: missing from both runs" for name in EXPORT_FILES]
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    assert compare_runs(tmp_path / "a", tmp_path / "b") == missing
+    assert compare_runs(tmp_path / "c", tmp_path / "d") == missing
 
 
 def test_placement_export_shape(tmp_path):
@@ -430,13 +443,26 @@ def started(monkeypatch):
 @pytest.mark.parametrize("mode", list(RoutingMode), ids=lambda m: m.value)
 def test_exports_identical_for_every_process_count(tmp_path, cpus, started, mode):
     cfg = cfg_days(3, seed=1, routing_mode=mode, trace=True, truth_dump=True)
-    for n in (1, 2, 5):
+    # 5 regions: blocks [1-5]; [1-2] [3-4] [5]; and one region each
+    for n, children in ((1, 0), (2, 2), (3, 4), (5, 4)):
         cpus(n)
         del started[:]
         run_scenario(cfg, out_dir=tmp_path / str(n))
-        assert len(started) == n - 1
-    assert compare_runs(tmp_path / "1", tmp_path / "2") == []
-    assert compare_runs(tmp_path / "1", tmp_path / "5") == []
+        assert len(started) == children
+    for n in (2, 3, 5):
+        assert compare_runs(tmp_path / "1", tmp_path / str(n)) == []
+
+
+def test_blocks_hold_at_most_a_fair_share():
+    for n, count in itertools.product(range(1, 257), range(1, 65)):
+        blocks = _blocks(n, count)
+        assert [i for block in blocks for i in block] == list(range(n))
+        sizes = [len(block) for block in blocks]
+        assert sizes == sorted(sizes, reverse=True)
+        assert max(sizes) <= max(1, n // count)
+        assert len(blocks) <= 2 * count
+        if count == 1:
+            assert len(blocks) == 1
 
 
 def assert_one_copy(db):
@@ -450,8 +476,9 @@ def assert_one_copy(db):
             assert len(value) < len(db) // 10, name
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_central_database_keeps_one_copy(monkeypatch, cpus, n):
+# on 2 CPUs two children send their regions
+@pytest.mark.parametrize("n, releases", [(1, 2), (2, 4)], ids=["1", "2"])
+def test_central_database_keeps_one_copy(monkeypatch, cpus, n, releases):
     released = []
     release = CentralDatabase.release_keys
 
@@ -467,9 +494,9 @@ def test_central_database_keeps_one_copy(monkeypatch, cpus, n):
     assert_one_copy(scn.central)
     loaded = CentralDatabase.from_csv_lines(list(scn.central.to_csv_lines()))
     assert_one_copy(loaded)
-    # with 2 processes, first when the child's regions arrive; then at the
-    # end of simulate and of the load
-    assert len(released) == n + 1
+    # once as each child's regions arrive, then at the end of simulate
+    # and of the load
+    assert len(released) == releases
     assert released[-2:] == [len(loaded)] * 2
     assert len(loaded) == 5 * 9 * 96
 
@@ -517,18 +544,18 @@ def raiser(exc):
 
 
 def test_raise_in_a_child_is_raised_again(cpus, monkeypatch):
-    cpus(2)  # regions 1-3 here, 4-5 in a child
+    cpus(2)  # regions 1-2 here, 3-4 and 5 in one child each
     on_finalize(monkeypatch, {5: raiser(OrphanNode("lost in region 5"))})
     with pytest.raises(OrphanNode, match="^lost in region 5$") as raised:
         simulate(build_scenario(cfg_days(1)))
-    assert "regions [4, 5]" in str(raised.value.__cause__)
+    assert "regions [5]" in str(raised.value.__cause__)
     assert "lost in region 5" in str(raised.value.__cause__)  # the child's traceback
 
 
 def test_child_that_dies_unheard_is_a_run_error(cpus, monkeypatch):
     cpus(2)
     on_finalize(monkeypatch, {4: lambda: os._exit(3)})
-    with pytest.raises(RunError, match=r"regions \[4, 5\] exited with code 3 before it sent all it had"):
+    with pytest.raises(RunError, match=r"regions \[3, 4\] exited with code 3 before it sent all it had"):
         simulate(build_scenario(cfg_days(1)))
 
 
