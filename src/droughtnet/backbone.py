@@ -12,10 +12,13 @@ duplicates are rejected and counted.
 
 from __future__ import annotations
 
+import os
 import sys
+import tempfile
 from array import array
 from collections import Counter, deque
 from itertools import compress, islice, repeat
+from operator import itemgetter
 
 from .environment import SENSOR_FIELDS
 from .geometry import GeoPoint
@@ -32,6 +35,9 @@ MAX_TIMESTAMP_S = 1 << 40
 # rows per block of the central-db CSV codec; small blocks keep the
 # reader's transient field strings from raising peak memory
 CSV_BLOCK_ROWS = 1024
+# rows below which a share of the central-db export does not pay for
+# the process forked to format it
+MIN_SHARE_ROWS = 32_768
 
 
 class BackboneError(Exception):
@@ -46,6 +52,7 @@ CSV_COLUMNS = (
 )
 _BELOW_ANY_KEY = REGION_ID_RANGE[0] << 55  # a key's region field is a signed byte
 _NEGATIVE_ZERO = array("d", [-0.0]).tobytes()
+_WITHOUT_NEWLINE = itemgetter(slice(None, -1))
 
 
 class _ReprCache(dict):
@@ -179,18 +186,74 @@ class CentralDatabase:
         return columns if self.cal is not self.raw else columns[:-len(SENSOR_FIELDS)]
 
     def to_csv_lines(self):
-        """Header, then one line per record (no trailing newline); every
-        number as its ``repr``, rows formatted one block at a time.  Each
-        distinct value of a float column is formatted once per call, except
-        in the battery column: a running total, nearly every value distinct."""
-        yield ",".join(CSV_COLUMNS)
+        """Header, then one line per record (no trailing newline), every
+        number as its ``repr``: the inverse of ``from_csv_lines``.
+
+        When the usable CPUs and rows // MIN_SHARE_ROWS are both at least
+        2, the rows are split into that many contiguous, near-equal shares,
+        whichever is fewer.  A child forked for each share formats it into
+        a temporary file, and this process yields each child's lines in
+        order, read back a few KiB at a time, so that it builds no format
+        caches on top of the run's heap.  The lines are the same for every
+        share count.  A child that fails raises BackboneError naming its
+        rows.  Every child is reaped and every file closed, also when the
+        caller stops early."""
+        n = len(self.ts)
+        shares = min(len(os.sched_getaffinity(0)), n // MIN_SHARE_ROWS)
+        if shares < 2:
+            yield ",".join(CSV_COLUMNS)
+            for block in self._format_blocks(0, n):
+                yield from block
+            return
+        import multiprocessing  # here, not at the top: it is a tenth of set-up time
+
+        fork = multiprocessing.get_context("fork")
+        bounds = [n * k // shares for k in range(shares + 1)]
+        files, children = [], []
+        try:
+            for start, stop in zip(bounds, bounds[1:]):
+                files.append(tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n"))
+                child = fork.Process(target=self._format_share,
+                                     args=(files[-1], start, stop), daemon=True)
+                child.start()
+                children.append(child)
+            yield ",".join(CSV_COLUMNS)
+            for child, text, start, stop in zip(children, files, bounds, bounds[1:]):
+                child.join()
+                if child.exitcode:
+                    raise BackboneError(f"the process formatting central-db rows {start} to "
+                                        f"{stop - 1} exited with code {child.exitcode}")
+                text.seek(0)
+                yield from map(_WITHOUT_NEWLINE, text)  # read a few KiB at a time
+        finally:
+            for child in children:
+                if child.exitcode is None:
+                    child.terminate()
+                child.join()
+            for text in files:
+                text.close()
+
+    def _format_share(self, text, start: int, stop: int) -> None:
+        """Body of a forked child: write the lines of rows [start, stop),
+        each ended by a newline, to the text file ``text``."""
+        for block in self._format_blocks(start, stop):
+            text.write("\n".join(block))
+            text.write("\n")
+        text.flush()
+
+    def _format_blocks(self, start: int, stop: int):
+        """The lines of rows [start, stop), one iterable per block of
+        CSV_BLOCK_ROWS rows.  Each distinct value of a float column is
+        formatted once per call, except in the battery column: a running
+        total, nearly every value distinct."""
         columns = self._stored_columns()
         caches = [_ReprCache() if type(col) is not list and col.typecode == "d"
                   and col is not self.battery else None for col in columns]
-        for start in range(0, len(self.ts), CSV_BLOCK_ROWS):
+        for first in range(start, stop, CSV_BLOCK_ROWS):
+            last = min(first + CSV_BLOCK_ROWS, stop)
             cells = []
             for col, cache in zip(columns, caches):
-                part = col[start:start + CSV_BLOCK_ROWS]
+                part = col[first:last]
                 if type(part) is list:
                     cells.append(part)  # routes as they are
                 elif cache is None or _NEGATIVE_ZERO in part.tobytes():
@@ -200,11 +263,12 @@ class CentralDatabase:
                     cells.append(list(map(cache.__getitem__, part)))
             if len(cells) < len(CSV_COLUMNS):
                 cells += cells[-len(SENSOR_FIELDS):]  # aliased calibration: the raw cells
-            yield from map(",".join, zip(*cells))
+            yield map(",".join, zip(*cells))
 
     @classmethod
     def from_csv_lines(cls, lines) -> "CentralDatabase":
-        """Inverse of to_csv_lines; lines may keep their newline.  Blank
+        """Inverse of to_csv_lines, whose lines are the same however many
+        processes formatted them; lines may keep their newline.  Blank
         lines are skipped, a row with the wrong field count or a bad value
         raises BackboneError naming its line, and duplicate keys are
         dropped and counted as ``add`` drops them.  The keys are released

@@ -65,7 +65,7 @@ def cmd_classify(args) -> int:
     try:
         with open(args.db, encoding="utf-8") as fh:
             db = CentralDatabase.from_csv_lines(fh)
-    except BackboneError as exc:
+    except (BackboneError, OSError, UnicodeDecodeError) as exc:  # malformed or unreadable
         print(f"{args.db}: {exc}", file=sys.stderr)
         return 1
     if len(db) and not {r.region_id for r in cfg.regions} & set(db.region):

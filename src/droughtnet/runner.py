@@ -14,7 +14,7 @@ import os
 import time
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 
 from .analytics import (
@@ -28,7 +28,7 @@ from .analytics import (
     indicators_all,
     patterns_to_csv_lines,
 )
-from .backbone import CentralDatabase, LocalBaseStation, RemoteBaseStation
+from .backbone import CSV_BLOCK_ROWS, CentralDatabase, LocalBaseStation, RemoteBaseStation
 from .config import ScenarioConfig, config_to_dict
 from .environment import EnvironmentModel, normal_temp_over_window
 from .geometry import (
@@ -481,10 +481,13 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> dict:
 
 
 def _write(path: Path, lines) -> None:
+    """Write ``lines``, each ended by a newline, one ``write`` per
+    CSV_BLOCK_ROWS lines."""
+    lines = iter(lines)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in lines:
-            fh.write(line)
-            fh.write("\n")
+        while batch := list(islice(lines, CSV_BLOCK_ROWS)):
+            batch.append("")  # so that the join ends the last line too
+            fh.write("\n".join(batch))
 
 
 def write_placement(out: Path, plans: list[PlacementPlan]) -> None:

@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+from multiprocessing.context import ForkProcess
 
 import pytest
 
@@ -22,3 +23,12 @@ def cpus(monkeypatch):
     def pin(n):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
     return pin
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The child processes started during the test, in order."""
+    processes = []
+    start = ForkProcess.start
+    monkeypatch.setattr(ForkProcess, "start", lambda self: (processes.append(self), start(self)))
+    return processes

@@ -1,6 +1,9 @@
 import math
 import multiprocessing
 import random
+import tempfile
+from dataclasses import replace
+from itertools import islice
 from unittest import mock
 
 import pytest
@@ -17,9 +20,11 @@ from droughtnet.backbone import (
     LocalBaseStation,
     RemoteBaseStation,
 )
+from droughtnet.config import ScenarioConfig, validate
 from droughtnet.environment import SENSOR_FIELDS, SensorReading
 from droughtnet.geometry import GeoPoint
 from droughtnet.kernel import Kernel
+from droughtnet.runner import _write, build_scenario, simulate
 from droughtnet.stack import DataMessage, report_signature
 
 from helpers import (
@@ -380,6 +385,94 @@ def test_csv_bad_cell_names_its_line():
         good[column] = str(value)
         lines[5] = ",".join(good)
         assert len(CentralDatabase.from_csv_lines(lines)) == 5
+
+
+# -- the export split over processes --------------------------------------------
+
+SHARE_ROWS = 500  # small enough that the test databases fork
+
+
+@pytest.fixture
+def small_shares(monkeypatch):
+    monkeypatch.setattr(backbone, "MIN_SHARE_ROWS", SHARE_ROWS)
+
+
+@pytest.fixture
+def opened(monkeypatch):
+    """The temporary files opened during the test."""
+    files = []
+    temporary = tempfile.TemporaryFile
+
+    def recorded(*args, **kwargs):
+        files.append(temporary(*args, **kwargs))
+        return files[-1]
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", recorded)
+    return files
+
+
+def split_case(kind):
+    """A database of over 3 * SHARE_ROWS rows: a run's, or one loaded with
+    its calibration aliased, with its own, or with signed zeros."""
+    if kind == "run":
+        scn = build_scenario(validate(replace(ScenarioConfig(), horizon_s=2 * 86_400)))
+        simulate(scn)
+        return scn.central
+    if kind == "signed-zeros":
+        return CentralDatabase.from_csv_lines(reference_to_csv_lines(signed_zero_rows()))
+    rows = 3 * SHARE_ROWS + 123
+    return CentralDatabase.from_csv_lines(
+        special_lines(rows, first_calibrated=rows if kind == "aliased" else 700))
+
+
+@pytest.mark.parametrize("kind", ["run", "aliased", "own-calibration", "signed-zeros"])
+def test_split_export_equals_one_process(tmp_path, cpus, started, small_shares, opened, kind):
+    db = split_case(kind)
+    assert (db.cal is not db.raw) == (kind == "own-calibration")
+    cpus(1)
+    one = list(db.to_csv_lines())
+    assert len(one) == len(db) + 1
+    again = CentralDatabase.from_csv_lines(one)
+    assert column_bytes(again._csv_columns()) == column_bytes(db._csv_columns())
+    assert list(again.to_csv_lines()) == one
+    for n in (1, 2, 3):
+        cpus(n)
+        del started[:]
+        assert list(db.to_csv_lines()) == one
+        assert len(started) == (n if n > 1 else 0)  # one child per share
+        _write(tmp_path / "central_db.csv", db.to_csv_lines())
+        assert (tmp_path / "central_db.csv").read_text(encoding="utf-8") == "\n".join(one) + "\n"
+    # one file per child: two exports on 2 CPUs and two on 3
+    assert len(opened) == 2 * 2 + 2 * 3 and all(f.closed for f in opened)
+
+
+def test_failing_share_names_its_rows(cpus, small_shares, opened, monkeypatch):
+    db = CentralDatabase.from_csv_lines(special_lines(2 * SHARE_ROWS))
+    cpus(2)
+    format_share = CentralDatabase._format_share
+
+    def second_fails(self, text, start, stop):
+        if start:
+            raise OSError("no space left")
+        format_share(self, text, start, stop)
+
+    monkeypatch.setattr(CentralDatabase, "_format_share", second_fails)
+    with pytest.raises(BackboneError, match="rows 500 to 999 exited with code 1$"):
+        list(db.to_csv_lines())
+    assert len(opened) == 2 and all(f.closed for f in opened)
+
+
+# the header; a row of the first share; a row of the second
+@pytest.mark.parametrize("taken", [1, 2, SHARE_ROWS + 200], ids=["header", "first", "second"])
+def test_export_stopped_early_leaves_no_child_or_file(cpus, small_shares, opened, started, taken):
+    one = special_lines(3 * SHARE_ROWS)
+    db = CentralDatabase.from_csv_lines(one)
+    cpus(3)
+    lines = db.to_csv_lines()
+    assert list(islice(lines, taken)) == one[:taken]
+    lines.close()
+    assert len(started) == 3 and all(child.exitcode is not None for child in started)
+    assert len(opened) == 3 and all(f.closed for f in opened)
 
 
 # -- duplicate check against a plain key set ---------------------------------------

@@ -29,6 +29,8 @@ def test_traced_bench_repetition_counts_every_layer(tmp_path):
     assert result["problems"] == []
     for name in ("kernel.schedule_calls", "stack.events.link", "backbone.central_add_calls"):
         assert result[name] > 0, name
+    # the export goes through the to_csv_lines that the tracer wraps
+    assert result["backbone.to_csv_s"] > 0
 
 
 def test_untraced_export_rounds_agree(tmp_path):

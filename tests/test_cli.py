@@ -149,6 +149,20 @@ def test_classify_rejects_malformed_db_without_traceback(tmp_path, capsys):
         assert err.count("\n") == 1 and "line 3:" in err and "Traceback" not in err, err
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+def test_classify_rejects_unreadable_db_without_traceback(tmp_path, capsys, kind):
+    db = tmp_path / "db.csv"
+    if kind == "directory":
+        db.mkdir()
+    elif kind == "not-utf8":
+        db.write_bytes(b"region_id,node_id\n\xff\xfe\n")
+    rc = main(["classify", "--config", write_cfg(tmp_path, TINY), "--db", str(db),
+               "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"{db}: ") and err.count("\n") == 1 and "Traceback" not in err, err
+
+
 def test_routing_flag(tmp_path):
     cfg = write_cfg(tmp_path, TINY)
     main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--routing", "flooding"])

@@ -8,7 +8,6 @@ import signal
 import time
 from collections import deque
 from dataclasses import replace
-from multiprocessing.context import ForkProcess
 
 import pytest
 from hypothesis import assume, given, settings
@@ -429,15 +428,6 @@ def test_truth_dump_daily_summaries(tmp_path):
 
 
 # -- processes --------------------------------------------------------------------
-
-
-@pytest.fixture
-def started(monkeypatch):
-    """The child processes started during the test, in order."""
-    processes = []
-    start = ForkProcess.start
-    monkeypatch.setattr(ForkProcess, "start", lambda self: (processes.append(self), start(self)))
-    return processes
 
 
 @pytest.mark.parametrize("mode", list(RoutingMode), ids=lambda m: m.value)
