@@ -12,15 +12,17 @@ duplicates are rejected and counted.
 
 from __future__ import annotations
 
+import io
 import os
+import pickle
 import sys
-import tempfile
 from array import array
 from collections import Counter, deque
-from itertools import compress, islice, repeat
+from itertools import chain, compress, islice, repeat
 from operator import itemgetter
 
 from .environment import SENSOR_FIELDS
+from .forked import forked
 from .geometry import GeoPoint
 from .kernel import EntityId, EntityKind, Kernel, Message
 from .stack import DataMessage, TransportLink, transport_dispatch
@@ -53,6 +55,7 @@ CSV_COLUMNS = (
 _BELOW_ANY_KEY = REGION_ID_RANGE[0] << 55  # a key's region field is a signed byte
 _NEGATIVE_ZERO = array("d", [-0.0]).tobytes()
 _WITHOUT_NEWLINE = itemgetter(slice(None, -1))
+_DUMP_BLOCK_ITEMS = 1 << 16  # per read of a dumped column: 512 KiB of floats
 
 
 class _ReprCache(dict):
@@ -71,9 +74,9 @@ class _ReprCache(dict):
 class CentralDatabase:
     """Append-only columnar store keyed by (region, node, timestamp).
 
-    It records a run (``add``, then ``send`` or ``receive``) or holds a
-    loaded file (``from_csv_lines``); ``add`` raises once ``receive`` or
-    the load has released the keys.  ``cal`` is ``raw`` (the same arrays)
+    It records a run (``add``, ``dump`` and ``append_dump``) or holds a
+    loaded file (``from_csv_lines``); ``add`` raises once ``append_dump``
+    or the load has released the keys.  ``cal`` is ``raw`` (the same arrays)
     unless a loaded block's calibrated cells differ from its raw ones.  A
     key above its node's high-water mark, the highest key stored for its
     (region, node), is new, and one equal to it a duplicate.  The first
@@ -191,55 +194,29 @@ class CentralDatabase:
 
         When the usable CPUs and rows // MIN_SHARE_ROWS are both at least
         2, the rows are split into that many contiguous, near-equal shares,
-        whichever is fewer.  A child forked for each share formats it into
-        a temporary file, and this process yields each child's lines in
-        order, read back a few KiB at a time, so that it builds no format
-        caches on top of the run's heap.  The lines are the same for every
-        share count.  A child that fails raises BackboneError naming its
-        rows.  Every child is reaped and every file closed, also when the
-        caller stops early."""
+        whichever is fewer, and a forked child formats each (see
+        ``forked``).  This process yields their lines in order, so that it
+        builds no format caches on top of the run's heap.  The lines are
+        the same for every share count."""
         n = len(self.ts)
         shares = min(len(os.sched_getaffinity(0)), n // MIN_SHARE_ROWS)
         if shares < 2:
             yield ",".join(CSV_COLUMNS)
-            for block in self._format_blocks(0, n):
-                yield from block
+            yield from chain.from_iterable(self._format_blocks(0, n))
             return
-        import multiprocessing  # here, not at the top: it is a tenth of set-up time
-
-        fork = multiprocessing.get_context("fork")
         bounds = [n * k // shares for k in range(shares + 1)]
-        files, children = [], []
-        try:
-            for start, stop in zip(bounds, bounds[1:]):
-                files.append(tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n"))
-                child = fork.Process(target=self._format_share,
-                                     args=(files[-1], start, stop), daemon=True)
-                child.start()
-                children.append(child)
+        with forked(list(zip(bounds, bounds[1:])), self._format_share,
+                    lambda rows: f"formatting central-db rows {rows[0]} to {rows[1] - 1}",
+                    BackboneError) as children:
             yield ",".join(CSV_COLUMNS)
-            for child, text, start, stop in zip(children, files, bounds, bounds[1:]):
-                child.join()
-                if child.exitcode:
-                    raise BackboneError(f"the process formatting central-db rows {start} to "
-                                        f"{stop - 1} exited with code {child.exitcode}")
-                text.seek(0)
-                yield from map(_WITHOUT_NEWLINE, text)  # read a few KiB at a time
-        finally:
-            for child in children:
-                if child.exitcode is None:
-                    child.terminate()
-                child.join()
-            for text in files:
-                text.close()
+            for _, file in children:  # each read a few KiB at a time
+                yield from map(_WITHOUT_NEWLINE, io.TextIOWrapper(file, encoding="utf-8", newline="\n"))
 
-    def _format_share(self, text, start: int, stop: int) -> None:
-        """Body of a forked child: write the lines of rows [start, stop),
-        each ended by a newline, to the text file ``text``."""
-        for block in self._format_blocks(start, stop):
-            text.write("\n".join(block))
-            text.write("\n")
-        text.flush()
+    def _format_share(self, rows: tuple[int, int], file) -> None:
+        """Body of a forked child: write the lines of the (start, stop)
+        rows, each ended by a newline, to the binary file ``file``."""
+        for block in self._format_blocks(*rows):
+            file.write("\n".join(chain(block, ("",))).encode())  # the "" ends the last line
 
     def _format_blocks(self, start: int, stop: int):
         """The lines of rows [start, stop), one iterable per block of
@@ -290,28 +267,27 @@ class CentralDatabase:
         db.release_keys()
         return db
 
-    def send(self, conn) -> None:
-        """Send a run's records down a ``multiprocessing`` connection, one
-        column per message so that neither end copies them all at once,
-        then the duplicate counts."""
+    def dump(self, file) -> None:
+        """Write a run's records to a binary file: the row count, routes
+        and duplicate counts pickled, then each array column's bytes."""
+        pickle.dump((len(self), self.routes, self.duplicates_by_region), file)
         for col in self._stored_columns():
-            if type(col) is list:
-                conn.send(col)  # routes
-            else:
-                conn.send_bytes(col)
-        conn.send(self.duplicates_by_region)
+            if type(col) is not list:
+                col.tofile(file)
 
-    def receive(self, conn) -> None:
-        """Append what ``send`` sent from a run's database of other regions,
-        so that no key of it is stored here, and add its duplicate counts;
-        releases the keys (see ``release_keys``)."""
+    def append_dump(self, file) -> None:
+        """Append what ``dump`` wrote of a run's database of other regions,
+        none of whose keys is stored here, a block of each column at a
+        time; releases the keys (see ``release_keys``)."""
         self.release_keys()
+        n, routes, duplicates = pickle.load(file)
         for col in self._stored_columns():
             if type(col) is list:
-                col.extend(conn.recv())
+                col.extend(routes)
             else:
-                col.frombytes(conn.recv_bytes())
-        for region, count in conn.recv().items():
+                for first in range(0, n, _DUMP_BLOCK_ITEMS):
+                    col.fromfile(file, min(_DUMP_BLOCK_ITEMS, n - first))
+        for region, count in duplicates.items():
             self.duplicates_by_region[region] = self.duplicates_by_region.get(region, 0) + count
 
     def _extend(self, parts: list) -> None:

@@ -131,9 +131,6 @@ class ScenarioConfig:
     interest: InterestConfig = InterestConfig()
     regions: tuple[RegionConfig, ...] = field(default_factory=default_regions)
 
-    def region_ids(self) -> list[int]:
-        return [r.region_id for r in self.regions]
-
     def region_centroids(self) -> dict[int, GeoPoint]:
         """Centre of each region's square, where its sink and local base
         station sit."""
@@ -291,7 +288,7 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ValidationError("window_days must be at least 30")
     if not cfg.regions:
         raise ValidationError("at least one region is required")
-    ids = cfg.region_ids()
+    ids = [r.region_id for r in cfg.regions]
     if len(set(ids)) != len(ids):
         raise ValidationError("region_id values must be unique")
     lo, hi = REGION_ID_RANGE

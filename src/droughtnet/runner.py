@@ -11,9 +11,12 @@ from __future__ import annotations
 import filecmp
 import json
 import os
+import pickle
+import tempfile
 import time
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, islice
 from pathlib import Path
 
@@ -31,6 +34,7 @@ from .analytics import (
 from .backbone import CSV_BLOCK_ROWS, CentralDatabase, LocalBaseStation, RemoteBaseStation
 from .config import ScenarioConfig, config_to_dict
 from .environment import EnvironmentModel, normal_temp_over_window
+from .forked import forked
 from .geometry import (
     GeoPoint,
     PlacementPlan,
@@ -120,9 +124,8 @@ def _tree_walk(parents: dict[int, int], n: int) -> tuple[list[int], list[int]]:
 
 @dataclass
 class RegionOutcome:
-    """What a run reads of one simulated region: plain data, so the
-    process that simulated the region can send it to the one that
-    writes the run."""
+    """What a run reads of one simulated region: plain data, which a
+    forked child pickles for the process that writes the run."""
 
     events: int
     figures: dict  # the region's counters, station and uplink figures
@@ -283,38 +286,20 @@ def simulate(scn: Scenario) -> int:
     The regions share no state but the central database, so they are
     split into contiguous blocks in config order, none longer than its
     fair share of the available CPUs (see ``_blocks``).  This process
-    simulates the first block and a forked child each of the others, and
-    the children's records are appended in block order.  So for every
-    process count the central database and the trace hold each region's
-    rows in its own arrival order, the regions in config order.  An
-    exception raised in a child is raised again here.
-    """
-    import multiprocessing  # here, not at the top: it is a tenth of set-up time
-
-    n = len(scn.regions)
-    blocks = _blocks(n, len(os.sched_getaffinity(0)))
-    # a forked child inherits the built scenario, whose entities hold
-    # bound methods and so would not pickle; the simulator starts no thread
-    fork = multiprocessing.get_context("fork")
-    children = []
-    try:
-        for block in blocks[1:]:
-            receiver, sender = fork.Pipe(duplex=False)
-            child = fork.Process(target=_simulate_in_child, args=(scn, block, sender),
-                                 daemon=True)
-            child.start()
-            sender.close()  # so that a child that dies unheard gives EOFError
-            children.append((child, receiver, block))
+    simulates the first block and a forked child each of the others (see
+    ``forked``), and the children's records are appended in block order:
+    for every process count the central database and the trace hold each
+    region's rows in its own arrival order, the regions in config order."""
+    blocks = _blocks(len(scn.regions), len(os.sched_getaffinity(0)))
+    with forked(blocks[1:], partial(_simulate_in_child, scn),
+                lambda block: f"simulating regions {[scn.regions[i].region_id for i in block]}",
+                RunError) as children:
         for i in blocks[0]:
             _simulate_region(scn.cfg, scn.regions[i])
-        for child, receiver, block in children:
-            _receive_block(scn, block, child, receiver)
-    finally:
-        for child, receiver, _ in children:
-            if child.exitcode is None:
-                child.terminate()
-            child.join()
-            receiver.close()
+        for block, file in children:
+            for i, outcome in zip(block, pickle.load(file)):
+                scn.regions[i].outcome = outcome
+            scn.central.append_dump(file)
     scn.central.release_keys()  # the run adds no more records
     return sum(reg.outcome.events for reg in scn.regions)
 
@@ -358,47 +343,13 @@ def _simulate_region(cfg: ScenarioConfig, reg: RegionRuntime) -> None:
                                 kernel.trace)
 
 
-def _simulate_in_child(scn: Scenario, block: range, sender) -> None:
-    """Body of a forked child: simulate ``block`` and send back its
-    regions' outcomes and the central database, which holds only their
-    records, or the exception raised and its traceback."""
-    try:
-        for i in block:
-            _simulate_region(scn.cfg, scn.regions[i])
-        outcomes = [scn.regions[i].outcome for i in block]
-    except BaseException as exc:  # the parent raises it again
-        import traceback
-
-        tb = traceback.format_exc()
-        try:
-            sender.send(("raised", exc, tb))
-        except Exception:  # the exception does not pickle
-            sender.send(("raised", RunError(f"{type(exc).__name__}: {exc}"), tb))
-    else:
-        sender.send(("done", outcomes))
-        scn.central.send(sender)
-    finally:
-        sender.close()
-
-
-def _receive_block(scn: Scenario, block: range, child, receiver) -> None:
-    """Take what a child sent for ``block``: set its regions' outcomes
-    and append its records, or raise what it raised."""
-    ids = [scn.regions[i].region_id for i in block]
-    try:
-        status, *message = receiver.recv()
-        if status == "done":
-            scn.central.receive(receiver)
-    except EOFError:
-        child.join()
-        raise RunError(f"the process simulating regions {ids} exited with code "
-                       f"{child.exitcode} before it sent all it had") from None
-    child.join()
-    if status == "raised":
-        exc, tb = message
-        raise exc from RunError(f"raised in the process simulating regions {ids}:\n{tb}")
-    for i, outcome in zip(block, message[0]):
-        scn.regions[i].outcome = outcome
+def _simulate_in_child(scn: Scenario, block: range, file) -> None:
+    """Body of a forked child: simulate ``block``, then write its regions'
+    outcomes and the central database (only their records) to ``file``."""
+    for i in block:
+        _simulate_region(scn.cfg, scn.regions[i])
+    pickle.dump([scn.regions[i].outcome for i in block], file)
+    scn.central.dump(file)
 
 
 def analyse(scn: Scenario):
@@ -436,7 +387,10 @@ def analyse_db(cfg: ScenarioConfig, db: CentralDatabase):
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir=None) -> dict:
-    """Execute the full pipeline, write all exports, return the run report."""
+    """Execute the full pipeline and return the run report.  Exports go
+    to a fresh directory beside ``out_dir``, if given, and then replace
+    their names there, the report last, so that ``out_dir`` holds one
+    run's exports (and its other files) and stays as it was on failure."""
     started = time.perf_counter()
     scn = build_scenario(cfg)
     processed = simulate(scn)
@@ -472,8 +426,18 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> dict:
     }
     if out_dir is None:
         report["wall_clock_s"] = time.perf_counter() - started
-    else:
-        write_exports(scn, report, classes, indicators, patterns, forecast, Path(out_dir), started)
+        return report
+    out = Path(out_dir).resolve()  # so that the fresh directory is on its filesystem
+    out.parent.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix=f".{out.name}-", dir=out.parent) as stage:
+        write_exports(scn, report, classes, indicators, patterns, forecast, Path(stage), started)
+        out.mkdir(exist_ok=True)
+        (out / "run_report.json").unlink(missing_ok=True)  # until this run's lands
+        for name in OPTIONAL_EXPORT_FILES + EXPORT_FILES:  # the report last
+            if os.path.exists(written := os.path.join(stage, name)):
+                os.replace(written, out / name)
+            else:
+                (out / name).unlink(missing_ok=True)  # a file of an earlier run
     return report
 
 
@@ -491,21 +455,18 @@ def _write(path: Path, lines) -> None:
 
 
 def write_placement(out: Path, plans: list[PlacementPlan]) -> None:
-    (out / "placement.json").write_text(plans_to_json(plans) + "\n", encoding="utf-8")
+    _write(out / "placement.json", [plans_to_json(plans)])
 
 
 def write_analysis(out: Path, classes, patterns, forecast) -> None:
     _write(out / "pattern.csv", patterns_to_csv_lines(patterns))
-    (out / "forecast.json").write_text(
-        forecast_to_json(classes, forecast) + "\n", encoding="utf-8"
-    )
+    _write(out / "forecast.json", [forecast_to_json(classes, forecast)])
 
 
 def write_exports(scn: Scenario, report, classes, indicators, patterns, forecast,
                   out: Path, started: float | None = None) -> None:
     """Write every export, the report last, timing its wall_clock_s from ``started`` if given."""
     out.mkdir(parents=True, exist_ok=True)
-    cfg = scn.cfg
 
     write_placement(out, [reg.plan for reg in scn.regions])
 
@@ -514,16 +475,12 @@ def write_exports(scn: Scenario, report, classes, indicators, patterns, forecast
     energy_lines = [ENERGY_CSV_COLUMNS]
     plot_energy = ["node_id,region,tx_mJ,rx_mJ,idle_mJ,sensing_mJ,total_mJ"]
     for row in report["energy"]:
-        energy_lines.append(
-            f"{row['node_id']},{row['region']},{row['tx_mJ']!r},{row['rx_mJ']!r},"
-            f"{row['idle_mJ']!r},{row['sensing_mJ']!r},{row['frames_sent']},"
-            f"{row['frames_dropped']},{row['reports_originated']},{row['reports_forwarded']}"
-        )
+        shared = (f"{row['node_id']},{row['region']},{row['tx_mJ']!r},{row['rx_mJ']!r},"
+                  f"{row['idle_mJ']!r},{row['sensing_mJ']!r}")
+        energy_lines.append(f"{shared},{row['frames_sent']},{row['frames_dropped']},"
+                            f"{row['reports_originated']},{row['reports_forwarded']}")
         total = row["tx_mJ"] + row["rx_mJ"] + row["idle_mJ"] + row["sensing_mJ"]
-        plot_energy.append(
-            f"{row['node_id']},{row['region']},{row['tx_mJ']!r},{row['rx_mJ']!r},"
-            f"{row['idle_mJ']!r},{row['sensing_mJ']!r},{total!r}"
-        )
+        plot_energy.append(f"{shared},{total!r}")
     _write(out / "energy.csv", energy_lines)
     _write(out / "plots_energy.csv", plot_energy)
 
@@ -544,17 +501,15 @@ def write_exports(scn: Scenario, report, classes, indicators, patterns, forecast
     _write(out / "plots_temperature.csv", temp_lines)
     _write(out / "plots_precipitation.csv", precip_lines)
 
-    if cfg.trace:
+    if scn.cfg.trace:
         _write(out / "trace.tsv", chain.from_iterable(reg.outcome.trace for reg in scn.regions))
 
-    if cfg.truth_dump:
+    if scn.cfg.truth_dump:
         _write(out / "truth_daily.csv", _truth_daily_lines(scn))
 
     if started is not None:
         report["wall_clock_s"] = time.perf_counter() - started
-    (out / "run_report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write(out / "run_report.json", [json.dumps(report, indent=2, sort_keys=True)])
 
 
 def _truth_daily_lines(scn: Scenario):

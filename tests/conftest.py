@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import tempfile
 from multiprocessing.context import ForkProcess
 
 import pytest
@@ -32,3 +33,17 @@ def started(monkeypatch):
     start = ForkProcess.start
     monkeypatch.setattr(ForkProcess, "start", lambda self: (processes.append(self), start(self)))
     return processes
+
+
+@pytest.fixture
+def opened(monkeypatch):
+    """The temporary files opened during the test."""
+    files = []
+    temporary = tempfile.TemporaryFile
+
+    def recorded(*args, **kwargs):
+        files.append(temporary(*args, **kwargs))
+        return files[-1]
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", recorded)
+    return files

@@ -346,3 +346,11 @@ class ReferenceHeapKernel(Kernel):
             count += 1
         self.processed += count
         return count
+
+
+class Unpicklable(Exception):
+    """An exception holding a lambda, which does not pickle."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.check = lambda: message

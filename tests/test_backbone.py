@@ -1,5 +1,4 @@
 import math
-import multiprocessing
 import random
 import tempfile
 from dataclasses import replace
@@ -29,6 +28,7 @@ from droughtnet.stack import DataMessage, report_signature
 
 from helpers import (
     ReferenceDatabase,
+    Unpicklable,
     column_bytes,
     reference_from_csv_lines,
     reference_to_csv_lines,
@@ -98,17 +98,18 @@ def test_duplicate_key_dropped_with_counter():
 
 
 def receive_from(db, other):
-    """``db.receive`` what ``other.send`` sent down a pipe."""
-    receiver, sender = multiprocessing.Pipe(duplex=False)
-    other.send(sender)
-    db.receive(receiver)
-    receiver.close()
-    sender.close()
+    """``db.append_dump`` what ``other.dump`` wrote to a file."""
+    with tempfile.TemporaryFile() as file:
+        other.dump(file)
+        file.write(b"after the dump")
+        file.seek(0)
+        db.append_dump(file)
+        assert file.read() == b"after the dump"  # the dump is read to its end and no further
 
 
 def test_add_after_key_release_raises():
     """A database records one run or holds one loaded file: once its keys
-    are released, by release_keys, by receive or by the load, it takes
+    are released, by release_keys, by append_dump or by the load, it takes
     no add."""
     k, lbs, rbs = make_station()
     for t in (0, 1800):
@@ -338,9 +339,9 @@ def test_calibration_first_differing_in_third_block():
     assert len(db.cal["temperature_c"]) == len(db) == 3 * CSV_BLOCK_ROWS + 10
 
 
-def test_send_receive_keeps_the_aliased_calibration():
-    """A run's database sends its raw columns once, and the one that
-    receives them stores them after its own, its calibration still its
+def test_dump_keeps_the_aliased_calibration():
+    """A run's database dumps its raw columns once, and the one that
+    appends them stores them after its own, its calibration still its
     raw columns."""
     text = special_lines(40, first_calibrated=40)
     other = special_lines(60, seed=6, first_calibrated=60)
@@ -397,20 +398,6 @@ def small_shares(monkeypatch):
     monkeypatch.setattr(backbone, "MIN_SHARE_ROWS", SHARE_ROWS)
 
 
-@pytest.fixture
-def opened(monkeypatch):
-    """The temporary files opened during the test."""
-    files = []
-    temporary = tempfile.TemporaryFile
-
-    def recorded(*args, **kwargs):
-        files.append(temporary(*args, **kwargs))
-        return files[-1]
-
-    monkeypatch.setattr(tempfile, "TemporaryFile", recorded)
-    return files
-
-
 def split_case(kind):
     """A database of over 3 * SHARE_ROWS rows: a run's, or one loaded with
     its calibration aliased, with its own, or with signed zeros."""
@@ -428,6 +415,7 @@ def split_case(kind):
 @pytest.mark.parametrize("kind", ["run", "aliased", "own-calibration", "signed-zeros"])
 def test_split_export_equals_one_process(tmp_path, cpus, started, small_shares, opened, kind):
     db = split_case(kind)
+    del opened[:]  # a run's simulate writes through files too
     assert (db.cal is not db.raw) == (kind == "own-calibration")
     cpus(1)
     one = list(db.to_csv_lines())
@@ -451,14 +439,32 @@ def test_failing_share_names_its_rows(cpus, small_shares, opened, monkeypatch):
     cpus(2)
     format_share = CentralDatabase._format_share
 
-    def second_fails(self, text, start, stop):
-        if start:
+    def second_fails(self, rows, file):
+        if rows[0]:
             raise OSError("no space left")
-        format_share(self, text, start, stop)
+        format_share(self, rows, file)
 
     monkeypatch.setattr(CentralDatabase, "_format_share", second_fails)
-    with pytest.raises(BackboneError, match="rows 500 to 999 exited with code 1$"):
+    with pytest.raises(OSError, match="^no space left$") as raised:
         list(db.to_csv_lines())
+    assert isinstance(raised.value.__cause__, BackboneError)
+    assert "formatting central-db rows 500 to 999:" in str(raised.value.__cause__)
+    assert "no space left" in str(raised.value.__cause__)  # the child's traceback
+    assert len(opened) == 2 and all(f.closed for f in opened)
+
+
+def test_unpicklable_raise_in_a_share_names_its_type(cpus, small_shares, opened, monkeypatch):
+    db = CentralDatabase.from_csv_lines(special_lines(2 * SHARE_ROWS))
+    cpus(2)
+
+    def second_fails(self, rows, file):
+        if rows[0]:
+            raise Unpicklable("no space left")
+
+    monkeypatch.setattr(CentralDatabase, "_format_share", second_fails)
+    with pytest.raises(BackboneError, match="^Unpicklable: no space left$") as raised:
+        list(db.to_csv_lines())
+    assert "formatting central-db rows 500 to 999:" in str(raised.value.__cause__)
     assert len(opened) == 2 and all(f.closed for f in opened)
 
 

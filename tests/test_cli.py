@@ -106,6 +106,23 @@ def test_replay_compares_trace_and_truth_dump(tmp_path, capsys):
         path.write_text(original, encoding="utf-8")
 
 
+def test_run_owns_its_output_directory(tmp_path, capsys):
+    """A run into a directory that holds an earlier run's exports leaves
+    only its own there, so it replays clean, and files that are not
+    exports stay."""
+    cfg = write_cfg(tmp_path, TINY)
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept", encoding="utf-8")
+    assert main(["run", "--config", cfg, "--out", str(out), "--trace"]) == 0
+    assert (out / "trace.tsv").exists()
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert not (out / "trace.tsv").exists()
+    assert main(["replay", "--out", str(out)]) == 0, capsys.readouterr().out
+    assert (out / "notes.txt").read_text(encoding="utf-8") == "kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "o"]  # no fresh directory left
+
+
 def test_replay_without_report_fails(tmp_path, capsys):
     assert main(["replay", "--out", str(tmp_path)]) == 1
 

@@ -204,3 +204,26 @@ def test_every_stored_attribute_is_read():
         if not name.startswith("__") and not is_read(path, cls.name, name)
     })
     assert not unread, f"stored in src/ and read nowhere: {unread}"
+
+
+def _forks(tree: ast.Module) -> bool:
+    """Whether a module imports ``multiprocessing`` or names ``os.fork``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "os":
+            names = [f"os.{node.attr}"]
+        else:
+            continue
+        if any(n.split(".")[0] == "multiprocessing" or n.startswith("os.fork") for n in names):
+            return True
+    return False
+
+
+def test_one_module_forks():
+    """Every phase that runs on more than one CPU forks through one
+    module, so that the child lifecycle has one copy."""
+    forking = [p.name for p in PACKAGE.glob("*.py") if _forks(ast.parse(p.read_text(encoding="utf-8")))]
+    assert forking == ["forked.py"]

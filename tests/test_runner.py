@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from droughtnet import runner
 from droughtnet.backbone import CentralDatabase
 from droughtnet.config import ScenarioConfig, validate
 from droughtnet.geometry import GeoPoint
@@ -29,7 +30,7 @@ from droughtnet.runner import (
 )
 from droughtnet.stack import WAKE, OrphanNode, RoutingMode, SensorNode
 
-from helpers import ReferenceStream
+from helpers import ReferenceStream, Unpicklable
 
 DAY = 86_400
 
@@ -221,6 +222,23 @@ def test_compare_runs_flags_runs_that_are_not_there(tmp_path):
     (tmp_path / "b").mkdir()
     assert compare_runs(tmp_path / "a", tmp_path / "b") == missing
     assert compare_runs(tmp_path / "c", tmp_path / "d") == missing
+
+
+def test_failed_export_leaves_the_output_directory_as_it_was(tmp_path, monkeypatch):
+    out = tmp_path / "o"
+    run_scenario(cfg_days(2, trace=True), out_dir=out)
+    (out / "notes.txt").write_text("kept", encoding="utf-8")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def disk_full(scn):
+        raise OSError("disk full")
+
+    # the last export but the report, so every other one is written first
+    monkeypatch.setattr(runner, "_truth_daily_lines", disk_full)
+    with pytest.raises(OSError, match="^disk full$"):
+        run_scenario(cfg_days(2, seed=5, truth_dump=True), out_dir=out)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert [p.name for p in tmp_path.iterdir()] == ["o"]  # no fresh directory left
 
 
 def test_placement_export_shape(tmp_path):
@@ -545,11 +563,20 @@ def test_raise_in_a_child_is_raised_again(cpus, monkeypatch):
 def test_child_that_dies_unheard_is_a_run_error(cpus, monkeypatch):
     cpus(2)
     on_finalize(monkeypatch, {4: lambda: os._exit(3)})
-    with pytest.raises(RunError, match=r"regions \[3, 4\] exited with code 3 before it sent all it had"):
+    with pytest.raises(RunError, match=r"simulating regions \[3, 4\] exited with code 3$"):
         simulate(build_scenario(cfg_days(1)))
 
 
-def test_raise_in_this_process_stops_and_reaps_the_children(cpus, monkeypatch, started):
+def test_unpicklable_raise_in_a_child_names_its_type(cpus, monkeypatch):
+    cpus(2)
+    on_finalize(monkeypatch, {5: raiser(Unpicklable("lost in region 5"))})
+    with pytest.raises(RunError, match="^Unpicklable: lost in region 5$") as raised:
+        simulate(build_scenario(cfg_days(1)))
+    assert "simulating regions [5]:" in str(raised.value.__cause__)
+    assert "lost in region 5" in str(raised.value.__cause__)  # the child's traceback
+
+
+def test_raise_in_this_process_stops_and_reaps_the_children(cpus, monkeypatch, started, opened):
     cpus(5)
 
     def stall():
@@ -562,6 +589,7 @@ def test_raise_in_this_process_stops_and_reaps_the_children(cpus, monkeypatch, s
         simulate(build_scenario(cfg_days(1)))
     assert time.monotonic() - t0 < 30
     assert [child.exitcode for child in started] == [-signal.SIGTERM] * 4
+    assert len(opened) == 4 and all(f.closed for f in opened)  # one file per child
 
 
 def test_backbone_retries_past_the_drain_window_complete():
