@@ -12,6 +12,7 @@ duplicates are rejected and counted.
 
 from __future__ import annotations
 
+import codecs
 import io
 import os
 import pickle
@@ -37,9 +38,10 @@ MAX_TIMESTAMP_S = 1 << 40
 # rows per block of the central-db CSV codec; small blocks keep the
 # reader's transient field strings from raising peak memory
 CSV_BLOCK_ROWS = 1024
-# rows below which a share of the central-db export does not pay for
-# the process forked to format it
+# rows below which a share of the central-db export or load does not pay
+# for the process forked to format or parse it
 MIN_SHARE_ROWS = 32_768
+CSV_ROW_BYTES = 128  # about a central-db CSV row's length, to size the load's shares
 
 
 class BackboneError(Exception):
@@ -74,10 +76,10 @@ class _ReprCache(dict):
 class CentralDatabase:
     """Append-only columnar store keyed by (region, node, timestamp).
 
-    It records a run (``add``, ``dump`` and ``append_dump``) or holds a
-    loaded file (``from_csv_lines``); ``add`` raises once ``append_dump``
-    or the load has released the keys.  ``cal`` is ``raw`` (the same arrays)
-    unless a loaded block's calibrated cells differ from its raw ones.  A
+    It records a run (``add``) or holds a loaded file or a share of one
+    (``from_csv_lines``); ``dump`` writes either, ``append_dump`` appends
+    it to another, and ``add`` raises once the keys are released.  ``cal``
+    is ``raw`` (the same arrays) unless loaded calibrated cells differ.  A
     key above its node's high-water mark, the highest key stored for its
     (region, node), is new, and one equal to it a duplicate.  The first
     key below it builds an exact set of the stored keys."""
@@ -192,15 +194,13 @@ class CentralDatabase:
         """Header, then one line per record (no trailing newline), every
         number as its ``repr``: the inverse of ``from_csv_lines``.
 
-        When the usable CPUs and rows // MIN_SHARE_ROWS are both at least
-        2, the rows are split into that many contiguous, near-equal shares,
-        whichever is fewer, and a forked child formats each (see
-        ``forked``).  This process yields their lines in order, so that it
-        builds no format caches on top of the run's heap.  The lines are
-        the same for every share count."""
+        With ``_shares`` of the rows at least 2, a forked child formats each
+        of that many contiguous, near-equal row shares (see ``forked``), and
+        this process yields their lines in order, so that it builds no
+        format caches on top of the run's heap.  The lines are the same for
+        every share count."""
         n = len(self.ts)
-        shares = min(len(os.sched_getaffinity(0)), n // MIN_SHARE_ROWS)
-        if shares < 2:
+        if (shares := _shares(n)) < 2:
             yield ",".join(CSV_COLUMNS)
             yield from chain.from_iterable(self._format_blocks(0, n))
             return
@@ -249,7 +249,13 @@ class CentralDatabase:
         lines are skipped, a row with the wrong field count or a bad value
         raises BackboneError naming its line, and duplicate keys are
         dropped and counted as ``add`` drops them.  The keys are released
-        after the last block (see ``release_keys``)."""
+        after the last block (see ``release_keys``).  Lines that are not a
+        large file, or fail to load in shares (``_load_shares``), load here."""
+        try:
+            if (db := cls._load_shares(lines)) is not None:
+                return db
+        except (OSError, ValueError, BackboneError):  # the serial load names a share's fault
+            pass
         it = iter(lines)
         if next(it, "").strip().split(",") != CSV_COLUMNS:
             raise BackboneError("unexpected central-db CSV header")
@@ -267,25 +273,65 @@ class CentralDatabase:
         db.release_keys()
         return db
 
+    @classmethod
+    def _load_shares(cls, file) -> "CentralDatabase | None":
+        """The database of a file opened as UTF-8 text and unread, in
+        ``_shares`` byte shares (none unless it is regular) ending on a
+        newline, each loaded by a forked child; None for one share, or if a
+        share's lowest key of a (region, node) is not above the earlier
+        shares' highest.  A child raises at a CR or calibrated columns."""
+        if not isinstance(file, io.TextIOWrapper) or codecs.lookup(file.encoding).name != "utf-8":
+            return None
+        fd = file.fileno()
+        size = os.fstat(fd).st_size
+        if (shares := _shares(size // CSV_ROW_BYTES)) < 2 or file.tell():
+            return None
+        bounds = [at + os.pread(fd, 1 << 16, at).index(b"\n") + 1
+                  for at in (size * k // shares for k in range(1, shares))]
+
+        def load(span, out):  # in the child
+            db = cls.from_csv_lines(chain([",".join(CSV_COLUMNS)] if span[0] else [],
+                                          _text_lines(fd, *span)))
+            if db.cal is not db.raw:
+                raise BackboneError("a share with calibrated columns of its own")
+            keys = sorted(map(cls._key, db.region, db.node, db.ts))
+            pickle.dump(({k >> 40: k for k in reversed(keys)}, {k >> 40: k for k in keys}), out)
+            db.dump(out)
+
+        db, marks = cls(), {}
+        with forked(list(zip([0] + bounds, bounds + [size])), load,
+                    lambda span: f"loading central-db bytes {span[0]} to {span[1] - 1}",
+                    BackboneError) as children:
+            for _, part in children:
+                lowest, highest = pickle.load(part)
+                if any(k <= marks.get(nk, _BELOW_ANY_KEY) for nk, k in lowest.items()):
+                    return None
+                marks.update(highest)
+                db.append_dump(part)
+        return db
+
     def dump(self, file) -> None:
-        """Write a run's records to a binary file: the row count, routes
-        and duplicate counts pickled, then each array column's bytes."""
-        pickle.dump((len(self), self.routes, self.duplicates_by_region), file)
+        """Write a run's or a loaded share's records to a binary file: the
+        row count and duplicate counts pickled, then each column's items."""
+        pickle.dump((len(self), self.duplicates_by_region), file)
         for col in self._stored_columns():
-            if type(col) is not list:
+            if type(col) is list:  # a block at a time, as append_dump reads it
+                for first in range(0, len(self), _DUMP_BLOCK_ITEMS):
+                    pickle.dump(col[first:first + _DUMP_BLOCK_ITEMS], file)
+            else:
                 col.tofile(file)
 
     def append_dump(self, file) -> None:
-        """Append what ``dump`` wrote of a run's database of other regions,
-        none of whose keys is stored here, a block of each column at a
-        time; releases the keys (see ``release_keys``)."""
+        """Append what ``dump`` wrote of a database (other regions, or a
+        later share of the file) none of whose keys is stored here, a block
+        of each column at a time; releases the keys (see ``release_keys``)."""
         self.release_keys()
-        n, routes, duplicates = pickle.load(file)
+        n, duplicates = pickle.load(file)
         for col in self._stored_columns():
-            if type(col) is list:
-                col.extend(routes)
-            else:
-                for first in range(0, n, _DUMP_BLOCK_ITEMS):
+            for first in range(0, n, _DUMP_BLOCK_ITEMS):
+                if type(col) is list:
+                    col.extend(pickle.load(file))
+                else:
                     col.fromfile(file, min(_DUMP_BLOCK_ITEMS, n - first))
         for region, count in duplicates.items():
             self.duplicates_by_region[region] = self.duplicates_by_region.get(region, 0) + count
@@ -319,6 +365,26 @@ class CentralDatabase:
                      else array(p.typecode, compress(p, keep)) for p in parts]
         for col, part in zip(self._stored_columns(), parts):
             col.extend(part)
+
+
+def _shares(rows: int) -> int:
+    """Forked children to share ``rows`` rows: one per usable CPU, each with MIN_SHARE_ROWS."""
+    return min(len(os.sched_getaffinity(0)), rows // MIN_SHARE_ROWS)
+
+
+def _text_lines(fd: int, start: int, stop: int):
+    """The lines of bytes [start, stop) of the file fd, read up to a MiB at
+    a time with ``os.pread`` (forked children share the file offset).
+    Raises at a CR, which text reads as a newline, at the file's end and
+    at a line over a MiB long."""
+    while start < stop:
+        data = os.pread(fd, min(1 << 20, stop - start), start)
+        if start + len(data) < stop:
+            data = data[:data.rindex(b"\n") + 1]  # whole lines; ValueError if none
+        if b"\r" in data:
+            raise BackboneError(f"a CR in bytes {start} to {start + len(data) - 1}")
+        start += len(data)
+        yield from data.decode().split("\n")
 
 
 def _parse_csv_block(chunk: list, columns: list, lineno: int) -> list:

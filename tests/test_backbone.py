@@ -1,6 +1,9 @@
+import io
 import math
+import os
 import random
 import tempfile
+import threading
 from dataclasses import replace
 from itertools import islice
 from unittest import mock
@@ -558,3 +561,185 @@ def test_duplicate_check_matches_a_key_set(keys, more, sent):
     # a block whose keys all lie above their marks is taken whole, in any
     # row order, so here a key below its mark need not build the set
     assert exact_at_release in ([False], [fell])
+
+
+# -- the load split over processes -----------------------------------------------
+
+
+@pytest.fixture
+def appended(monkeypatch):
+    """How many dumped shares this process appended: one per share of a
+    load that forked and kept its shares."""
+    calls = []
+    append_dump = CentralDatabase.append_dump
+    monkeypatch.setattr(CentralDatabase, "append_dump",
+                        lambda self, file: (calls.append(file), append_dump(self, file))[1])
+    return calls
+
+
+def uncalibrated_lines(rows=3 * SHARE_ROWS + 123):
+    return special_lines(rows, first_calibrated=rows)
+
+
+def load(path):
+    with open(path, encoding="utf-8") as fh:
+        return CentralDatabase.from_csv_lines(fh)
+
+
+def assert_loads_as_serial(path, cpus, started, appended, in_shares):
+    """The file loads equal to the row-wise reference on 1, 2 and 3 CPUs,
+    forking one child per share, and keeps all its shares iff ``in_shares``."""
+    with open(path, encoding="utf-8") as fh:
+        ref = reference_from_csv_lines(list(fh))  # text mode: a lone CR is a line break
+    n_fields = len(SENSOR_FIELDS)
+    columns = column_bytes(ref.columns())
+    own_calibration = columns[-2 * n_fields:-n_fields] != columns[-n_fields:]
+    for n in (1, 2, 3):
+        cpus(n)
+        del started[:], appended[:]
+        db = load(path)
+        assert column_bytes(db._csv_columns()) == columns, n
+        assert list(db.duplicates_by_region.items()) == list(ref.duplicates_by_region.items())
+        assert (db.cal is not db.raw) == own_calibration
+        assert db._marks is None  # released
+        assert len(started) == (n if n > 1 else 0)
+        # each share appended iff all kept; a share that did not keep may have stopped the rest
+        assert (len(appended) == n) == (n > 1 and in_shares)
+
+
+def write_lines(path, lines, end="\n"):
+    path.write_bytes("".join(line + end for line in lines).encode())
+    return path
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "lone-cr", "blank"])
+def test_split_load_line_endings_equal_serial(tmp_path, cpus, started, appended, small_shares,
+                                              ending):
+    lines = uncalibrated_lines()
+    path = tmp_path / "db.csv"
+    if ending == "lone-cr":  # one line break of the second half is a CR alone
+        text = "\n".join(lines) + "\n"
+        middle = text.index("\n", len(text) // 2 + 7)
+        path.write_bytes((text[:middle] + "\r" + text[middle + 1:]).encode())
+    elif ending == "blank":  # a blank line after every row: at every boundary
+        write_lines(path, lines, "\n\n")
+    else:
+        write_lines(path, lines, ending)
+    assert_loads_as_serial(path, cpus, started, appended, in_shares=ending in ("\n", "blank"))
+
+
+def test_split_load_of_a_cr_in_a_route_raises_as_serial(tmp_path, cpus, small_shares):
+    """Text reads a CR in a route cell as a line break, so the row's
+    halves have too few fields; a byte share would read one route."""
+    lines = uncalibrated_lines()
+    cells = lines[-3].split(",")
+    cells[5] += "\r1"
+    lines[-3] = ",".join(cells)
+    path = write_lines(tmp_path / "db.csv", lines)
+    for n in (1, 2, 3):
+        cpus(n)
+        with pytest.raises(BackboneError, match=f"line {len(lines) - 2}: 6 fields, expected 22"):
+            load(path)
+
+
+def test_split_load_reads_a_share_a_mib_at_a_time(tmp_path, cpus, started, appended,
+                                                  small_shares):
+    """Shares of over a MiB are read in several whole-line pieces; a line
+    of over a MiB, whose piece holds no line end, loads serially."""
+    lines = uncalibrated_lines(15_000)
+    path = write_lines(tmp_path / "db.csv", lines)
+    assert path.stat().st_size > 3 << 20  # over a MiB a share on 3 CPUs
+    assert_loads_as_serial(path, cpus, started, appended, in_shares=True)
+    cells = lines[-2].split(",")
+    cells[5] = "1-" * (1 << 20)
+    lines[-2] = ",".join(cells)
+    path = write_lines(tmp_path / "long.csv", lines)
+    cpus(2)
+    del appended[:]
+    assert rows_of(load(path))[-2][5] == cells[5] and len(appended) < 2
+
+
+def cross_share_lines(kind):
+    lines = uncalibrated_lines()
+    if kind.startswith("repeats"):  # repeats next to the rows they repeat, within a share
+        for i in (1200, 900, 600, 300, 40):
+            lines.insert(i, lines[i - 1])
+    if kind == "repeats-across":  # and a key of the first share in the last
+        lines.append(lines[5])
+    elif kind == "out-of-order":  # a node's first and last rows swap places
+        first, last = 1, max(i for i, line in enumerate(lines) if line.startswith("2,1,"))
+        lines[first], lines[last] = lines[last], lines[first]
+    elif kind == "calibrated":
+        lines = special_lines(3 * SHARE_ROWS + 123, first_calibrated=700)
+    return lines
+
+
+@pytest.mark.parametrize("kind", ["repeats-within", "repeats-across", "out-of-order", "calibrated"])
+def test_split_load_cross_share_keys_equal_serial(tmp_path, cpus, started, appended, small_shares,
+                                                  kind):
+    path = write_lines(tmp_path / "db.csv", cross_share_lines(kind))
+    assert_loads_as_serial(path, cpus, started, appended, in_shares=kind == "repeats-within")
+    cpus(1)
+    repeats = {"repeats-within": 5, "repeats-across": 6}.get(kind, 0)
+    assert sum(load(path).duplicates_by_region.values()) == repeats
+
+
+def test_split_load_of_a_run_keeps_its_shares(tmp_path, cpus, started, appended, small_shares):
+    db = split_case("run")
+    _write(tmp_path / "central_db.csv", db.to_csv_lines())
+    assert_loads_as_serial(tmp_path / "central_db.csv", cpus, started, appended, in_shares=True)
+    assert column_bytes(load(tmp_path / "central_db.csv")._csv_columns()) == column_bytes(
+        db._csv_columns())
+
+
+def test_only_an_unread_regular_file_forks(tmp_path, cpus, started, small_shares):
+    lines = uncalibrated_lines()
+    path = write_lines(tmp_path / "db.csv", lines)
+    serial = column_bytes(CentralDatabase.from_csv_lines(lines)._csv_columns())
+    cpus(2)
+    del started[:]
+    assert column_bytes(CentralDatabase.from_csv_lines(lines)._csv_columns()) == serial
+    text = path.read_text(encoding="utf-8")
+    assert column_bytes(CentralDatabase.from_csv_lines(io.StringIO(text))._csv_columns()) == serial
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_text(text, encoding="utf-8"), daemon=True)
+    writer.start()
+    try:
+        assert column_bytes(load(fifo)._csv_columns()) == serial
+    finally:
+        writer.join(timeout=60)
+    assert not writer.is_alive()
+    with open(path, encoding="utf-8") as fh:
+        fh.readline()  # not at its start: the next line is taken as the header
+        with pytest.raises(BackboneError, match="unexpected central-db CSV header"):
+            CentralDatabase.from_csv_lines(fh)
+    with open(path, encoding="latin-1") as fh:  # decoded otherwise than the shares would be
+        assert column_bytes(CentralDatabase.from_csv_lines(fh)._csv_columns()) == serial
+    cpus(1)
+    assert column_bytes(load(path)._csv_columns()) == serial
+    assert started == []
+
+
+@pytest.mark.parametrize("raised", [OSError, KeyboardInterrupt])
+def test_load_stopped_in_this_process_leaves_no_child_or_file(tmp_path, cpus, started, opened,
+                                                              small_shares, monkeypatch, raised):
+    """An exception in this process while it appends the shares stops
+    every child and closes every file; after an OSError the file loads
+    serially."""
+    lines = uncalibrated_lines()
+    path = write_lines(tmp_path / "db.csv", lines)
+    serial = column_bytes(CentralDatabase.from_csv_lines(lines)._csv_columns())
+
+    def fails(self, file):
+        raise raised("stopped")
+
+    monkeypatch.setattr(CentralDatabase, "append_dump", fails)
+    cpus(3)
+    if raised is KeyboardInterrupt:
+        with pytest.raises(KeyboardInterrupt):
+            load(path)
+    else:
+        assert column_bytes(load(path)._csv_columns()) == serial
+    assert len(started) == 3 and all(child.exitcode is not None for child in started)
+    assert len(opened) == 3 and all(f.closed for f in opened)

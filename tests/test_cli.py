@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from droughtnet import backbone
 from droughtnet.cli import main
 
 TINY = '{"horizon_s": 172800}'  # two days
@@ -152,18 +153,35 @@ def test_classify_recomputes_from_db_export(tmp_path, capsys):
             assert (again / "forecast.json").read_text() == "{}\n"
 
 
-def test_classify_rejects_malformed_db_without_traceback(tmp_path, capsys):
+def test_classify_rejects_malformed_db_without_traceback(tmp_path, capsys, cpus, started,
+                                                         monkeypatch):
     cfg = write_cfg(tmp_path, TINY)
     main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
     lines = (tmp_path / "o" / "central_db.csv").read_text().splitlines()
-    for name, row in (("long", lines[2] + ",1.0"), ("short", lines[2].rsplit(",", 1)[0])):
+    monkeypatch.setattr(backbone, "MIN_SHARE_ROWS", len(lines) // 8)  # so that 2 CPUs split it
+    cells = lines[-2].split(",")
+    cells[10] = "wet"
+    # a row of the first share, then of the second, with a wrong field count or a bad value
+    for name, at, row in (("long", 2, lines[2] + ",1.0"), ("short", 2, lines[2].rsplit(",", 1)[0]),
+                          ("long-second", len(lines) - 2, lines[-2] + ",1.0"),
+                          ("bad-value-second", len(lines) - 2, ",".join(cells))):
         bad = tmp_path / f"{name}.csv"
-        bad.write_text("\n".join([*lines[:2], row, *lines[3:]]) + "\n")
-        capsys.readouterr()
-        rc = main(["classify", "--config", cfg, "--db", str(bad), "--out", str(tmp_path / name)])
-        err = capsys.readouterr().err
-        assert rc == 1, name
-        assert err.count("\n") == 1 and "line 3:" in err and "Traceback" not in err, err
+        bad.write_text("\n".join([*lines[:at], row, *lines[at + 1:]]) + "\n")
+        errors = []
+        for n in (1, 2):
+            cpus(n)
+            capsys.readouterr()
+            del started[:]
+            rc = main(["classify", "--config", cfg, "--db", str(bad),
+                       "--out", str(tmp_path / name)])
+            err = capsys.readouterr().err
+            assert rc == 1, name
+            assert err.count("\n") == 1 and f"line {at + 1}:" in err, err
+            assert "Traceback" not in err
+            assert len(started) == (n if n > 1 else 0)
+            errors.append(err)
+        assert errors[0] == errors[1]  # the serial load's message
+    assert "bad raw_humidity_pct value 'wet'" in errors[0]
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
