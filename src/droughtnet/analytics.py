@@ -51,15 +51,7 @@ class SeverityClass(IntEnum):
 
     @property
     def label(self) -> str:
-        return _LABELS[self]
-
-
-_LABELS = {
-    SeverityClass.NON_DROUGHT: "NonDrought",
-    SeverityClass.SLIGHT: "Slight",
-    SeverityClass.MODERATE: "Moderate",
-    SeverityClass.SERIOUS: "Serious",
-}
+        return ("NonDrought", "Slight", "Moderate", "Serious")[self]
 
 
 def escalate(cls: SeverityClass) -> SeverityClass:
@@ -101,31 +93,33 @@ class EvolutionPattern:
 
 
 def _aggregate(db: CentralDatabase, start: int, window_s: int) -> dict:
-    """One pass over the database: per (region, window index) sums of
-    temperature, precipitation, wind vector components and speed."""
+    """One pass over the database: per (region, window index) the row count,
+    sums of temperature, precipitation, wind vector components and speed,
+    and node set; each sum adds its key's values in row order from 0.0."""
     sums: dict[tuple[int, int], list] = {}
-    region_col, ts_col = db.region, db.ts
-    temp = db.cal["temperature_c"]
-    precip = db.cal["precipitation_mm"]
-    wdir = db.cal["wind_dir_deg"]
-    wspd = db.cal["wind_speed_ms"]
     sin, cos, rad = math.sin, math.cos, math.radians
-    for i in range(len(ts_col)):
-        t = ts_col[i]
-        if t < start:
-            continue
-        key = (region_col[i], (t - start) // window_s)
-        acc = sums.get(key)
-        if acc is None:
-            acc = sums[key] = [0, 0.0, 0.0, 0.0, 0.0, 0.0, set()]
-        acc[0] += 1
-        acc[1] += temp[i]
-        acc[2] += precip[i]
-        a = rad(wdir[i])
-        acc[3] += sin(a)
-        acc[4] += cos(a)
-        acc[5] += wspd[i]
-        acc[6].add(db.node[i])
+    held, region, lo, hi = [], None, 0, 0  # the current key's list, region and window [lo, hi)
+    n = s_t = s_p = s_sin = s_cos = s_spd = 0  # its count and sums, while its rows run on
+    for r, node, t, temp, precip, wdir, wspd in zip(
+            db.region, db.node, db.ts, db.cal["temperature_c"], db.cal["precipitation_mm"],
+            db.cal["wind_dir_deg"], db.cal["wind_speed_ms"]):
+        if r != region or not lo <= t < hi:  # lo is never below start
+            if t < start:
+                continue
+            held[:6] = n, s_t, s_p, s_sin, s_cos, s_spd
+            w = (t - start) // window_s
+            region, lo, hi = r, start + w * window_s, start + (w + 1) * window_s
+            held = sums.setdefault((r, w), [0, 0.0, 0.0, 0.0, 0.0, 0.0, set()])
+            (n, s_t, s_p, s_sin, s_cos, s_spd), add = held[:6], held[6].add
+        n += 1
+        s_t += temp
+        s_p += precip
+        a = rad(wdir)
+        s_sin += sin(a)
+        s_cos += cos(a)
+        s_spd += wspd
+        add(node)
+    held[:6] = n, s_t, s_p, s_sin, s_cos, s_spd
     return sums
 
 

@@ -99,6 +99,7 @@ class CentralDatabase:
         self._appends = tuple(col.append for col in self._stored_columns())
         # key >> 40, i.e. (region, node) -> its highest stored key; None once released
         self._marks: dict[int, int] | None = {}
+        self._lowest: dict[int, int] = {}  # key >> 40 -> its lowest loaded key, until _exact
         self._exact: set[int] | None = None  # the slow path's key set
         self.duplicates_by_region: dict[int, int] = {}
 
@@ -256,6 +257,13 @@ class CentralDatabase:
                 return db
         except (OSError, ValueError, BackboneError):  # the serial load names a share's fault
             pass
+        db = cls._load(lines)
+        db.release_keys()
+        return db
+
+    @classmethod
+    def _load(cls, lines) -> "CentralDatabase":
+        """The serial load of ``from_csv_lines``, its keys kept."""
         it = iter(lines)
         if next(it, "").strip().split(",") != CSV_COLUMNS:
             raise BackboneError("unexpected central-db CSV header")
@@ -270,7 +278,6 @@ class CentralDatabase:
             del chunk
             if parts:
                 db._extend(parts)
-        db.release_keys()
         return db
 
     @classmethod
@@ -290,12 +297,14 @@ class CentralDatabase:
                   for at in (size * k // shares for k in range(1, shares))]
 
         def load(span, out):  # in the child
-            db = cls.from_csv_lines(chain([",".join(CSV_COLUMNS)] if span[0] else [],
-                                          _text_lines(fd, *span)))
+            db = cls._load(chain([",".join(CSV_COLUMNS)] if span[0] else [],
+                                 _text_lines(fd, *span)))
             if db.cal is not db.raw:
                 raise BackboneError("a share with calibrated columns of its own")
-            keys = sorted(map(cls._key, db.region, db.node, db.ts))
-            pickle.dump(({k >> 40: k for k in reversed(keys)}, {k >> 40: k for k in keys}), out)
+            if db._exact is not None:  # the marks stood still once a key fell below one
+                keys = sorted(db._exact)
+                db._lowest, db._marks = {k >> 40: k for k in reversed(keys)}, {k >> 40: k for k in keys}
+            pickle.dump((db._lowest, db._marks), out)
             db.dump(out)
 
         db, marks = cls(), {}
@@ -349,6 +358,7 @@ class CentralDatabase:
         keys = [(r << 54) | (n << 40) | t for r, n, t in zip(region, parts[1], parts[2])]
         ordered = sorted(keys)
         lowest = {k >> 40: k for k in reversed(ordered)}
+        self._lowest = lowest | self._lowest
         marks = self._marks
         if (marks is not None and self._exact is None and len(set(ordered)) == len(ordered)
                 and all(k > marks.get(nk, _BELOW_ANY_KEY) for nk, k in lowest.items())):

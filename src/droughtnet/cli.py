@@ -17,6 +17,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+from .analytics import AnalyticsError
 from .backbone import BackboneError, CentralDatabase
 from .config import ConfigError, ScenarioConfig, config_from_dict, load_config, validate
 from .runner import analyse_db, compare_runs, place, run_scenario, write_analysis, write_placement
@@ -65,13 +66,13 @@ def cmd_classify(args) -> int:
     try:
         with open(args.db, encoding="utf-8") as fh:
             db = CentralDatabase.from_csv_lines(fh)
-    except (BackboneError, OSError, UnicodeDecodeError) as exc:  # malformed or unreadable
+        if len(db) and not {r.region_id for r in cfg.regions} & set(db.region):
+            print("no configured regions present in the database", file=sys.stderr)
+            return 1
+        classes, _, patterns, forecast = analyse_db(cfg, db)
+    except (AnalyticsError, BackboneError, OSError, UnicodeDecodeError) as exc:  # unusable file
         print(f"{args.db}: {exc}", file=sys.stderr)
         return 1
-    if len(db) and not {r.region_id for r in cfg.regions} & set(db.region):
-        print("no configured regions present in the database", file=sys.stderr)
-        return 1
-    classes, _, patterns, forecast = analyse_db(cfg, db)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_analysis(out, classes, patterns, forecast)

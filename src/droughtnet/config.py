@@ -45,6 +45,7 @@ from .geometry import (
     PlacementPlan,
     PlanningError,
     estimate_node_count,
+    ordered_total,
     tile_region,
 )
 from .stack import LinkParams, MacParams, RoutingMode
@@ -319,8 +320,8 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
     if not cfg.backbone.range_km > 0:
         raise ValidationError("backbone.range_km must be positive")
     centroids = cfg.region_centroids()
-    remote = GeoPoint(sum(c.x_km for c in centroids.values()) / len(centroids),
-                      sum(c.y_km for c in centroids.values()) / len(centroids))
+    remote = GeoPoint(ordered_total(c.x_km for c in centroids.values()) / len(centroids),
+                      ordered_total(c.y_km for c in centroids.values()) / len(centroids))
     for rid, centroid in centroids.items():
         distance = centroid.distance_to(remote)
         if distance > cfg.backbone.range_km:

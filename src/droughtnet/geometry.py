@@ -34,6 +34,13 @@ DEFAULT_ANCHORS_KM: dict[int, tuple[float, float]] = {
 }
 
 
+def ordered_total(values, start=0.0):
+    """The values added left to right from ``start``: builtin ``sum`` is compensated since 3.12."""
+    for value in values:
+        start += value
+    return start
+
+
 class PlanningError(Exception):
     pass
 

@@ -39,6 +39,7 @@ from .geometry import (
     GeoPoint,
     PlacementPlan,
     connectivity_check,
+    ordered_total,
     plans_to_json,
 )
 from .kernel import EntityId, EntityKind, Kernel
@@ -301,7 +302,7 @@ def simulate(scn: Scenario) -> int:
                 scn.regions[i].outcome = outcome
             scn.central.append_dump(file)
     scn.central.release_keys()  # the run adds no more records
-    return sum(reg.outcome.events for reg in scn.regions)
+    return ordered_total((reg.outcome.events for reg in scn.regions), 0)
 
 
 def _blocks(n: int, cpus: int) -> list[range]:
@@ -422,7 +423,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> dict:
             if reg.tree_parents is not None
         },
         "energy": energy_rows,
-        "total_tx_rx_mJ": sum(r["tx_mJ"] + r["rx_mJ"] for r in energy_rows),
+        "total_tx_rx_mJ": ordered_total(r["tx_mJ"] + r["rx_mJ"] for r in energy_rows),
     }
     if out_dir is None:
         report["wall_clock_s"] = time.perf_counter() - started

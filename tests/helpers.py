@@ -310,6 +310,39 @@ def reference_from_csv_lines(lines):
     return ref
 
 
+# -- row-by-row analytics pass: the reference for the held-key loop -----------
+
+
+def reference_aggregate(db, start, window_s):
+    """``analytics._aggregate`` as it was written before it held the
+    current key's sums in locals: a key tuple, a dict lookup and six
+    list-item additions per row."""
+    sums = {}
+    region_col, ts_col = db.region, db.ts
+    temp = db.cal["temperature_c"]
+    precip = db.cal["precipitation_mm"]
+    wdir = db.cal["wind_dir_deg"]
+    wspd = db.cal["wind_speed_ms"]
+    sin, cos, rad = math.sin, math.cos, math.radians
+    for i in range(len(ts_col)):
+        t = ts_col[i]
+        if t < start:
+            continue
+        key = (region_col[i], (t - start) // window_s)
+        acc = sums.get(key)
+        if acc is None:
+            acc = sums[key] = [0, 0.0, 0.0, 0.0, 0.0, 0.0, set()]
+        acc[0] += 1
+        acc[1] += temp[i]
+        acc[2] += precip[i]
+        a = rad(wdir[i])
+        acc[3] += sin(a)
+        acc[4] += cos(a)
+        acc[5] += wspd[i]
+        acc[6].add(db.node[i])
+    return sums
+
+
 # -- one-heap event queue: the reference for the per-second buckets ----------
 
 

@@ -1,3 +1,6 @@
+import math
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +14,7 @@ from droughtnet.analytics import (
     NoData,
     SeverityClass,
     Thresholds,
+    _aggregate,
     advect_forecast,
     classify,
     escalate,
@@ -23,6 +27,8 @@ from droughtnet.backbone import CentralDatabase
 from droughtnet.environment import Climatology, SensorReading
 from droughtnet.geometry import GeoPoint
 from droughtnet.stack import DataMessage, report_signature
+
+from helpers import reference_aggregate
 
 FLAT = Climatology(mean_temp_c=18.0, seasonal_amplitude_c=0.0)
 
@@ -185,6 +191,49 @@ def test_insufficient_span():
     fill_window(db, 1, months=1)
     with pytest.raises(InsufficientSpan):
         evolve_all(db, {1: FLAT}, 30)[1]
+
+
+# -- the aggregation pass against the row-by-row reference ---------------------
+
+WINDOW_S = 30 * DAY_S
+# finite values, signed zeros and nan (the sine of an infinite wind direction raises)
+VALUE = st.one_of(st.sampled_from([0.0, -0.0, math.nan]), st.floats(allow_infinity=False))
+# runs of rows that share a region and window (a node, an offset into the
+# window and the four summed readings each), the runs interleaved in any order
+RUNS = st.lists(
+    st.tuples(st.sampled_from((1, 2, 3)), st.integers(0, 3), st.lists(
+        st.tuples(st.integers(0, 3),
+                  st.one_of(st.sampled_from((0, 1, WINDOW_S - 1)), st.integers(0, WINDOW_S - 1)),
+                  VALUE, VALUE, VALUE, VALUE),
+        min_size=1, max_size=6)),
+    max_size=10)
+
+
+def assert_same_sums(got, want):
+    """Equal counts and node sets, and sums equal bit for bit."""
+    assert got.keys() == want.keys()
+    for key, acc in want.items():
+        assert got[key][0] == acc[0] and got[key][6] == acc[6], key
+        assert [struct.pack("d", v) for v in got[key][1:6]] == [
+            struct.pack("d", v) for v in acc[1:6]], key
+
+
+@settings(max_examples=200, deadline=None)
+@given(runs=RUNS, start=st.sampled_from((1, DAY_S, WINDOW_S - 1, WINDOW_S, 2 * WINDOW_S + 7)))
+def test_aggregate_equals_row_by_row_reference(runs, start):
+    """Each (region, window) sum adds the key's values in row order from
+    0.0, whatever the order of the rows, for analyse_db's two windowings
+    (the whole span, and windows from 0) and for windows from a later
+    start, with the rows before it left out."""
+    db = CentralDatabase()
+    for region, window, rows in runs:
+        for node, offset, temp, precip, wdir, wspd in rows:
+            add_row(db, region, node, window * WINDOW_S + offset, temp, precip, wdir, wspd)
+    span = -(-(max(db.ts, default=0) + 1) // DAY_S) * DAY_S
+    for begin, window_s in ((0, span), (0, WINDOW_S), (start, WINDOW_S), (start, span)):
+        got = _aggregate(db, begin, window_s)
+        assert_same_sums(got, reference_aggregate(db, begin, window_s))
+        assert sum(acc[0] for acc in got.values()) == sum(t >= begin for t in db.ts)
 
 
 # -- advection --------------------------------------------------------------------

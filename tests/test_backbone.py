@@ -684,6 +684,34 @@ def test_split_load_cross_share_keys_equal_serial(tmp_path, cpus, started, appen
     assert sum(load(path).duplicates_by_region.values()) == repeats
 
 
+def share_starts(lines, shares):
+    """The index in ``lines`` of the first line of each share but the
+    first when a file of the lines loads in ``shares`` byte shares."""
+    text = "".join(line + "\n" for line in lines)
+    return [text.count("\n", 0, len(text) * k // shares) + 1 for k in range(1, shares)]
+
+
+@pytest.mark.parametrize("kind", ["fell", "fell-then-repeated", "repeated-at-share-starts"])
+def test_split_load_extremes_of_a_share_equal_serial(tmp_path, cpus, started, appended,
+                                                     small_shares, monkeypatch, kind):
+    """A share takes each (region, node)'s lowest key from the first of
+    its blocks that holds the node and its highest from the node's mark,
+    or both from the full key set once a key fell below its mark.  Blocks
+    of 100 rows give each share several; row i of the lines is node
+    i % 40 at 1800 * (i // 40) s."""
+    monkeypatch.setattr(backbone, "CSV_BLOCK_ROWS", 100)
+    lines = uncalibrated_lines()
+    if kind.startswith("fell"):  # node 0 at 9,000 s in the first block, at 0 s in the third
+        lines[1], lines[201] = lines[201], lines[1]
+    if kind == "fell-then-repeated":  # a later row of the first share, again at the end
+        lines.append(lines[301])
+    if kind == "repeated-at-share-starts":  # a node's last row before a share, again early in it
+        for first in sorted(share_starts(lines, 2) + share_starts(lines, 3), reverse=True):
+            lines.insert(first + 10, lines[first - 5])
+    path = write_lines(tmp_path / "db.csv", lines)
+    assert_loads_as_serial(path, cpus, started, appended, in_shares=kind == "fell")
+
+
 def test_split_load_of_a_run_keeps_its_shares(tmp_path, cpus, started, appended, small_shares):
     db = split_case("run")
     _write(tmp_path / "central_db.csv", db.to_csv_lines())

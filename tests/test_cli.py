@@ -184,6 +184,27 @@ def test_classify_rejects_malformed_db_without_traceback(tmp_path, capsys, cpus,
     assert "bad raw_humidity_pct value 'wet'" in errors[0]
 
 
+def test_classify_rejects_a_region_without_a_window(tmp_path, capsys):
+    """A configured region with no records in an evolution window fails
+    the analysis: one line naming the file and the fault, exit status 1
+    and no analysis files."""
+    cfg = write_cfg(tmp_path, json.dumps(
+        {"horizon_s": 61 * 86_400, "regions": [{"region_id": 1}, {"region_id": 2}]}))
+    main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+    lines = (tmp_path / "o" / "central_db.csv").read_text().splitlines()
+    # region 2's rows from day 30 on, the second 30-day window, are gone
+    kept = [line for line in lines
+            if not (line.startswith("2,") and int(line.split(",")[2]) >= 30 * 86_400)]
+    assert len(kept) < len(lines)
+    db = tmp_path / "db.csv"
+    db.write_text("\n".join(kept) + "\n")
+    capsys.readouterr()
+    out = tmp_path / "classify"
+    assert main(["classify", "--config", cfg, "--db", str(db), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"{db}: no region-2 records in window 1\n"
+    assert not (out / "pattern.csv").exists() and not (out / "forecast.json").exists()
+
+
 @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
 def test_classify_rejects_unreadable_db_without_traceback(tmp_path, capsys, kind):
     db = tmp_path / "db.csv"

@@ -8,7 +8,8 @@ property must be read as an attribute (``x.name``, or ``getattr`` with
 the literal name), so a local variable of the same name is not a caller.
 Likewise every attribute a class in src/ stores, in a slot, through
 ``self`` or as a dataclass field, is read somewhere, and every name a
-module of src/ imports is used in it.
+module of src/ imports is used in it.  No module of src/ calls builtin
+``sum`` or ``fsum``, whose float totals depend on the Python version.
 """
 
 import ast
@@ -227,3 +228,19 @@ def test_one_module_forks():
     module, so that the child lifecycle has one copy."""
     forking = [p.name for p in PACKAGE.glob("*.py") if _forks(ast.parse(p.read_text(encoding="utf-8")))]
     assert forking == ["forked.py"]
+
+
+def test_no_builtin_sum():
+    """Builtin ``sum`` adds floats with compensation since Python 3.12 and
+    ``math.fsum`` always does, so a total in src/ would differ between
+    interpreters or from the analytics' row-order sums; src/ adds left to
+    right (``geometry.ordered_total``) instead.  Integers are no exception,
+    so that the rule needs no allow-list."""
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and (getattr(node.func, "id", None) in ("sum", "fsum")
+                                           or getattr(node.func, "attr", None) == "fsum")
+    ]
+    assert not calls, f"builtin sum or fsum called in src/: {calls}"

@@ -19,11 +19,22 @@ from droughtnet.geometry import (
     connectivity_check,
     estimate_node_count,
     footprint_area,
+    ordered_total,
     plan_to_dict,
     tile_region,
 )
 
 SQRT3 = math.sqrt(3.0)
+
+
+def test_ordered_total_adds_left_to_right():
+    """Totals in src/ add left to right from the start, as builtin sum
+    did on floats before Python 3.12 made it compensated (1.0 there)."""
+    assert ordered_total([1e16, 1.0, -1e16]) == 0.0
+    assert math.copysign(1.0, ordered_total([])) == 1.0  # +0.0
+    assert ordered_total(iter([0.1, 0.2, 0.3])) == (0.1 + 0.2) + 0.3
+    total = ordered_total((3, 4), 0)
+    assert total == 7 and type(total) is int
 
 
 # -- footprint areas ---------------------------------------------------------
