@@ -171,17 +171,15 @@ def classify(ind: DroughtIndicators, thresholds: Thresholds = Thresholds()) -> S
     return SeverityClass.NON_DROUGHT
 
 
-def evolve_all(db: CentralDatabase, climatologies: dict[int, Climatology],
+def evolve_all(db: CentralDatabase, t_max: int, climatologies: dict[int, Climatology],
                window_len_days: int,
                thresholds: Thresholds = Thresholds()) -> dict[int, EvolutionPattern]:
-    """Partition the record span into consecutive windows and classify
-    each, for every given region in one database pass."""
+    """Partition the record span, up to the database's highest timestamp
+    t_max, into consecutive windows and classify each, for every given
+    region in one database pass."""
     if window_len_days < 30:
         raise AnalyticsError("windows must be at least 30 days")
-    if len(db) == 0:
-        raise NoData("empty database")
     window_s = window_len_days * DAY_S
-    t_max = max(db.ts)
     # a window counts as complete when records reach within a day of its
     # end; shorter tails (e.g. the 5-day remainder of a 365-day year over
     # 30-day windows) are dropped

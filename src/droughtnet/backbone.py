@@ -28,7 +28,6 @@ from .geometry import GeoPoint
 from .kernel import EntityId, EntityKind, Kernel, Message
 from .stack import DataMessage, TransportLink, transport_dispatch
 
-DEFAULT_LOCAL_DB_CAPACITY = 10_000
 # CentralDatabase limits: region ids are stored as signed bytes, and a
 # key packs the global node id into 14 bits above a 40-bit timestamp;
 # validate() enforces the region and node limits on a config
@@ -491,23 +490,13 @@ class LocalBaseStation:
 
     Bounded local database (forward-then-evict-oldest, never evicting a
     record the central database has not acknowledged) and a reliable
-    uplink to the remote base station.
+    uplink to the remote base station, set up from the run's
+    ``ScenarioConfig``.
     """
 
-    def __init__(
-        self,
-        kernel: Kernel,
-        region_id: int,
-        remote: RemoteBaseStation,
-        capacity: int = DEFAULT_LOCAL_DB_CAPACITY,
-        *,
-        loss_prob: float = 0.0,
-        latency_s: int = 0,
-        max_retries: int = 20,
-        ack_timeout_s: int = 2,
-    ):
+    def __init__(self, kernel: Kernel, cfg, region_id: int, remote: RemoteBaseStation):
         self.entity_id = EntityId(EntityKind.LOCAL_BASE_STATION, region_id)
-        self.capacity = capacity
+        self.capacity = cfg.local_db_capacity
         self.local_db: deque[list] = deque()  # [message, acked], oldest first
         self.uplink = TransportLink(
             kernel,
@@ -515,10 +504,7 @@ class LocalBaseStation:
             remote.entity_id,
             remote.receive_entry,
             kernel.stream(f"uplink:{region_id}"),
-            loss_prob=loss_prob,
-            latency_s=latency_s,
-            max_retries=max_retries,
-            ack_timeout_s=ack_timeout_s,
+            cfg.backbone,
             on_acked=self._on_uplink_ack,
         )
         self.ingested = 0

@@ -66,9 +66,6 @@ def cmd_classify(args) -> int:
     try:
         with open(args.db, encoding="utf-8") as fh:
             db = CentralDatabase.from_csv_lines(fh)
-        if len(db) and not {r.region_id for r in cfg.regions} & set(db.region):
-            print("no configured regions present in the database", file=sys.stderr)
-            return 1
         classes, _, patterns, forecast = analyse_db(cfg, db)
     except (AnalyticsError, BackboneError, OSError, UnicodeDecodeError) as exc:  # unusable file
         print(f"{args.db}: {exc}", file=sys.stderr)

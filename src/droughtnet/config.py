@@ -139,6 +139,11 @@ class ScenarioConfig:
         return {r.region_id: GeoPoint(r.anchor_km[0] + half, r.anchor_km[1] + half)
                 for r in self.regions}
 
+    def link_range_km(self) -> float:
+        """Reach of a node-to-node link: twice the radio range, so that the
+        nodes of adjacent cells link."""
+        return 2.0 * self.radio_range_km
+
     def nodes_per_region(self) -> int:
         """Cells placed in each region, sink included."""
         return self.node_count_override or estimate_node_count(

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 from .geometry import GeoPoint
-from .kernel import RngStream
 
 YEAR_S = 31_536_000  # 365 days
 
@@ -31,10 +30,6 @@ SENSOR_FIELDS = (
     "wind_dir_deg",
     "groundwater_m",
 )
-
-
-class UnknownRegion(Exception):
-    pass
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,24 +137,22 @@ class NodeSampler:
     random(), with the float expressions of the reference draws in the
     tests, so readings equal the method-by-method ones bit for bit.
     The region's constants are unpacked from one tuple that __init__
-    builds.
+    builds from the config's sections: ``draw`` is the node's stream
+    (``Kernel.stream``), ``centroid`` its region's centre and ``period_s``
+    the reporting period.
     """
 
     __slots__ = ("_random", "_noise", "_const")
 
-    def __init__(self, model: "EnvironmentModel", region_id: int, position: GeoPoint,
-                 rng: RngStream):
-        self._random = rng._random
+    def __init__(self, p: EnvironmentParams, clim: Climatology, scen: DroughtScenario,
+                 centroid: GeoPoint, period_s: int, position: GeoPoint, draw):
+        self._random = draw
         self._noise = 0.0
-        p = model.params
-        clim = model.climatology[region_id]
-        scen = model.scenarios[region_id]
-        centroid = model.centroids[region_id]
         g = p.spatial_gradient_c_per_km
         spatial = g * ((position.x_km - centroid.x_km) + (position.y_km - centroid.y_km))
         # exponential rate of an event's amount; a dry climatology makes
         # every amount 0 mm, and with no events the rate is never used
-        events_per_month = model.samples_per_month * p.precip_event_prob
+        events_per_month = 30 * 86400 / period_s * p.precip_event_prob
         mean_amount = clim.monthly_precip_mm / events_per_month if events_per_month else 0.0
         precip_lambd = 1.0 / mean_amount if mean_amount else math.inf
         self._const = (
@@ -236,25 +229,3 @@ class NodeSampler:
             round(pressure, 2), round(wind_speed, 2), wind_dir, round(groundwater, 3),
         )
 
-
-class EnvironmentModel:
-    """Truth field over all regions for one scenario run."""
-
-    def __init__(
-        self,
-        climatology: dict[int, Climatology],
-        scenarios: dict[int, DroughtScenario],
-        centroids: dict[int, GeoPoint],
-        period_s: int = 1800,
-        params: EnvironmentParams = EnvironmentParams(),
-    ):
-        self.climatology = climatology
-        self.scenarios = scenarios
-        self.centroids = centroids
-        self.params = params
-        self.samples_per_month = 30 * 86400 / period_s
-
-    def sampler(self, region_id: int, position: GeoPoint, rng: RngStream) -> NodeSampler:
-        if region_id not in self.climatology:
-            raise UnknownRegion(f"region {region_id}")
-        return NodeSampler(self, region_id, position, rng)

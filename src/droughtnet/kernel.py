@@ -93,24 +93,16 @@ class Message:
         return getattr(self.body, "tag", type(self.body).__name__)
 
 
-class RngStream:
-    """Deterministic random stream scoped to one entity.
+def stream(seed: int, label: str):
+    """The ``random()`` of a deterministic random stream scoped to one
+    entity.
 
-    The same (seed, stream_label) always yields the same draw sequence,
-    and streams never share state, so adding or removing entities does
-    not perturb anyone else's draws.  Callers draw through the stable
-    ``random()`` primitive only, or through its bound ``_random`` on a
-    hot path.
+    The same (seed, label) always yields the same draw sequence, and
+    streams never share state, so adding or removing entities does not
+    perturb anyone else's draws.
     """
-
-    __slots__ = ("_random",)
-
-    def __init__(self, seed: int, stream_label: str):
-        digest = hashlib.sha256(f"{seed}\x1f{stream_label}".encode()).digest()
-        self._random = random.Random(int.from_bytes(digest[:8], "big")).random
-
-    def random(self) -> float:
-        return self._random()
+    digest = hashlib.sha256(f"{seed}\x1f{label}".encode()).digest()
+    return random.Random(int.from_bytes(digest[:8], "big")).random
 
 
 class Kernel:
@@ -143,8 +135,8 @@ class Kernel:
             raise ValueError(f"entity already registered: {eid}")
         self._handlers[eid] = entity.handle
 
-    def stream(self, label: str) -> RngStream:
-        return RngStream(self.seed, label)
+    def stream(self, label: str):
+        return stream(self.seed, label)
 
     # -- scheduling --------------------------------------------------------
 

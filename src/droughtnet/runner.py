@@ -24,6 +24,7 @@ from .analytics import (
     DAY_S,
     MIN_WINDOW_S,
     InsufficientSpan,
+    NoData,
     advect_forecast,
     classify,
     evolve_all,
@@ -33,7 +34,7 @@ from .analytics import (
 )
 from .backbone import CSV_BLOCK_ROWS, CentralDatabase, LocalBaseStation, RemoteBaseStation
 from .config import ScenarioConfig, config_to_dict
-from .environment import EnvironmentModel, normal_temp_over_window
+from .environment import NodeSampler, normal_temp_over_window
 from .forked import forked
 from .geometry import (
     GeoPoint,
@@ -156,7 +157,6 @@ class Scenario:
     but the central database."""
 
     cfg: ScenarioConfig
-    env: EnvironmentModel
     central: CentralDatabase
     regions: list[RegionRuntime]
 
@@ -167,22 +167,14 @@ def place(cfg: ScenarioConfig) -> list[tuple[PlacementPlan, list[int]]]:
     placed = []
     for rc in cfg.regions:
         plan = cfg.plan_region(rc)
-        placed.append((plan, connectivity_check(plan, 2.0 * cfg.radio_range_km)))
+        placed.append((plan, connectivity_check(plan, cfg.link_range_km())))
     return placed
 
 
 def build_scenario(cfg: ScenarioConfig) -> Scenario:
     """Wire up every entity of a run, each region on its own kernel;
     ``cfg`` must have passed validate()."""
-    link_range = 2.0 * cfg.radio_range_km
-
-    env = EnvironmentModel(
-        climatology={r.region_id: r.climatology for r in cfg.regions},
-        scenarios={r.region_id: r.drought for r in cfg.regions},
-        centroids=cfg.region_centroids(),
-        period_s=cfg.reporting_period_s,
-        params=cfg.env,
-    )
+    centroids = cfg.region_centroids()
     central = CentralDatabase()
 
     regions: list[RegionRuntime] = []
@@ -202,7 +194,7 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
         ranks = [0] * len(positions)
         descendants = [0] * len(positions)
         if tree_mode:
-            tree_parents = build_binary_tree(positions, link_range)
+            tree_parents = build_binary_tree(positions, cfg.link_range_km())
             ranks, descendants = _tree_walk(tree_parents, len(positions))
 
         nodes = []
@@ -211,29 +203,22 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
             gid = base_index + local
             sampler = None
             if not is_sink:
-                sampler = env.sampler(
-                    rc.region_id, pos,
+                sampler = NodeSampler(
+                    cfg.env, rc.climatology, rc.drought, centroids[rc.region_id],
+                    cfg.reporting_period_s, pos,
                     kernel.stream(f"env:{rc.region_id}:{local}"),
                 )
             node = SensorNode(
-                kernel=kernel,
-                entity_id=EntityId(EntityKind.SENSOR_NODE, gid),
-                region_id=rc.region_id,
-                position=pos,
-                is_sink=is_sink,
-                routing_mode=cfg.routing_mode,
-                channel=channel,
-                counters=counters,
-                energy_params=cfg.energy,
-                link=cfg.link,
-                mac=cfg.mac,
-                link_range_km=link_range,
-                payload_bytes=cfg.payload_bytes,
-                data_cache_cap=cfg.data_cache_cap,
+                kernel,
+                cfg,
+                EntityId(EntityKind.SENSOR_NODE, gid),
+                rc.region_id,
+                pos,
+                is_sink,
+                channel,
+                counters,
                 sampler=sampler,
-                period_s=cfg.reporting_period_s,
                 stagger_s=cfg.stagger_step_s * ranks[local],
-                sampling_horizon_s=cfg.horizon_s,
             )
             nodes.append(node)
             kernel.register(node)
@@ -249,14 +234,10 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
 
         station = LocalBaseStation(
             kernel,
-            region_id=rc.region_id,
-            remote=RemoteBaseStation(kernel, central, rc.region_id,
-                                     {base_index + i: p for i, p in enumerate(positions)}),
-            capacity=cfg.local_db_capacity,
-            loss_prob=cfg.backbone.loss_prob,
-            latency_s=cfg.backbone.latency_s,
-            max_retries=cfg.backbone.max_retries,
-            ack_timeout_s=cfg.backbone.ack_timeout_s,
+            cfg,
+            rc.region_id,
+            RemoteBaseStation(kernel, central, rc.region_id,
+                              {base_index + i: p for i, p in enumerate(positions)}),
         )
         nodes[0].collector = station.ingest
         for node in nodes:
@@ -277,7 +258,7 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
         regions.append(
             RegionRuntime(rc.region_id, plan, kernel, counters, station, nodes, tree_parents))
 
-    return Scenario(cfg=cfg, env=env, central=central, regions=regions)
+    return Scenario(cfg=cfg, central=central, regions=regions)
 
 
 def simulate(scn: Scenario) -> int:
@@ -368,19 +349,23 @@ def analyse_db(cfg: ScenarioConfig, db: CentralDatabase):
     holds the last record, so a run of whole days uses its horizon.  All
     four results are empty when the database is empty or t_end is under
     the 30-day minimum window; the patterns alone are empty when the
-    records span fewer than two windows.
+    records span fewer than two windows.  Raises NoData when records are
+    present and none of them is of a configured region.
     """
     if len(db) == 0:
         return {}, {}, {}, {}
-    t_end = -(-(max(db.ts) + 1) // DAY_S) * DAY_S
-    if t_end < MIN_WINDOW_S:
-        return {}, {}, {}, {}
     present = set(db.region)
     climatologies = {r.region_id: r.climatology for r in cfg.regions if r.region_id in present}
+    if not climatologies:
+        raise NoData("no configured regions present in the database")
+    t_max = max(db.ts)
+    t_end = -(-(t_max + 1) // DAY_S) * DAY_S
+    if t_end < MIN_WINDOW_S:
+        return {}, {}, {}, {}
     indicators = indicators_all(db, climatologies, (0, t_end))
     classes = {rid: classify(ind, cfg.thresholds) for rid, ind in indicators.items()}
     try:
-        patterns = evolve_all(db, climatologies, cfg.window_days, cfg.thresholds)
+        patterns = evolve_all(db, t_max, climatologies, cfg.window_days, cfg.thresholds)
     except InsufficientSpan:
         patterns = {}
     forecast = advect_forecast(classes, indicators, cfg.region_centroids())
@@ -493,8 +478,9 @@ def write_exports(scn: Scenario, report, classes, indicators, patterns, forecast
     series = {rid: [(w, ind) for w, _cls, ind in patterns[rid].entries] for rid in patterns}
     if not series and indicators:
         series = {rid: [(ind.window, ind)] for rid, ind in indicators.items()}
+    climatologies = {r.region_id: r.climatology for r in scn.cfg.regions}
     for rid in sorted(series):
-        clim = scn.env.climatology[rid]
+        clim = climatologies[rid]
         for k, ((t0, t1), ind) in enumerate(series[rid]):
             mean_temp = ind.mean_temp_anomaly_c + normal_temp_over_window(clim, t0, t1)
             temp_lines.append(f"{rid},{k},{t0},{mean_temp!r}")

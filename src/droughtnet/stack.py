@@ -28,9 +28,9 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
-from .energy import EnergyLedger, EnergyParams
+from .energy import EnergyLedger
 from .environment import NodeSampler, SensorReading
-from .kernel import EntityId, EntityKind, Kernel, Message, RngStream
+from .kernel import EntityId, EntityKind, Kernel, Message
 
 KIND_DATA = 0
 KIND_INTEREST = 1
@@ -107,7 +107,6 @@ class DataMessage:
         "frames_dropped",
         "route",
     )
-    tag = "data"
 
     def __init__(self, signature, origin_index, reading, interest_id=0,
                  battery_mj=0.0, frames_dropped=0, route=()):
@@ -177,15 +176,6 @@ class BroadcastFan:
         self.receivers = receivers
 
 
-class InterestHop:
-    __slots__ = ("interest", "hops_left")
-    tag = "interest"
-
-    def __init__(self, interest, hops_left):
-        self.interest = interest
-        self.hops_left = hops_left
-
-
 class LaunchInterest:
     """Timer telling a sink to originate an interest."""
 
@@ -205,7 +195,6 @@ class ReinforceMsg:
     """
 
     __slots__ = ("interest_id", "path")
-    tag = "reinforce"
 
     def __init__(self, interest_id, path):
         self.interest_id = interest_id
@@ -255,7 +244,8 @@ MODE_ACTIVE = 1
 
 
 class SensorNode:
-    """One mote: sensing, protocol stack, radio and energy ledger."""
+    """One mote: sensing, protocol stack, radio and energy ledger, set up
+    from the run's ``ScenarioConfig``."""
 
     __slots__ = (
         "kernel", "entity_id", "node_index", "region_id",
@@ -269,7 +259,7 @@ class SensorNode:
         "tree_parent", "_tree_route", "descendants_expected",
         "_cycle_forwarded", "_own_sent",
         "sampler", "period_s", "stagger_s", "sampling_horizon_s",
-        "mac_queue", "_queued_frames", "_mac_random", "_backoff_slots", "link_rng",
+        "mac_queue", "_queued_frames", "_mac_random", "_backoff_slots", "_link_random",
         "interest_cache", "gradients", "_sink_reinforced",
         "data_cache", "_cache_set", "data_cache_cap",
         "collector",
@@ -281,23 +271,15 @@ class SensorNode:
     def __init__(
         self,
         kernel: Kernel,
+        cfg,
         entity_id: EntityId,
         region_id: int,
         position,
         is_sink: bool,
-        routing_mode: RoutingMode,
         channel: Channel,
         counters: RegionCounters,
-        energy_params: EnergyParams,
-        link: LinkParams,
-        mac: MacParams,
-        link_range_km: float,
-        payload_bytes: int = 64,
-        data_cache_cap: int = 64,
         sampler: NodeSampler | None = None,
-        period_s: int = 1800,
         stagger_s: int = 0,
-        sampling_horizon_s: int = 0,
     ):
         self.kernel = kernel
         self.entity_id = entity_id
@@ -308,15 +290,15 @@ class SensorNode:
         self.channel = channel
         self.counters = counters
         self.ledger = EnergyLedger()
-        self.battery_mj = energy_params.battery_mj
-        self._delay_s = link.delay_s
-        self._loss_prob = link.loss_prob
-        self._queue_cap = mac.queue_cap_frames
-        self.payload_bytes = payload_bytes
-        self.data_frames = -(-payload_bytes // mac.max_frame_bytes)
-        self.interest_frames = -(-INTEREST_BYTES // mac.max_frame_bytes)
-        self.reinforce_frames = -(-REINFORCE_BYTES // mac.max_frame_bytes)
-        self.link_range_km = link_range_km
+        self.battery_mj = cfg.energy.battery_mj
+        self._delay_s = cfg.link.delay_s
+        self._loss_prob = cfg.link.loss_prob
+        self._queue_cap = cfg.mac.queue_cap_frames
+        self.payload_bytes = cfg.payload_bytes
+        self.data_frames = -(-cfg.payload_bytes // cfg.mac.max_frame_bytes)
+        self.interest_frames = -(-INTEREST_BYTES // cfg.mac.max_frame_bytes)
+        self.reinforce_frames = -(-REINFORCE_BYTES // cfg.mac.max_frame_bytes)
+        self.link_range_km = cfg.link_range_km()
         # sinks stay active: they are co-located with the powered base station
         self.mode = MODE_ACTIVE
         self.active_since = 0
@@ -328,39 +310,39 @@ class SensorNode:
         self._cycle_forwarded = 0
         self._own_sent = False
         self.sampler = sampler
-        self.period_s = period_s
+        self.period_s = cfg.reporting_period_s
         self.stagger_s = stagger_s
-        self.sampling_horizon_s = sampling_horizon_s
+        self.sampling_horizon_s = cfg.horizon_s
         self.mac_queue = deque()
         self._queued_frames = 0
         label = f"node:{entity_id.index}"
-        self._mac_random = kernel.stream(label + ":mac")._random
-        self._backoff_slots = mac.backoff_slots
-        self.link_rng = kernel.stream(label + ":link")
+        self._mac_random = kernel.stream(label + ":mac")
+        self._backoff_slots = cfg.mac.backoff_slots
+        self._link_random = kernel.stream(label + ":link")
         self.interest_cache = {}
         self.gradients = {}
         self._sink_reinforced = set()
         self.data_cache = deque()
         self._cache_set = set()
-        self.data_cache_cap = data_cache_cap
+        self.data_cache_cap = cfg.data_cache_cap
         self.collector = None
         self.frames_sent = 0
         self.frames_dropped = 0
         self.reports_originated = 0
         self.reports_forwarded = 0
-        self._tree_on = routing_mode in (RoutingMode.TREE, RoutingMode.COMBINED)
-        self._diff_on = routing_mode in (RoutingMode.DIFFUSION, RoutingMode.COMBINED)
-        self._flood_on = routing_mode is RoutingMode.FLOODING
+        self._tree_on = cfg.routing_mode in (RoutingMode.TREE, RoutingMode.COMBINED)
+        self._diff_on = cfg.routing_mode in (RoutingMode.DIFFUSION, RoutingMode.COMBINED)
+        self._flood_on = cfg.routing_mode is RoutingMode.FLOODING
         # pure tree mode cannot make duplicates (see the module docstring);
         # combined mode keeps the cache for tree reports too, because they
         # share its FIFO with diffusion signatures, so dropping them would
         # change which diffusion copies are caught
-        self._dedup = routing_mode is not RoutingMode.TREE
-        self._drain_sleep = routing_mode is RoutingMode.TREE and not is_sink
-        self._e_bit_mj = energy_params.elec_mj_per_bit
-        self._amp_bit_mj = energy_params.amp_mj_per_bit_km2
-        self._sense_mj = energy_params.sense_mj
-        self._idle_mj_s = energy_params.idle_mj_per_s
+        self._dedup = cfg.routing_mode is not RoutingMode.TREE
+        self._drain_sleep = cfg.routing_mode is RoutingMode.TREE and not is_sink
+        self._e_bit_mj = cfg.energy.elec_mj_per_bit
+        self._amp_bit_mj = cfg.energy.amp_mj_per_bit_km2
+        self._sense_mj = cfg.energy.sense_mj
+        self._idle_mj_s = cfg.energy.idle_mj_per_s
 
     # -- wiring -------------------------------------------------------------
 
@@ -547,8 +529,7 @@ class SensorNode:
         if kind == KIND_DATA:
             self.receive_data(pkt.body, src, pkt.ttl)
         elif kind == KIND_INTEREST:
-            hop = pkt.body
-            self.receive_interest(hop.interest, hop.hops_left, src)
+            self.receive_interest(pkt.body, pkt.ttl, src)
         else:
             r = pkt.body
             self.receive_reinforcement(r.interest_id, src, r.path)
@@ -561,8 +542,8 @@ class SensorNode:
         """Sink-side: cache own interest and flood it to the neighbourhood."""
         now = self.kernel.now
         self.interest_cache[interest.interest_id] = (interest, now + interest.duration_s)
-        self._enqueue(LinkPacket(KIND_INTEREST, InterestHop(interest, interest.hop_limit),
-                                 None, INTEREST_BYTES, self.interest_frames))
+        self._enqueue(LinkPacket(KIND_INTEREST, interest, None, INTEREST_BYTES,
+                                 self.interest_frames, ttl=interest.hop_limit))
 
     def receive_interest(self, interest: Interest, hops_left: int, src: EntityId) -> None:
         """Hop-by-hop diffusion: cache unseen interests, set up the gradient
@@ -579,8 +560,8 @@ class SensorNode:
         self._install_gradient(iid, src, expires_at)
         if cached is None:
             self.interest_cache[iid] = (interest, expires_at)
-            self._enqueue(LinkPacket(KIND_INTEREST, InterestHop(interest, hops_left - 1),
-                                     None, INTEREST_BYTES, self.interest_frames))
+            self._enqueue(LinkPacket(KIND_INTEREST, interest, None, INTEREST_BYTES,
+                                     self.interest_frames, ttl=hops_left - 1))
 
     def _install_gradient(self, iid: int, toward: EntityId, expires_at: int) -> None:
         entries = self.gradients.setdefault(iid, [])
@@ -704,7 +685,7 @@ class SensorNode:
         if pkt.dst is not None:
             d = self.neighbor_dist.get(pkt.dst, self.link_range_km)
             self.ledger.tx_mJ += bits * (self._e_bit_mj + self._amp_bit_mj * d * d)
-            if self._loss_prob and self.link_rng.random() < self._loss_prob:
+            if self._loss_prob and self._link_random() < self._loss_prob:
                 if pkt.kind == KIND_DATA:
                     self.counters.rf_losses += 1
             else:
@@ -714,7 +695,7 @@ class SensorNode:
             self.ledger.tx_mJ += bits * (self._e_bit_mj + self._amp_bit_mj * d * d)
             lp = self._loss_prob
             if lp:
-                rnd = self.link_rng.random
+                rnd = self._link_random
                 receivers = tuple(nb for nb in self.neighbors if rnd() >= lp)
             else:
                 receivers = self.neighbors
@@ -769,23 +750,21 @@ def transport_dispatch(body) -> bool:
 class TransportLink:
     """Point-to-point transport between two registered entities.
 
-    Retransmits on timeout until acknowledged, up to max_retries, then
-    records the payload abandoned.  With zero loss and zero latency a
-    send short-circuits to a direct call.
+    Retransmits on timeout until acknowledged, up to the backbone's
+    max_retries, then records the payload abandoned.  With zero loss and
+    zero latency a send short-circuits to a direct call.  ``draw`` is the
+    link's stream (``Kernel.stream``) and ``params`` the config's
+    ``BackboneParams``.
     """
 
-    def __init__(self, kernel: Kernel, src: EntityId, dst: EntityId, deliver,
-                 rng: RngStream, loss_prob: float = 0.0, latency_s: int = 0,
-                 max_retries: int = 20, ack_timeout_s: int = 2, *, on_acked):
+    def __init__(self, kernel: Kernel, src: EntityId, dst: EntityId, deliver, draw, params,
+                 *, on_acked):
         self.kernel = kernel
         self.src = src
         self.dst = dst
         self.deliver = deliver  # called with the payload at the destination
-        self.rng = rng
-        self.loss_prob = loss_prob
-        self.latency_s = latency_s
-        self.max_retries = max_retries
-        self.ack_timeout_s = ack_timeout_s
+        self.draw = draw
+        self.params = params
         self.on_acked = on_acked
         self.transmissions = 0
         self.abandoned = 0
@@ -793,7 +772,7 @@ class TransportLink:
         self._pending: dict[int, tuple] = {}
 
     def send(self, payload) -> None:
-        if self.loss_prob == 0.0 and self.latency_s == 0:
+        if self.params.loss_prob == 0.0 and self.params.latency_s == 0:
             self.transmissions += 1
             self.deliver(payload)
             self.on_acked(payload)
@@ -806,16 +785,17 @@ class TransportLink:
     def _transmit(self, seqno: int) -> None:
         payload = self._pending[seqno][0]
         self.transmissions += 1
-        if not (self.loss_prob and self.rng.random() < self.loss_prob):
+        p = self.params
+        if not (p.loss_prob and self.draw() < p.loss_prob):
             data = _TxEvent("tx_data", self._on_data, seqno, payload)
-            self.kernel.send_delayed(self.src, self.dst, data, self.latency_s)
+            self.kernel.send_delayed(self.src, self.dst, data, p.latency_s)
         timeout = _TxEvent("tx_timeout", self._on_timeout, seqno)
-        self.kernel.send_delayed(self.src, self.src, timeout, self.latency_s * 2 + self.ack_timeout_s)
+        self.kernel.send_delayed(self.src, self.src, timeout, p.latency_s * 2 + p.ack_timeout_s)
 
     def _on_data(self, ev: _TxEvent) -> None:
         self.deliver(ev.payload)
         ack = _TxEvent("tx_ack", self._on_ack, ev.seqno)
-        self.kernel.send_delayed(self.dst, self.src, ack, self.latency_s)
+        self.kernel.send_delayed(self.dst, self.src, ack, self.params.latency_s)
 
     def _on_ack(self, ev: _TxEvent) -> None:
         item = self._pending.pop(ev.seqno, None)
@@ -828,7 +808,7 @@ class TransportLink:
         if item is None:
             return  # already acked
         payload, attempt = item
-        if attempt + 1 > self.max_retries:
+        if attempt + 1 > self.params.max_retries:
             del self._pending[ev.seqno]
             self.abandoned += 1
             return

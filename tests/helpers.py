@@ -5,25 +5,25 @@ import contextlib
 import heapq
 import math
 from array import array
+from dataclasses import replace
 
 from droughtnet.backbone import CSV_COLUMNS, CentralDatabase
-from droughtnet.energy import EnergyParams
+from droughtnet.config import ScenarioConfig
 from droughtnet.environment import (
     SENSOR_FIELDS,
     YEAR_S,
     Climatology,
     DroughtScenario,
-    EnvironmentModel,
-    EnvironmentParams,
+    NodeSampler,
 )
 from droughtnet.geometry import GeoPoint
 from droughtnet.kernel import (
     EntityId,
     EntityKind,
     Kernel,
-    RngStream,
     SchedulingInPast,
     UnknownEntity,
+    stream,
 )
 from droughtnet.stack import (
     Channel,
@@ -38,30 +38,33 @@ from droughtnet.stack import (
 # -- reference draws and formulas that src/ inlines on its hot paths ---------
 
 
-class ReferenceStream(RngStream):
-    """RngStream with the textbook draws built on ``random()``: the
-    reference for the sampler's and the MAC's inlined draws, and a
+class ReferenceStream:
+    """The textbook draws built on the ``random()`` of stream(seed, label):
+    the reference for the sampler's and the MAC's inlined draws, and a
     convenience for tests that need seeded numbers."""
 
-    __slots__ = ()
+    __slots__ = ("random",)
+
+    def __init__(self, seed, label):
+        self.random = stream(seed, label)
 
     def uniform(self, a, b):
-        return a + (b - a) * self._random()
+        return a + (b - a) * self.random()
 
     def randint(self, a, b):
         """Integer in [a, b] inclusive."""
-        return a + int(self._random() * (b - a + 1))
+        return a + int(self.random() * (b - a + 1))
 
     def gauss(self, mu=0.0, sigma=1.0):
         # Box-Muller, always two underlying draws per call.
-        u1 = self._random()
-        u2 = self._random()
+        u1 = self.random()
+        u2 = self.random()
         if u1 <= 0.0:
             u1 = 5e-324
         return mu + sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
     def expovariate(self, lambd):
-        u = self._random()
+        u = self.random()
         return -math.log(1.0 - u) / lambd
 
 
@@ -125,40 +128,29 @@ def build_net(
     kernel = Kernel(seed=seed)
     channel = Channel()
     counters = RegionCounters()
-    env = None
-    if with_samplers:
-        env = EnvironmentModel(
-            climatology={1: Climatology()},
-            scenarios={1: DroughtScenario()},
-            centroids={1: GeoPoint(positions[0][0], positions[0][1])},
-            period_s=period,
-            params=EnvironmentParams(),
-        )
+    cfg = replace(
+        ScenarioConfig(),
+        seed=seed,
+        horizon_s=sampling_horizon,
+        reporting_period_s=period,
+        routing_mode=mode,
+        radio_range_km=link_range / 2.0,  # nodes link at twice the radio range
+        data_cache_cap=data_cache_cap,
+        link=LinkParams(delay_s=delay, loss_prob=loss),
+        mac=MacParams(queue_cap_frames=queue_cap),
+    )
     nodes = []
     for i, (x, y) in enumerate(positions):
         eid = EntityId(EntityKind.SENSOR_NODE, i)
         pos = GeoPoint(x, y)
         sampler = None
         if with_samplers and i != 0:
-            sampler = env.sampler(1, pos, kernel.stream(f"env:{i}"))
+            sampler = NodeSampler(cfg.env, Climatology(), DroughtScenario(),
+                                  GeoPoint(*positions[0]), period, pos, kernel.stream(f"env:{i}"))
         node = SensorNode(
-            kernel=kernel,
-            entity_id=eid,
-            region_id=1,
-            position=pos,
-            is_sink=(i == 0),
-            routing_mode=mode,
-            channel=channel,
-            counters=counters,
-            energy_params=EnergyParams(),
-            link=LinkParams(delay_s=delay, loss_prob=loss),
-            mac=MacParams(queue_cap_frames=queue_cap),
-            link_range_km=link_range,
-            data_cache_cap=data_cache_cap,
+            kernel, cfg, eid, 1, pos, i == 0, channel, counters,
             sampler=sampler,
-            period_s=period,
             stagger_s=staggers[i] if staggers else 0,
-            sampling_horizon_s=sampling_horizon,
         )
         nodes.append(node)
         kernel.register(node)

@@ -164,7 +164,7 @@ def test_labels_round_trip():
 def test_constant_climate_every_window_non_drought():
     db = CentralDatabase()
     fill_window(db, 1, month_temp=18.0, monthly_precip=80.0, months=4)
-    pattern = evolve_all(db, {1: FLAT}, 30)[1]
+    pattern = evolve_all(db, max(db.ts), {1: FLAT}, 30)[1]
     assert len(pattern.entries) == 4
     assert all(cls is SeverityClass.NON_DROUGHT for _, cls, _ in pattern.entries)
     windows = [w for w, _, _ in pattern.entries]
@@ -176,7 +176,7 @@ def test_step_drought_classes_non_decreasing_after_onset():
     temp = [18.0] * 3 + [21.5] * 3
     precip = [80.0] * 3 + [0.0] * 3
     fill_window(db, 1, months=6, temp_by_month=temp, precip_by_month=precip)
-    pattern = evolve_all(db, {1: FLAT}, 30)[1]
+    pattern = evolve_all(db, max(db.ts), {1: FLAT}, 30)[1]
     classes = [cls for _, cls, _ in pattern.entries]
     assert classes[:3] == [SeverityClass.NON_DROUGHT] * 3
     assert classes[3:] == [SeverityClass.SERIOUS] * 3
@@ -190,7 +190,7 @@ def test_insufficient_span():
     db = CentralDatabase()
     fill_window(db, 1, months=1)
     with pytest.raises(InsufficientSpan):
-        evolve_all(db, {1: FLAT}, 30)[1]
+        evolve_all(db, max(db.ts), {1: FLAT}, 30)[1]
 
 
 # -- the aggregation pass against the row-by-row reference ---------------------
@@ -313,7 +313,7 @@ def test_forecast_never_decreases(classes, dirs, speeds):
 def test_pattern_csv_and_forecast_json():
     db = CentralDatabase()
     fill_window(db, 1, months=2, month_temp=21.5, monthly_precip=0.0)
-    patterns = {1: evolve_all(db, {1: FLAT}, 30)[1]}
+    patterns = {1: evolve_all(db, max(db.ts), {1: FLAT}, 30)[1]}
     lines = list(patterns_to_csv_lines(patterns))
     assert lines[0] == "region,window_start_s,window_end_s,class,anomaly_C,precip_mm"
     assert len(lines) == 3

@@ -22,7 +22,7 @@ from droughtnet.backbone import (
     LocalBaseStation,
     RemoteBaseStation,
 )
-from droughtnet.config import ScenarioConfig, validate
+from droughtnet.config import BackboneParams, ScenarioConfig, validate
 from droughtnet.environment import SENSOR_FIELDS, SensorReading
 from droughtnet.geometry import GeoPoint
 from droughtnet.kernel import Kernel
@@ -67,7 +67,8 @@ def make_msg(node_id=1, t=0, temp=20.0, battery=12345.6, route=(0,)):
 def make_station(capacity=10_000, **uplink):
     k = Kernel(seed=3)
     rbs = RemoteBaseStation(k, CentralDatabase(), 1, {i: GeoPoint(float(i), 0.0) for i in range(10)})
-    lbs = LocalBaseStation(k, region_id=1, remote=rbs, capacity=capacity, **uplink)
+    cfg = replace(ScenarioConfig(), local_db_capacity=capacity, backbone=BackboneParams(**uplink))
+    lbs = LocalBaseStation(k, cfg, 1, rbs)
     return k, lbs, rbs
 
 

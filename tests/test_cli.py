@@ -205,6 +205,21 @@ def test_classify_rejects_a_region_without_a_window(tmp_path, capsys):
     assert not (out / "pattern.csv").exists() and not (out / "forecast.json").exists()
 
 
+def test_classify_rejects_a_db_of_no_configured_region(tmp_path, capsys):
+    """Records none of which is of a configured region fail the analysis,
+    also when they span less than the 30-day minimum window: one line
+    naming the file, exit status 1 and no analysis files."""
+    run_cfg = write_cfg(tmp_path, json.dumps({"horizon_s": 172800, "regions": [{"region_id": 1}]}),
+                        name="run.json")
+    main(["run", "--config", run_cfg, "--out", str(tmp_path / "o")])
+    capsys.readouterr()
+    db, out = tmp_path / "o" / "central_db.csv", tmp_path / "classify"
+    cfg = write_cfg(tmp_path, json.dumps({"horizon_s": 172800, "regions": [{"region_id": 3}]}))
+    assert main(["classify", "--config", cfg, "--db", str(db), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"{db}: no configured regions present in the database\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
 def test_classify_rejects_unreadable_db_without_traceback(tmp_path, capsys, kind):
     db = tmp_path / "db.csv"

@@ -1,15 +1,17 @@
 """Every name that src/ defines has a caller in src/, scripts/ or bench/.
 
 A module-level function or class must be named at least once more than
-its definition counts, outside the package's ``__init__`` (whose
-re-exports call nothing).  Names are read as identifier tokens, so a
+its definition counts.  Names are read as identifier tokens, so a
 mention in a comment or docstring is not a caller.  A public method or
 property must be read as an attribute (``x.name``, or ``getattr`` with
 the literal name), so a local variable of the same name is not a caller.
 Likewise every attribute a class in src/ stores, in a slot, through
 ``self`` or as a dataclass field, is read somewhere, and every name a
-module of src/ imports is used in it.  No module of src/ calls builtin
-``sum`` or ``fsum``, whose float totals depend on the Python version.
+module of src/ imports, the package's ``__init__`` included, is used in
+it, so that no layer of re-exports stands between a caller and the
+module that defines a name.  No module of src/ reads another module's
+single-underscore attribute, and none calls builtin ``sum`` or
+``fsum``, whose float totals depend on the Python version.
 """
 
 import ast
@@ -23,7 +25,7 @@ PACKAGE = ROOT / "src" / "droughtnet"
 
 
 def _modules():
-    return sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    return sorted(PACKAGE.glob("*.py"))
 
 
 def _files():
@@ -205,6 +207,44 @@ def test_every_stored_attribute_is_read():
         if not name.startswith("__") and not is_read(path, cls.name, name)
     })
     assert not unread, f"stored in src/ and read nowhere: {unread}"
+
+
+def _own_names(tree: ast.Module) -> set:
+    """Every name a module defines: its functions and classes at any
+    depth, the attributes its classes declare or assign in their bodies,
+    and every attribute it stores through any receiver."""
+    own = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            own.add(node.name)
+        if isinstance(node, ast.ClassDef):
+            own.update(_declared_attributes(node))
+            for item in node.body:
+                if isinstance(item, (ast.Assign, ast.AnnAssign)):
+                    targets = getattr(item, "targets", None) or [item.target]
+                    own.update(t.id for t in targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            own.add(node.attr)
+    return own
+
+
+def test_no_private_attribute_read_from_another_module():
+    """A single-underscore attribute is read through ``self`` or ``cls``,
+    or in the module that defines it: a caller that needs another
+    module's private attribute needs that module to give it a public
+    name, not a reach past it."""
+    reads = []
+    for path in _modules():
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        own = _own_names(tree)
+        reads += [
+            f"{path.name}:{node.lineno} .{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and node.attr.startswith("_") and not node.attr.startswith("__")
+            and getattr(node.value, "id", None) not in ("self", "cls") and node.attr not in own
+        ]
+    assert not reads, f"private attributes read from outside their module: {reads}"
 
 
 def _forks(tree: ast.Module) -> bool:

@@ -9,42 +9,35 @@ from droughtnet.environment import (
     YEAR_S,
     Climatology,
     DroughtScenario,
-    EnvironmentModel,
     EnvironmentParams,
-    UnknownRegion,
+    NodeSampler,
     default_drought_scenario,
     normal_temp_over_window,
 )
 from droughtnet.geometry import GeoPoint
-from droughtnet.kernel import RngStream
+from droughtnet.kernel import stream
 
 from helpers import ReferenceStream, scenario_active, seasonal_temp
 
 PERIOD = 1800
+CENTROID = GeoPoint(6.0, 6.0)
 
 
-def make_model(scenarios=None, params=None, period=PERIOD):
-    centroids = {r: GeoPoint(6.0, 6.0) for r in range(1, 6)}
-    return EnvironmentModel(
-        climatology={r: Climatology() for r in range(1, 6)},
-        scenarios=scenarios or default_drought_scenario(),
-        centroids=centroids,
-        period_s=period,
-        params=params or EnvironmentParams(),
-    )
+def make_sampler(scen, seed, label, pos=CENTROID, params=EnvironmentParams(),
+                 clim=Climatology(), period=PERIOD):
+    """A node's sampler in a region centred on CENTROID."""
+    return NodeSampler(params, clim, scen, CENTROID, period, pos, stream(seed, label))
 
 
-def year_of_samples(model, region, seed=42, node=1, pos=GeoPoint(6.0, 6.0)):
-    sampler = model.sampler(region, pos, RngStream(seed, f"env:{region}:{node}"))
+def year_of_samples(region, seed=42, node=1):
+    scen = default_drought_scenario()[region]
+    sampler = make_sampler(scen, seed, f"env:{region}:{node}")
     return [sampler.sample(k * PERIOD) for k in range(YEAR_S // PERIOD)]
 
 
-def reference_sample(model, region, state, rng, t):
+def reference_sample(p, clim, scen, state, rng, t):
     """NodeSampler.sample written with the ReferenceStream draws and
     seasonal_temp; state is [noise, spatial offset]."""
-    p = model.params
-    clim = model.climatology[region]
-    scen = model.scenarios[region]
     active = scenario_active(scen, t)
     anomaly = scen.temperature_anomaly_c if active else 0.0
     eps = rng.gauss(0.0, p.noise_sigma_c)
@@ -53,7 +46,7 @@ def reference_sample(model, region, state, rng, t):
     temperature = seasonal_temp(clim, t) + anomaly + state[1] + state[0]
     precip = 0.0
     if rng.random() < p.precip_event_prob:
-        mean_amount = clim.monthly_precip_mm / (model.samples_per_month * p.precip_event_prob)
+        mean_amount = clim.monthly_precip_mm / (30 * 86400 / PERIOD * p.precip_event_prob)
         precip = (scen.precipitation_scale if active else 1.0) * rng.expovariate(1.0 / mean_amount)
     humidity = clim.humidity_pct - 3.0 * anomaly + rng.uniform(-p.humidity_jitter_pct, p.humidity_jitter_pct)
     humidity = min(100.0, max(0.0, humidity))
@@ -79,43 +72,36 @@ def test_sampler_matches_method_by_method_reference():
     scenarios[5] = DroughtScenario(temperature_anomaly_c=2.0, precipitation_scale=0.3,
                                    active_start_s=20 * PERIOD, active_end_s=60 * PERIOD,
                                    wind_dir_deg=300.0, wind_speed_ms=6.0)
-    model = make_model(scenarios=scenarios)
+    params, clim = EnvironmentParams(), Climatology()
     pos = GeoPoint(7.5, 4.25)
     for region in range(1, 6):
-        sampler = model.sampler(region, pos, RngStream(9, f"env:{region}"))
+        sampler = make_sampler(scenarios[region], 9, f"env:{region}", pos)
         rng = ReferenceStream(9, f"env:{region}")
-        centroid = model.centroids[region]
-        spatial = model.params.spatial_gradient_c_per_km * (
-            (pos.x_km - centroid.x_km) + (pos.y_km - centroid.y_km))
+        spatial = params.spatial_gradient_c_per_km * (
+            (pos.x_km - CENTROID.x_km) + (pos.y_km - CENTROID.y_km))
         state = [0.0, spatial]
         for k in range(200):
             t = k * PERIOD
             got = sampler.sample(t)
-            want = reference_sample(model, region, state, rng, t)
+            want = reference_sample(params, clim, scenarios[region], state, rng, t)
             assert (got.temperature_c, got.precipitation_mm, got.humidity_pct, got.pressure_hpa,
                     got.wind_speed_ms, got.wind_dir_deg, got.groundwater_m) == want
             assert got.timestamp == t
 
 
 def test_dry_climatology_samples_zero_precipitation():
-    clim = {r: Climatology(monthly_precip_mm=0.0) for r in range(1, 6)}
-    model = EnvironmentModel(clim, default_drought_scenario(),
-                             {r: GeoPoint(6.0, 6.0) for r in range(1, 6)})
-    sampler = model.sampler(1, GeoPoint(6.0, 6.0), RngStream(1, "dry"))
+    sampler = make_sampler(DroughtScenario(), 1, "dry", clim=Climatology(monthly_precip_mm=0.0))
     assert all(sampler.sample(k * PERIOD).precipitation_mm == 0.0 for k in range(500))
 
 
 def test_null_rainfall_region_has_zero_precipitation():
-    model = make_model()
-    readings = year_of_samples(model, 3)
+    readings = year_of_samples(3)
     assert all(r.precipitation_mm == 0.0 for r in readings)
 
 
 def test_zero_noise_zero_anomaly_temperature_is_periodic():
     params = EnvironmentParams(noise_sigma_c=0.0, noise_innovation_cap_c=0.0)
-    scenarios = {r: DroughtScenario() for r in range(1, 6)}
-    model = make_model(scenarios=scenarios, params=params)
-    sampler = model.sampler(1, GeoPoint(6.0, 6.0), RngStream(1, "x"))
+    sampler = make_sampler(DroughtScenario(), 1, "x", params=params)
     per_year = YEAR_S // PERIOD
     temps = [sampler.sample(k * PERIOD).temperature_c for k in range(2 * per_year)]
     assert temps[:per_year] == temps[per_year:]
@@ -125,13 +111,12 @@ def test_same_region_same_time_bounded_disagreement():
     # two nodes differ only by the spatial gradient and noise terms,
     # both bounded by the generator config
     params = EnvironmentParams()
-    model = make_model(params=params)
     p1, p2 = GeoPoint(2.0, 2.0), GeoPoint(10.0, 10.0)
     noise_max = params.noise_innovation_cap_c / (1.0 - params.noise_rho)
     spatial = params.spatial_gradient_c_per_km * (abs(p1.x_km - p2.x_km) + abs(p1.y_km - p2.y_km))
     bound = spatial + 2.0 * noise_max + 1e-3
-    s1 = model.sampler(1, p1, RngStream(7, "a"))
-    s2 = model.sampler(1, p2, RngStream(7, "b"))
+    s1 = make_sampler(DroughtScenario(), 7, "a", p1, params)
+    s2 = make_sampler(DroughtScenario(), 7, "b", p2, params)
     for k in range(500):
         t = k * PERIOD
         assert abs(s1.sample(t).temperature_c - s2.sample(t).temperature_c) <= bound
@@ -140,13 +125,12 @@ def test_same_region_same_time_bounded_disagreement():
 @settings(max_examples=5, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32))
 def test_slow_change_cap_holds(seed):
-    model = make_model()
-    sampler = model.sampler(3, GeoPoint(5.0, 5.0), RngStream(seed, "env"))
+    sampler = make_sampler(default_drought_scenario()[3], seed, "env", GeoPoint(5.0, 5.0))
     prev = None
     for k in range(2000):
         r = sampler.sample(k * PERIOD)
         if prev is not None:
-            assert abs(r.temperature_c - prev) <= model.params.slow_change_cap_c
+            assert abs(r.temperature_c - prev) <= EnvironmentParams().slow_change_cap_c
         prev = r.temperature_c
 
 
@@ -171,19 +155,16 @@ def test_validated_noise_settings_keep_the_slow_change_cap(rho, sigma, share, am
             config_from_dict(data)
         return
     cfg = config_from_dict(data)
-    model = make_model(scenarios={r: DroughtScenario() for r in range(1, 6)}, params=cfg.env,
-                       period=period)
-    model.climatology[1] = cfg.regions[0].climatology
-    sampler = model.sampler(1, GeoPoint(5.0, 5.0), RngStream(seed, "env"))
+    sampler = make_sampler(DroughtScenario(), seed, "env", GeoPoint(5.0, 5.0), cfg.env,
+                           cfg.regions[0].climatology, period)
     temps = [sampler.sample(k * period).temperature_c for k in range(400)]
     assert max(abs(b - a) for a, b in zip(temps, temps[1:])) <= 1.5 + 1e-9
 
 
 def test_annual_precipitation_totals_match_normals():
-    model = make_model()
-    clim = model.climatology[1]
+    clim = Climatology()
     for region, scale in ((1, 1.0), (2, 0.5), (4, 0.25)):
-        total = sum(r.precipitation_mm for r in year_of_samples(model, region))
+        total = sum(r.precipitation_mm for r in year_of_samples(region))
         expected = 12 * clim.monthly_precip_mm * scale
         assert total == pytest.approx(expected, rel=0.10)
 
@@ -202,31 +183,22 @@ def test_default_scenario_shape():
 
 
 def test_region_4_monthly_precip_under_25mm():
-    model = make_model()
-    total = sum(r.precipitation_mm for r in year_of_samples(model, 4))
+    total = sum(r.precipitation_mm for r in year_of_samples(4))
     assert total / 12.0 < 25.0
 
 
 def test_determinism_same_seed_same_readings():
-    model = make_model()
-    a = year_of_samples(model, 2, seed=99)
-    b = year_of_samples(model, 2, seed=99)
+    a = year_of_samples(2, seed=99)
+    b = year_of_samples(2, seed=99)
     assert a == b
 
 
 def test_reading_ranges():
-    model = make_model()
-    for r in year_of_samples(model, 3, seed=5)[:2000]:
+    for r in year_of_samples(3, seed=5)[:2000]:
         assert r.precipitation_mm >= 0
         assert 0 <= r.humidity_pct <= 100
         assert 0 <= r.wind_dir_deg < 360
         assert r.wind_speed_ms >= 0
-
-
-def test_unknown_region_rejected():
-    model = make_model()
-    with pytest.raises(UnknownRegion):
-        model.sampler(9, GeoPoint(0, 0), RngStream(1, "z"))
 
 
 def test_window_normal_matches_quadrature_oracle():
@@ -247,9 +219,7 @@ def test_anomaly_window_gating():
     scen = DroughtScenario(temperature_anomaly_c=2.0, active_start_s=100, active_end_s=200)
     times = (99, 100, 199, 200)
     assert [scenario_active(scen, t) for t in times] == [False, True, True, False]
-    plain = {r: DroughtScenario() for r in range(1, 6)}
-    samplers = [make_model(scenarios=s).sampler(1, GeoPoint(6.0, 6.0), RngStream(7, "env:1:1"))
-                for s in (plain, {**plain, 1: scen})]
+    samplers = [make_sampler(s, 7, "env:1:1") for s in (DroughtScenario(), scen)]
     for t in times:
         without, with_scen = (sampler.sample(t) for sampler in samplers)
         shift = with_scen.temperature_c - without.temperature_c

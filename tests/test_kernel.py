@@ -11,9 +11,9 @@ from droughtnet.kernel import (
     EntityKind,
     Kernel,
     Message,
-    RngStream,
     SchedulingInPast,
     UnknownEntity,
+    stream,
 )
 
 from helpers import ReferenceHeapKernel, ReferenceStream
@@ -329,19 +329,19 @@ def test_raising_handler_leaves_no_fired_event_queued():
 
 
 def test_stream_is_reproducible():
-    a = RngStream(42, "node:1")
-    b = RngStream(42, "node:1")
-    assert [a.random() for _ in range(20)] == [b.random() for _ in range(20)]
+    a = stream(42, "node:1")
+    b = stream(42, "node:1")
+    assert [a() for _ in range(20)] == [b() for _ in range(20)]
 
 
 def test_streams_are_independent():
-    a = RngStream(42, "node:1")
-    b = RngStream(42, "node:2")
-    first_b = b.random()
+    a = stream(42, "node:1")
+    b = stream(42, "node:2")
+    first_b = b()
     # draining a does not move b
     for _ in range(100):
-        a.random()
-    assert RngStream(42, "node:2").random() == first_b
+        a()
+    assert stream(42, "node:2")() == first_b
 
 
 def test_stream_draw_helpers_in_range():
@@ -358,6 +358,5 @@ def test_stream_draw_helpers_in_range():
 
 def test_two_kernels_same_seed_same_stream_draws():
     k1, k2 = Kernel(seed=9), Kernel(seed=9)
-    assert [k1.stream("e:0").random() for _ in range(5)] == [
-        k2.stream("e:0").random() for _ in range(5)
-    ]
+    a, b = k1.stream("e:0"), k2.stream("e:0")
+    assert [a() for _ in range(5)] == [b() for _ in range(5)]

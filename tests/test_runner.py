@@ -178,7 +178,7 @@ def test_backbone_ack_timeout_reaches_the_uplink(tmp_path):
     digests = {}
     for timeout in (2, 9):
         cfg = cfg_days(2, seed=1, backbone=replace(LOSSY_BACKBONE, ack_timeout_s=timeout))
-        assert all(reg.station.uplink.ack_timeout_s == timeout
+        assert all(reg.station.uplink.params.ack_timeout_s == timeout
                    for reg in build_scenario(cfg).regions)
         run_scenario(cfg, out_dir=tmp_path / str(timeout))
         digests[timeout] = hashlib.sha256(

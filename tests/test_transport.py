@@ -1,4 +1,5 @@
-from droughtnet.kernel import EntityId, EntityKind, Kernel, Message, RngStream
+from droughtnet.config import BackboneParams
+from droughtnet.kernel import EntityId, EntityKind, Kernel, Message, stream
 from droughtnet.stack import TransportLink, transport_dispatch
 
 
@@ -26,7 +27,7 @@ def make_link(loss=0.0, latency=0, max_retries=20, seed=5, label="uplink:1"):
     k.register(b)
     link = TransportLink(
         k, a.entity_id, b.entity_id, b.receive, k.stream(label),
-        loss_prob=loss, latency_s=latency, max_retries=max_retries,
+        BackboneParams(loss_prob=loss, latency_s=latency, max_retries=max_retries),
         on_acked=a.acked.append,
     )
     return k, a, b, link
@@ -39,9 +40,9 @@ def test_reliable_retransmits_match_rng_replay_oracle():
     k.run_until(10_000)
 
     # replay the seeded loss draws: attempts fail while draw < 0.5
-    replay = RngStream(seed, label)
+    replay = stream(seed, label)
     failures = 0
-    while replay.random() < 0.5:
+    while replay() < 0.5:
         failures += 1
     assert link.transmissions == failures + 1
     assert b.got == ["record"]
