@@ -19,8 +19,8 @@ import pickle
 import sys
 from array import array
 from collections import Counter, deque
+from functools import partial
 from itertools import chain, compress, islice, repeat
-from operator import itemgetter
 
 from .environment import SENSOR_FIELDS
 from .forked import forked
@@ -55,7 +55,6 @@ CSV_COLUMNS = (
 )
 _BELOW_ANY_KEY = REGION_ID_RANGE[0] << 55  # a key's region field is a signed byte
 _NEGATIVE_ZERO = array("d", [-0.0]).tobytes()
-_WITHOUT_NEWLINE = itemgetter(slice(None, -1))
 _DUMP_BLOCK_ITEMS = 1 << 16  # per read of a dumped column: 512 KiB of floats
 
 
@@ -191,41 +190,43 @@ class CentralDatabase:
         return columns if self.cal is not self.raw else columns[:-len(SENSOR_FIELDS)]
 
     def to_csv_lines(self):
-        """Header, then one line per record (no trailing newline), every
-        number as its ``repr``: the inverse of ``from_csv_lines``.
+        """The CSV file's UTF-8 bytes in blocks of whole lines, each ended
+        by a newline: the header, then one line per record, every number
+        as its ``repr``; the inverse of ``from_csv_lines``.
 
         With ``_shares`` of the rows at least 2, a forked child formats each
         of that many contiguous, near-equal row shares (see ``forked``), and
-        this process yields their lines in order, so that it builds no
-        format caches on top of the run's heap.  The lines are the same for
-        every share count."""
+        this process yields their files' bytes in order, a MiB at a time,
+        so that it formats nothing and builds no format caches on top of
+        the run's heap.  The bytes are the same for every share count."""
         n = len(self.ts)
+        header = (",".join(CSV_COLUMNS) + "\n").encode()
         if (shares := _shares(n)) < 2:
-            yield ",".join(CSV_COLUMNS)
-            yield from chain.from_iterable(self._format_blocks(0, n))
+            yield header
+            yield from self._format_blocks(0, n)
             return
         bounds = [n * k // shares for k in range(shares + 1)]
         with forked(list(zip(bounds, bounds[1:])), self._format_share,
                     lambda rows: f"formatting central-db rows {rows[0]} to {rows[1] - 1}",
                     BackboneError) as children:
-            yield ",".join(CSV_COLUMNS)
-            for _, file in children:  # each read a few KiB at a time
-                yield from map(_WITHOUT_NEWLINE, io.TextIOWrapper(file, encoding="utf-8", newline="\n"))
+            yield header
+            for _, file in children:
+                yield from iter(partial(file.read, 1 << 20), b"")
 
     def _format_share(self, rows: tuple[int, int], file) -> None:
         """Body of a forked child: write the lines of the (start, stop)
-        rows, each ended by a newline, to the binary file ``file``."""
-        for block in self._format_blocks(*rows):
-            file.write("\n".join(chain(block, ("",))).encode())  # the "" ends the last line
+        rows to the binary file ``file``."""
+        file.writelines(self._format_blocks(*rows))
 
     def _format_blocks(self, start: int, stop: int):
-        """The lines of rows [start, stop), one iterable per block of
-        CSV_BLOCK_ROWS rows.  Each distinct value of a float column is
-        formatted once per call, except in the battery column: a running
+        """The UTF-8 lines of rows [start, stop), each ended by a newline,
+        as one bytes object per block of CSV_BLOCK_ROWS rows.  Each
+        distinct value of a column is formatted once per call, except in
+        the routes, which are text, and the battery column: a running
         total, nearly every value distinct."""
         columns = self._stored_columns()
-        caches = [_ReprCache() if type(col) is not list and col.typecode == "d"
-                  and col is not self.battery else None for col in columns]
+        caches = [None if type(col) is list or col is self.battery else _ReprCache()
+                  for col in columns]
         for first in range(start, stop, CSV_BLOCK_ROWS):
             last = min(first + CSV_BLOCK_ROWS, stop)
             cells = []
@@ -233,19 +234,19 @@ class CentralDatabase:
                 part = col[first:last]
                 if type(part) is list:
                     cells.append(part)  # routes as they are
-                elif cache is None or _NEGATIVE_ZERO in part.tobytes():
+                elif cache is None or part.typecode == "d" and _NEGATIVE_ZERO in part.tobytes():
                     # -0.0 is a key equal to 0.0: a false match costs only speed
                     cells.append(list(map(repr, part)))
                 else:
                     cells.append(list(map(cache.__getitem__, part)))
             if len(cells) < len(CSV_COLUMNS):
                 cells += cells[-len(SENSOR_FIELDS):]  # aliased calibration: the raw cells
-            yield map(",".join, zip(*cells))
+            yield "\n".join(chain(map(",".join, zip(*cells)), ("",))).encode()  # "" ends the last line
 
     @classmethod
     def from_csv_lines(cls, lines) -> "CentralDatabase":
-        """Inverse of to_csv_lines, whose lines are the same however many
-        processes formatted them; lines may keep their newline.  Blank
+        """Inverse of to_csv_lines: the lines of the file it writes (a file
+        opened as UTF-8 text, or strings, which may keep their newline).  Blank
         lines are skipped, a row with the wrong field count or a bad value
         raises BackboneError naming its line, and duplicate keys are
         dropped and counted as ``add`` drops them.  The keys are released

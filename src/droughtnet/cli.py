@@ -82,10 +82,13 @@ def cmd_classify(args) -> int:
 def cmd_replay(args) -> int:
     run_dir = Path(args.out or os.environ.get("DROUGHTNET_OUT") or "out")
     report_path = run_dir / "run_report.json"
-    if not report_path.exists():
-        print(f"no run report at {report_path}", file=sys.stderr)
+    try:
+        stored = json.loads(report_path.read_text(encoding="utf-8"))
+        if not isinstance(stored, dict) or not isinstance(stored.get("config"), dict):
+            raise ValueError("no config object")
+    except (OSError, ValueError) as exc:  # missing, unreadable, not UTF-8 or not a report
+        print(f"{report_path}: {exc}", file=sys.stderr)
         return 1
-    stored = json.loads(report_path.read_text(encoding="utf-8"))
     cfg = config_from_dict(stored["config"])
     with tempfile.TemporaryDirectory(prefix="droughtnet-replay-") as tmp:
         run_scenario(cfg, out_dir=tmp)

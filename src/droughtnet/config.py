@@ -159,16 +159,10 @@ class ScenarioConfig:
 
     def with_overrides(self, seed=None, routing_mode=None, output_dir=None,
                        trace=None) -> "ScenarioConfig":
-        cfg = self
-        if seed is not None:
-            cfg = replace(cfg, seed=seed)
-        if routing_mode is not None:
-            cfg = replace(cfg, routing_mode=RoutingMode(routing_mode))
-        if output_dir is not None:
-            cfg = replace(cfg, output_dir=output_dir)
-        if trace is not None:
-            cfg = replace(cfg, trace=trace)
-        return cfg
+        """The config with each override that is not None."""
+        given = {"seed": seed, "output_dir": output_dir, "trace": trace,
+                 "routing_mode": None if routing_mode is None else RoutingMode(routing_mode)}
+        return replace(self, **{key: value for key, value in given.items() if value is not None})
 
 
 # -- parse and echo --------------------------------------------------------------

@@ -208,18 +208,9 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
                     cfg.reporting_period_s, pos,
                     kernel.stream(f"env:{rc.region_id}:{local}"),
                 )
-            node = SensorNode(
-                kernel,
-                cfg,
-                EntityId(EntityKind.SENSOR_NODE, gid),
-                rc.region_id,
-                pos,
-                is_sink,
-                channel,
-                counters,
-                sampler=sampler,
-                stagger_s=cfg.stagger_step_s * ranks[local],
-            )
+            node = SensorNode(kernel, cfg, EntityId(EntityKind.SENSOR_NODE, gid), rc.region_id,
+                              pos, is_sink, channel, counters, sampler=sampler,
+                              stagger_s=cfg.stagger_step_s * ranks[local])
             nodes.append(node)
             kernel.register(node)
         for node in nodes:
@@ -456,7 +447,8 @@ def write_exports(scn: Scenario, report, classes, indicators, patterns, forecast
 
     write_placement(out, [reg.plan for reg in scn.regions])
 
-    _write(out / "central_db.csv", scn.central.to_csv_lines())
+    with open(out / "central_db.csv", "wb") as fh:
+        fh.writelines(scn.central.to_csv_lines())  # the file's bytes, a block at a time
 
     energy_lines = [ENERGY_CSV_COLUMNS]
     plot_energy = ["node_id,region,tx_mJ,rx_mJ,idle_mJ,sensing_mJ,total_mJ"]
@@ -492,30 +484,35 @@ def write_exports(scn: Scenario, report, classes, indicators, patterns, forecast
         _write(out / "trace.tsv", chain.from_iterable(reg.outcome.trace for reg in scn.regions))
 
     if scn.cfg.truth_dump:
-        _write(out / "truth_daily.csv", _truth_daily_lines(scn))
+        _write(out / "truth_daily.csv", _truth_daily_lines(scn.central))
 
     if started is not None:
         report["wall_clock_s"] = time.perf_counter() - started
     _write(out / "run_report.json", [json.dumps(report, indent=2, sort_keys=True)])
 
 
-def _truth_daily_lines(scn: Scenario):
-    db = scn.central
+def _truth_daily_lines(db: CentralDatabase):
+    """Per region and day: min, max and mean raw temperature and total
+    precipitation, folded in row order.  The current (region, day)'s
+    figures are held in locals while its rows run on, as in
+    ``analytics._aggregate``; -0.0 added to a float leaves it as it is,
+    so a day's sums start from its first row's values exactly."""
     days: dict[tuple[int, int], list] = {}
+    held, region, start, stop = [], None, 0, 0  # the current day's list, region and [start, stop)
+    lo = hi = tot = n = p_tot = 0
     for rid, ts, t, p in zip(db.region, db.ts, db.raw["temperature_c"],
                              db.raw["precipitation_mm"]):
-        acc = days.get((rid, ts // 86_400))
-        if acc is None:
-            days[(rid, ts // 86_400)] = [t, t, t, 1, p]
-        else:
-            acc[0], acc[1] = min(acc[0], t), max(acc[1], t)
-            acc[2] += t
-            acc[3] += 1
-            acc[4] += p
+        if rid != region or not start <= ts < stop:
+            held[:] = lo, hi, tot, n, p_tot
+            day = ts // DAY_S
+            region, start, stop = rid, day * DAY_S, (day + 1) * DAY_S
+            lo, hi, tot, n, p_tot = held = days.setdefault((rid, day), [t, t, -0.0, 0, -0.0])
+        lo, hi = min(lo, t), max(hi, t)
+        tot, n, p_tot = tot + t, n + 1, p_tot + p
+    held[:] = lo, hi, tot, n, p_tot
     yield "region,day,temp_min_C,temp_max_C,temp_mean_C,precip_total_mm"
-    for (rid, day) in sorted(days):
-        lo, hi, tot, n, p = days[(rid, day)]
-        yield f"{rid},{day},{lo!r},{hi!r},{(tot / n)!r},{p!r}"
+    for (rid, day), (lo, hi, tot, n, p_tot) in sorted(days.items()):
+        yield f"{rid},{day},{lo!r},{hi!r},{(tot / n)!r},{p_tot!r}"
 
 
 # -- replay -----------------------------------------------------------------------

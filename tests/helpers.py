@@ -247,6 +247,14 @@ def reference_to_csv_lines(rows):
         yield f"{head},{raw_part},{cal_part}"
 
 
+def csv_lines(db):
+    """The lines, without their newlines, of the file whose bytes
+    ``db.to_csv_lines()`` yields, each block of them whole lines."""
+    blocks = list(db.to_csv_lines())
+    assert all(type(block) is bytes and block.endswith(b"\n") for block in blocks)
+    return b"".join(blocks).decode().split("\n")[:-1]
+
+
 def rows_of(db):
     """The database's records as rows of values in CSV_COLUMNS order."""
     return list(zip(*db._csv_columns()))
@@ -379,3 +387,27 @@ class Unpicklable(Exception):
     def __init__(self, message):
         super().__init__(message)
         self.check = lambda: message
+
+
+# -- row-by-row truth dump: the reference for the held-day loop ---------------
+
+
+def reference_truth_daily_lines(db):
+    """``runner._truth_daily_lines`` as it was written before it held the
+    current (region, day)'s figures in locals: a key tuple and a dict
+    lookup per row."""
+    days = {}
+    for rid, ts, t, p in zip(db.region, db.ts, db.raw["temperature_c"],
+                             db.raw["precipitation_mm"]):
+        acc = days.get((rid, ts // 86_400))
+        if acc is None:
+            days[(rid, ts // 86_400)] = [t, t, t, 1, p]
+        else:
+            acc[0], acc[1] = min(acc[0], t), max(acc[1], t)
+            acc[2] += t
+            acc[3] += 1
+            acc[4] += p
+    yield "region,day,temp_min_C,temp_max_C,temp_mean_C,precip_total_mm"
+    for (rid, day) in sorted(days):
+        lo, hi, tot, n, p = days[(rid, day)]
+        yield f"{rid},{day},{lo!r},{hi!r},{(tot / n)!r},{p!r}"

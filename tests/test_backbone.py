@@ -17,6 +17,7 @@ from droughtnet import backbone
 from droughtnet.backbone import (
     CSV_BLOCK_ROWS,
     CSV_COLUMNS,
+    MAX_TIMESTAMP_S,
     BackboneError,
     CentralDatabase,
     LocalBaseStation,
@@ -26,13 +27,14 @@ from droughtnet.config import BackboneParams, ScenarioConfig, validate
 from droughtnet.environment import SENSOR_FIELDS, SensorReading
 from droughtnet.geometry import GeoPoint
 from droughtnet.kernel import Kernel
-from droughtnet.runner import _write, build_scenario, simulate
+from droughtnet.runner import build_scenario, simulate
 from droughtnet.stack import DataMessage, report_signature
 
 from helpers import (
     ReferenceDatabase,
     Unpicklable,
     column_bytes,
+    csv_lines,
     reference_from_csv_lines,
     reference_to_csv_lines,
     rows_of,
@@ -80,13 +82,13 @@ def test_identity_calibration_stores_raw_values():
     lbs.ingest(make_msg())
     db = rbs.central
     assert db.cal is db.raw
-    lines = list(db.to_csv_lines())
+    lines = csv_lines(db)
     cells = lines[1].split(",")
     assert cells[15:] == cells[8:15] == [repr(getattr(make_reading(), f)) for f in SENSOR_FIELDS]
     # a file whose calibrated cells equal its raw ones loads aliased too
     again = CentralDatabase.from_csv_lines(lines)
     assert again.cal is again.raw
-    assert list(again.to_csv_lines()) == lines
+    assert csv_lines(again) == lines
 
 
 # -- central keying --------------------------------------------------------------
@@ -119,7 +121,7 @@ def test_add_after_key_release_raises():
     for t in (0, 1800):
         lbs.ingest(make_msg(t=t))
     db = rbs.central
-    lines = list(db.to_csv_lines())
+    lines = csv_lines(db)
     db.release_keys()
     with pytest.raises(BackboneError, match="keys are released"):
         lbs.ingest(make_msg(t=3600))
@@ -130,7 +132,7 @@ def test_add_after_key_release_raises():
         with pytest.raises(BackboneError, match="keys are released"):
             released.add(1, GeoPoint(0.0, 0.0), make_msg(t=5400))
     assert (len(db), len(received), len(loaded)) == (2, 0, 2)
-    assert list(db.to_csv_lines()) == list(loaded.to_csv_lines()) == lines
+    assert csv_lines(db) == csv_lines(loaded) == lines
 
 
 def test_records_accumulate_per_region():
@@ -190,14 +192,14 @@ def test_central_csv_round_trip_bit_exact():
     for node in (1, 2):
         for t in (0, 1800):
             lbs.ingest(make_msg(node_id=node, t=t, temp=20.0 + node / 3.0))
-    lines = list(rbs.central.to_csv_lines())
+    lines = csv_lines(rbs.central)
     again = CentralDatabase.from_csv_lines(lines)
     assert len(again) == len(rbs.central)
     assert again.cal["temperature_c"] == rbs.central.cal["temperature_c"]
     assert again.raw["pressure_hpa"] == rbs.central.raw["pressure_hpa"]
     assert again.battery == rbs.central.battery
     assert again.routes == rbs.central.routes
-    assert list(again.to_csv_lines()) == lines
+    assert csv_lines(again) == lines
 
 
 SPECIAL = (0.0, -0.0, math.nan, math.inf, -math.inf)
@@ -236,7 +238,7 @@ def test_block_codec_matches_row_wise_reference():
     text = special_lines(rows)
     db = CentralDatabase.from_csv_lines(text)
     assert len(db) == rows
-    lines = list(db.to_csv_lines())
+    lines = csv_lines(db)
     assert lines == text
     assert lines == list(reference_to_csv_lines(rows_of(db)))
     assert column_bytes(db._csv_columns()) == column_bytes(
@@ -260,7 +262,7 @@ def test_block_codec_matches_row_wise_reference():
     assert keys == ref.keys == set(map(CentralDatabase._key, db.region, db.node, db.ts))
     assert list(again.duplicates_by_region.items()) == list(ref.duplicates_by_region.items())
     assert sum(again.duplicates_by_region.values()) == 4
-    assert list(again.to_csv_lines()) == list(reference_to_csv_lines(ref.rows))
+    assert csv_lines(again) == list(reference_to_csv_lines(ref.rows))
 
 
 def test_cal_column_equal_by_value_keeps_its_own_text():
@@ -272,7 +274,7 @@ def test_cal_column_equal_by_value_keeps_its_own_text():
         (1, 1, t, 0.0, 0.0, "0", 1.0, 0, *raw, *cal) for t in (0, 1800)))
     db = CentralDatabase.from_csv_lines(text)
     assert db.cal is not db.raw
-    lines = list(db.to_csv_lines())
+    lines = csv_lines(db)
     assert lines == text == list(reference_to_csv_lines(rows_of(db)))
     assert lines[1].split(",")[9] == "-0.0" and lines[1].split(",")[16] == "0.0"
 
@@ -282,10 +284,15 @@ def signed_zero_rows():
     columns the export formats through its per-column caches: 0.0 and
     -0.0 in one block in both orders (temperature), in alternate blocks
     (precipitation, x), repeated nan and infinities (humidity) and a
-    repeated full-precision value (pressure)."""
+    repeated full-precision value (pressure).  The int columns hold their
+    extremes: regions -128 and 127 alternating row by row in even blocks
+    and block by block in odd ones, node 16383 in place of node 0,
+    timestamps up to MAX_TIMESTAMP_S - 1 and frames_dropped up to the
+    largest signed 64-bit int."""
     full = 0.1 + 0.2
+    count = 3 * CSV_BLOCK_ROWS + 77
     rows = []
-    for i in range(3 * CSV_BLOCK_ROWS + 77):
+    for i in range(count):
         block = i // CSV_BLOCK_ROWS
         alternate = -0.0 if block % 2 else 0.0
         sign = -1 if block % 2 else 1  # block 0 starts with 0.0, block 1 with -0.0
@@ -298,8 +305,10 @@ def signed_zero_rows():
             -0.0 if i % 5 == 0 else 180.0,
             10.0 + full,
         ]
-        rows.append((1, i % 40, 1800 * (i // 40), alternate, full, "0-1", -0.0 if i % 9 else 7e6,
-                     i % 3, *raw, *raw))
+        region = (-128, 127)[(block // 2 if block % 2 else i) % 2]
+        ts = MAX_TIMESTAMP_S - 1 - 1800 * ((count - 1) // 40 - i // 40)
+        rows.append((region, i % 40 or 16383, ts, alternate, full, "0-1",
+                     -0.0 if i % 9 else 7e6, (0, 1, (1 << 63) - 1)[i % 3], *raw, *raw))
     return rows
 
 
@@ -311,9 +320,9 @@ def test_repr_caches_keep_every_cell_exact(own):
         rows = [row[:-n] + tuple(-v for v in row[-n:]) for row in rows]
     db = CentralDatabase.from_csv_lines(reference_to_csv_lines(rows))
     assert (db.cal is not db.raw) == own
-    lines = list(db.to_csv_lines())
+    lines = csv_lines(db)
     assert lines == list(reference_to_csv_lines(rows_of(db))) == list(reference_to_csv_lines(rows))
-    assert list(db.to_csv_lines()) == lines
+    assert csv_lines(db) == lines
     cells = [line.split(",") for line in lines[1:]]
     temperature = CSV_COLUMNS.index("raw_temperature_c")
     assert [c[temperature] for c in cells[:4]] == ["0.0", "-0.0", "0.0", "-0.0"]
@@ -324,6 +333,11 @@ def test_repr_caches_keep_every_cell_exact(own):
     humidity = CSV_COLUMNS.index("raw_humidity_pct")
     assert [c[humidity] for c in cells[:8]] == ["nan", "inf", "-inf", "55.5"] * 2
     assert {c[4] for c in cells} == {"0.30000000000000004"}
+    assert [c[0] for c in cells[:3]] == ["-128", "127", "-128"]
+    assert [{c[0] for c in cells[k * first:(k + 1) * first]} for k in (1, 3)] == [{"-128"}, {"127"}]
+    assert [c[1] for c in cells[39:42]] == ["39", "16383", "1"]
+    assert cells[-1][2] == str(MAX_TIMESTAMP_S - 1)
+    assert [c[7] for c in cells[:4]] == ["0", "1", str((1 << 63) - 1), "0"]
 
 
 def test_calibration_first_differing_in_third_block():
@@ -334,7 +348,7 @@ def test_calibration_first_differing_in_third_block():
     for f in SENSOR_FIELDS:
         assert db.cal[f][:first].tobytes() == db.raw[f][:first].tobytes()
     assert db.cal["temperature_c"][first:] != db.raw["temperature_c"][first:]
-    assert list(db.to_csv_lines()) == text
+    assert csv_lines(db) == text
     assert column_bytes(db._csv_columns()) == column_bytes(
         reference_from_csv_lines(text).columns())
     # a loaded file takes no add, so no record is calibrated otherwise
@@ -353,7 +367,7 @@ def test_dump_keeps_the_aliased_calibration():
     here, sent = CentralDatabase.from_csv_lines(text), CentralDatabase.from_csv_lines(other)
     assert here.cal is here.raw and sent.cal is sent.raw
     receive_from(here, sent)
-    assert list(here.to_csv_lines()) == text + other[1:]
+    assert csv_lines(here) == text + other[1:]
     assert here.cal is here.raw
 
 
@@ -422,20 +436,42 @@ def test_split_export_equals_one_process(tmp_path, cpus, started, small_shares, 
     del opened[:]  # a run's simulate writes through files too
     assert (db.cal is not db.raw) == (kind == "own-calibration")
     cpus(1)
-    one = list(db.to_csv_lines())
+    one = csv_lines(db)
     assert len(one) == len(db) + 1
     again = CentralDatabase.from_csv_lines(one)
     assert column_bytes(again._csv_columns()) == column_bytes(db._csv_columns())
-    assert list(again.to_csv_lines()) == one
+    assert csv_lines(again) == one
+    assert one == list(reference_to_csv_lines(rows_of(db)))
     for n in (1, 2, 3):
         cpus(n)
         del started[:]
-        assert list(db.to_csv_lines()) == one
+        assert csv_lines(db) == one
         assert len(started) == (n if n > 1 else 0)  # one child per share
-        _write(tmp_path / "central_db.csv", db.to_csv_lines())
+        with open(tmp_path / "central_db.csv", "wb") as fh:  # as write_exports writes it
+            fh.writelines(db.to_csv_lines())
         assert (tmp_path / "central_db.csv").read_text(encoding="utf-8") == "\n".join(one) + "\n"
     # one file per child: two exports on 2 CPUs and two on 3
     assert len(opened) == 2 * 2 + 2 * 3 and all(f.closed for f in opened)
+
+
+@pytest.mark.parametrize("kind", ["aliased", "own-calibration"])
+def test_writer_formats_nothing_when_the_export_forks(cpus, small_shares, monkeypatch, kind):
+    """The writing process's heap is at the run's peak, so when children
+    format the shares it builds no format cache; alone it builds one per
+    cached column: each array column but the battery."""
+    db = split_case(kind)
+    made = []
+    cache = backbone._ReprCache
+    monkeypatch.setattr(backbone, "_ReprCache", lambda: made.append(None) or cache())
+    cpus(1)
+    one = csv_lines(db)
+    cached = len(CSV_COLUMNS) - 2 - (len(SENSOR_FIELDS) if kind == "aliased" else 0)
+    assert len(made) == cached
+    for n in (2, 3):
+        cpus(n)
+        del made[:]
+        assert csv_lines(db) == one
+        assert made == []
 
 
 def test_failing_share_names_its_rows(cpus, small_shares, opened, monkeypatch):
@@ -450,7 +486,7 @@ def test_failing_share_names_its_rows(cpus, small_shares, opened, monkeypatch):
 
     monkeypatch.setattr(CentralDatabase, "_format_share", second_fails)
     with pytest.raises(OSError, match="^no space left$") as raised:
-        list(db.to_csv_lines())
+        csv_lines(db)
     assert isinstance(raised.value.__cause__, BackboneError)
     assert "formatting central-db rows 500 to 999:" in str(raised.value.__cause__)
     assert "no space left" in str(raised.value.__cause__)  # the child's traceback
@@ -467,20 +503,21 @@ def test_unpicklable_raise_in_a_share_names_its_type(cpus, small_shares, opened,
 
     monkeypatch.setattr(CentralDatabase, "_format_share", second_fails)
     with pytest.raises(BackboneError, match="^Unpicklable: no space left$") as raised:
-        list(db.to_csv_lines())
+        csv_lines(db)
     assert "formatting central-db rows 500 to 999:" in str(raised.value.__cause__)
     assert len(opened) == 2 and all(f.closed for f in opened)
 
 
-# the header; a row of the first share; a row of the second
-@pytest.mark.parametrize("taken", [1, 2, SHARE_ROWS + 200], ids=["header", "first", "second"])
+# the header; the first share's bytes; the second share's
+@pytest.mark.parametrize("taken", [1, 2, 3], ids=["header", "first", "second"])
 def test_export_stopped_early_leaves_no_child_or_file(cpus, small_shares, opened, started, taken):
     one = special_lines(3 * SHARE_ROWS)
     db = CentralDatabase.from_csv_lines(one)
     cpus(3)
-    lines = db.to_csv_lines()
-    assert list(islice(lines, taken)) == one[:taken]
-    lines.close()
+    blocks = db.to_csv_lines()
+    lines = b"".join(islice(blocks, taken)).decode().split("\n")
+    assert lines == one[:1 + (taken - 1) * SHARE_ROWS] + [""]
+    blocks.close()
     assert len(started) == 3 and all(child.exitcode is not None for child in started)
     assert len(opened) == 3 and all(f.closed for f in opened)
 
@@ -715,7 +752,7 @@ def test_split_load_extremes_of_a_share_equal_serial(tmp_path, cpus, started, ap
 
 def test_split_load_of_a_run_keeps_its_shares(tmp_path, cpus, started, appended, small_shares):
     db = split_case("run")
-    _write(tmp_path / "central_db.csv", db.to_csv_lines())
+    (tmp_path / "central_db.csv").write_bytes(b"".join(db.to_csv_lines()))
     assert_loads_as_serial(tmp_path / "central_db.csv", cpus, started, appended, in_shares=True)
     assert column_bytes(load(tmp_path / "central_db.csv")._csv_columns()) == column_bytes(
         db._csv_columns())

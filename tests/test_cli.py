@@ -128,6 +128,26 @@ def test_replay_without_report_fails(tmp_path, capsys):
     assert main(["replay", "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("kind", ["truncated", "not-utf8", "directory", "no-config",
+                                  "not-an-object", "config-not-an-object"])
+def test_replay_rejects_a_bad_report_without_traceback(tmp_path, capsys, kind):
+    report = tmp_path / "o" / "run_report.json"
+    report.parent.mkdir()
+    if kind == "directory":
+        report.mkdir()
+    else:
+        report.write_bytes({
+            "truncated": b'{"seed": 1, "config": {"seed"',
+            "not-utf8": b'{"seed": "\xff"}',
+            "no-config": b'{"seed": 1}',
+            "not-an-object": b"[1, 2]",
+            "config-not-an-object": b'{"config": [1]}',
+        }[kind])
+    assert main(["replay", "--out", str(report.parent)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"{report}: ") and err.count("\n") == 1, err
+
+
 def test_classify_recomputes_from_db_export(tmp_path, capsys):
     # classify on a run's central_db.csv writes that run's analysis files,
     # also for a run too short to classify

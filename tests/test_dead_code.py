@@ -1,7 +1,7 @@
 """Every name that src/ defines has a caller in src/, scripts/ or bench/.
 
-A module-level function or class must be named at least once more than
-its definition counts.  Names are read as identifier tokens, so a
+A module-level function, class or constant must be named at least once
+more than its definition counts.  Names are read as identifier tokens, so a
 mention in a comment or docstring is not a caller.  A public method or
 property must be read as an attribute (``x.name``, or ``getattr`` with
 the literal name), so a local variable of the same name is not a caller.
@@ -55,10 +55,17 @@ def _attribute_read_counts() -> Counter:
 
 
 def _definitions(tree: ast.Module):
-    """(qualified name, name) of each module-level function or class and
-    each public non-dunder method or property of a module-level class."""
+    """(qualified name, name) of each module-level function, class or
+    non-dunder name bound by assignment, and each public non-dunder method
+    or property of a module-level class."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not name.id.startswith("__"):
+                        yield name.id, name.id
         if not isinstance(node, defs):
             continue
         yield node.name, node.name

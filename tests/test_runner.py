@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import random
 import signal
 import time
 from collections import deque
@@ -22,6 +23,7 @@ from droughtnet.runner import (
     RunError,
     _blocks,
     _tree_walk,
+    _truth_daily_lines,
     build_binary_tree,
     build_scenario,
     compare_runs,
@@ -30,7 +32,13 @@ from droughtnet.runner import (
 )
 from droughtnet.stack import WAKE, OrphanNode, RoutingMode, SensorNode
 
-from helpers import ReferenceStream, Unpicklable
+from helpers import (
+    ReferenceStream,
+    Unpicklable,
+    csv_lines,
+    reference_to_csv_lines,
+    reference_truth_daily_lines,
+)
 
 DAY = 86_400
 
@@ -230,7 +238,7 @@ def test_failed_export_leaves_the_output_directory_as_it_was(tmp_path, monkeypat
     (out / "notes.txt").write_text("kept", encoding="utf-8")
     before = {p.name: p.read_bytes() for p in out.iterdir()}
 
-    def disk_full(scn):
+    def disk_full(db):
         raise OSError("disk full")
 
     # the last export but the report, so every other one is written first
@@ -445,6 +453,38 @@ def test_truth_dump_daily_summaries(tmp_path):
             assert float(precip) == 0.0
 
 
+def test_truth_daily_lines_match_row_by_row_reference():
+    """Rows whose days and regions interleave sum and compare as one key
+    per row would: NaN and infinities among the temperatures, and in
+    region -128 only signed zeros, whose min, max and sums depend on the
+    row order."""
+    rng = random.Random(11)
+    rows = []
+    for i in range(600):
+        region, ts = rng.choice((-128, 1, 2)), rng.randrange(5 * DAY)
+        if region == -128:  # -0.0 alone on odd days
+            t, p = -0.0 if ts // DAY % 2 else rng.choice((0.0, -0.0)), -0.0
+        elif rng.random() < 0.1:
+            t, p = rng.choice((math.nan, math.inf, -math.inf)), 0.0
+        else:
+            t, p = round(rng.uniform(-5.0, 40.0), 1), round(rng.uniform(0.0, 3.0), 1)
+        sensors = (t, p, 50.0, 1000.0, 1.0, 90.0, 10.0)
+        rows.append((region, i % 40, ts, 0.0, 0.0, "0", 1.0, 0,
+                     *sensors, *sensors))
+    db = CentralDatabase.from_csv_lines(reference_to_csv_lines(rows))
+    days = [(r, ts // DAY) for r, ts in zip(db.region, db.ts)]
+    assert sum(a != b for a, b in zip(days, days[1:])) > 400  # the key changes nearly every row
+    lines = list(_truth_daily_lines(db))
+    assert lines == list(reference_truth_daily_lines(db))
+    assert len(lines) == 1 + 3 * 5
+    cells = [line.split(",") for line in lines[1:]]
+    assert {c[5] for c in cells if c[0] == "-128"} == {"-0.0"}
+    for c in cells:
+        if c[0] == "-128":
+            assert c[2:5] == ["-0.0"] * 3 if int(c[1]) % 2 else c[4] == "0.0"
+    assert any("nan" in line for line in lines[1:])
+
+
 # -- processes --------------------------------------------------------------------
 
 
@@ -500,7 +540,7 @@ def test_central_database_keeps_one_copy(monkeypatch, cpus, n, releases):
     scn = build_scenario(cfg_days(2))
     simulate(scn)
     assert_one_copy(scn.central)
-    loaded = CentralDatabase.from_csv_lines(list(scn.central.to_csv_lines()))
+    loaded = CentralDatabase.from_csv_lines(csv_lines(scn.central))
     assert_one_copy(loaded)
     # once as each child's regions arrive, then at the end of simulate
     # and of the load
