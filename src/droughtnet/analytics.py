@@ -13,11 +13,14 @@ from __future__ import annotations
 
 import json
 import math
+import pickle
 from dataclasses import dataclass
 from enum import IntEnum
+from itertools import islice
 
 from .backbone import CentralDatabase
 from .environment import Climatology, normal_temp_over_window
+from .forked import forked, share_count
 from .geometry import GeoPoint
 
 DAY_S = 86_400
@@ -95,14 +98,49 @@ class EvolutionPattern:
 def _aggregate(db: CentralDatabase, start: int, window_s: int) -> dict:
     """One pass over the database: per (region, window index) the row count,
     sums of temperature, precipitation, wind vector components and speed,
-    and node set; each sum adds its key's values in row order from 0.0."""
+    and node set; each sum adds its key's values in row order from 0.0.
+
+    This process folds the first of ``_region_cuts``'s shares while a forked
+    child folds each other one (see ``forked``).  A key in two shares (rows
+    not grouped by region) drops their merged sums for one serial fold: each
+    key adds its rows in one process, so the sums have the same bits always."""
+    columns = (db.region, db.node, db.ts, *(db.cal[f] for f in (
+        "temperature_c", "precipitation_mm", "wind_dir_deg", "wind_speed_ms")))
+
+    def fold(rows, out):  # in the child
+        pickle.dump(_fold(zip(*(col[slice(*rows)] for col in columns)), start, window_s), out)
+
+    if len(cuts := _region_cuts(db.region)) > 2:
+        with forked(list(zip(cuts[1:], cuts[2:])), fold,
+                    lambda r: f"folding rows {r[0]} to {r[1] - 1}", AnalyticsError) as children:
+            sums = _fold(islice(zip(*columns), cuts[1]), start, window_s)  # no column copied
+            for _, file in children:
+                if not sums.keys().isdisjoint(share := pickle.load(file)):
+                    break
+                sums.update(share)
+            else:
+                return sums
+    return _fold(zip(*columns), start, window_s)
+
+
+def _region_cuts(region) -> list[int]:
+    """Bounds of ``share_count`` row shares, each cut moved to the nearest region change."""
+    n, raw, shares = len(region), region.tobytes(), share_count(len(region))
+    cuts = {0, n}
+    for at in (n * k // shares for k in range(1, shares)):  # run: row at's region, one byte
+        # on a tie the later row: the share before a cut starts first, so it takes more
+        changes = (n - len(raw[at:].lstrip(run := raw[at:at + 1])), len(raw[:at].rstrip(run)))
+        cuts.add(min((c for c in changes if 0 < c < n), key=lambda c: abs(c - at), default=0))
+    return sorted(cuts)
+
+
+def _fold(rows, start: int, window_s: int) -> dict:
+    """``_aggregate``'s sums of (region, node, t, temp, precip, wind dir, wind speed) rows."""
     sums: dict[tuple[int, int], list] = {}
     sin, cos, rad = math.sin, math.cos, math.radians
     held, region, lo, hi = [], None, 0, 0  # the current key's list, region and window [lo, hi)
     n = s_t = s_p = s_sin = s_cos = s_spd = 0  # its count and sums, while its rows run on
-    for r, node, t, temp, precip, wdir, wspd in zip(
-            db.region, db.node, db.ts, db.cal["temperature_c"], db.cal["precipitation_mm"],
-            db.cal["wind_dir_deg"], db.cal["wind_speed_ms"]):
+    for r, node, t, temp, precip, wdir, wspd in rows:
         if r != region or not lo <= t < hi:  # lo is never below start
             if t < start:
                 continue

@@ -23,7 +23,7 @@ from functools import partial
 from itertools import chain, compress, islice, repeat
 
 from .environment import SENSOR_FIELDS
-from .forked import forked
+from .forked import forked, share_count
 from .geometry import GeoPoint
 from .kernel import EntityId, EntityKind, Kernel, Message
 from .stack import DataMessage, TransportLink, transport_dispatch
@@ -37,9 +37,6 @@ MAX_TIMESTAMP_S = 1 << 40
 # rows per block of the central-db CSV codec; small blocks keep the
 # reader's transient field strings from raising peak memory
 CSV_BLOCK_ROWS = 1024
-# rows below which a share of the central-db export or load does not pay
-# for the process forked to format or parse it
-MIN_SHARE_ROWS = 32_768
 CSV_ROW_BYTES = 128  # about a central-db CSV row's length, to size the load's shares
 
 
@@ -194,14 +191,14 @@ class CentralDatabase:
         by a newline: the header, then one line per record, every number
         as its ``repr``; the inverse of ``from_csv_lines``.
 
-        With ``_shares`` of the rows at least 2, a forked child formats each
+        With ``share_count`` of the rows at least 2, a forked child formats each
         of that many contiguous, near-equal row shares (see ``forked``), and
         this process yields their files' bytes in order, a MiB at a time,
         so that it formats nothing and builds no format caches on top of
         the run's heap.  The bytes are the same for every share count."""
         n = len(self.ts)
         header = (",".join(CSV_COLUMNS) + "\n").encode()
-        if (shares := _shares(n)) < 2:
+        if (shares := share_count(n)) < 2:
             yield header
             yield from self._format_blocks(0, n)
             return
@@ -283,7 +280,7 @@ class CentralDatabase:
     @classmethod
     def _load_shares(cls, file) -> "CentralDatabase | None":
         """The database of a file opened as UTF-8 text and unread, in
-        ``_shares`` byte shares (none unless it is regular) ending on a
+        ``share_count`` byte shares (none unless it is regular) ending on a
         newline, each loaded by a forked child; None for one share, or if a
         share's lowest key of a (region, node) is not above the earlier
         shares' highest.  A child raises at a CR or calibrated columns."""
@@ -291,7 +288,7 @@ class CentralDatabase:
             return None
         fd = file.fileno()
         size = os.fstat(fd).st_size
-        if (shares := _shares(size // CSV_ROW_BYTES)) < 2 or file.tell():
+        if (shares := share_count(size // CSV_ROW_BYTES)) < 2 or file.tell():
             return None
         bounds = [at + os.pread(fd, 1 << 16, at).index(b"\n") + 1
                   for at in (size * k // shares for k in range(1, shares))]
@@ -375,11 +372,6 @@ class CentralDatabase:
                      else array(p.typecode, compress(p, keep)) for p in parts]
         for col, part in zip(self._stored_columns(), parts):
             col.extend(part)
-
-
-def _shares(rows: int) -> int:
-    """Forked children to share ``rows`` rows: one per usable CPU, each with MIN_SHARE_ROWS."""
-    return min(len(os.sched_getaffinity(0)), rows // MIN_SHARE_ROWS)
 
 
 def _text_lines(fd: int, start: int, stop: int):

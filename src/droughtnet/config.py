@@ -255,6 +255,9 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
     """Check every cross-module invariant up front, naming the violation."""
     if cfg.horizon_s <= 0:
         raise ValidationError("horizon_s must be positive")
+    if cfg.horizon_s > 1 << 36:  # a reading's timestamp is below the horizon
+        raise ValidationError("horizon_s exceeds 2^36 s, the 36-bit timestamp field of a "
+                              "report signature (40 bits in a central-db key)")
     if cfg.reporting_period_s <= 0:
         raise ValidationError("reporting_period_s must be positive")
     if cfg.reporting_period_s < 1800 and not cfg.allow_fast_reporting:

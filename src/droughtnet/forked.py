@@ -3,11 +3,18 @@ child per independent part writes its result to a file of its own, read
 back in part order.  A forked child inherits the parent's heap, so no
 input is pickled (a built scenario would not pickle)."""
 
+import os
 import pickle
 import tempfile
 from contextlib import contextmanager
 
 _RAISED = b"raised\n"  # what a child writes ahead of its pickled exception
+MIN_SHARE_ROWS = 32_768  # rows below which a share of a phase's rows does not pay for its process
+
+
+def share_count(rows: int) -> int:
+    """Shares to split ``rows`` rows into: one per usable CPU, each with MIN_SHARE_ROWS."""
+    return min(len(os.sched_getaffinity(0)), rows // MIN_SHARE_ROWS)
 
 
 @contextmanager

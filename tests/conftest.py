@@ -5,6 +5,8 @@ from multiprocessing.context import ForkProcess
 
 import pytest
 
+from droughtnet import forked
+
 
 @pytest.fixture(autouse=True)
 def no_child_process_left():
@@ -24,6 +26,15 @@ def cpus(monkeypatch):
     def pin(n):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
     return pin
+
+
+@pytest.fixture
+def share_rows(monkeypatch):
+    """``share_rows(n)`` lets each share of a phase that splits rows over
+    processes (the export, the load, an analytics pass) hold n rows."""
+    def least(n):
+        monkeypatch.setattr(forked, "MIN_SHARE_ROWS", n)
+    return least
 
 
 @pytest.fixture

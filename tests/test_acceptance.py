@@ -8,7 +8,7 @@ simulates exactly once per session.
 from dataclasses import replace
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from droughtnet.config import ScenarioConfig, validate
@@ -215,6 +215,7 @@ topo_settings = settings(
 
 @topo_settings
 @given(seed=st.integers(min_value=0, max_value=2**31))
+@example(seed=40549224)  # node 3's 128-frame MAC queue drops 2 frames of exploratory fan-out
 def test_criterion_6_loop_freedom(seed):
     net, _, tx_log = _diffusion_topology_run(seed)
     n = len(net.nodes)
@@ -228,8 +229,13 @@ def test_criterion_6_loop_freedom(seed):
         nodes_per_sig.setdefault(sig, set()).add(node)
     assert all(v == 1 for v in per_link.values()), "same signature re-sent on one link"
     assert all(len(nodes) <= n for nodes in nodes_per_sig.values())
-    # every emitted signature arrived: 2 readings per source, deduplicated
-    assert net.counters.delivered == 2 * (n - 1)
+    # every emitted signature arrived: 2 readings per source, deduplicated;
+    # or, where frames were lost and counted, the losses cover every one missing
+    emitted, counters = 2 * (n - 1), net.counters
+    if losses := counters.queue_losses + counters.rf_losses:
+        assert emitted - losses <= counters.delivered <= emitted
+    else:
+        assert counters.delivered == emitted
 
 
 @topo_settings

@@ -2,10 +2,12 @@ import math
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from droughtnet import analytics
 from droughtnet.analytics import (
+    AnalyticsError,
     DAY_S,
     MONTH_S,
     DroughtIndicators,
@@ -24,8 +26,10 @@ from droughtnet.analytics import (
     patterns_to_csv_lines,
 )
 from droughtnet.backbone import CentralDatabase
+from droughtnet.config import ScenarioConfig
 from droughtnet.environment import Climatology, SensorReading
 from droughtnet.geometry import GeoPoint
+from droughtnet.runner import analyse_db
 from droughtnet.stack import DataMessage, report_signature
 
 from helpers import reference_aggregate
@@ -218,15 +222,22 @@ def assert_same_sums(got, want):
             struct.pack("d", v) for v in acc[1:6]], key
 
 
-@settings(max_examples=200, deadline=None)
-@given(runs=RUNS, start=st.sampled_from((1, DAY_S, WINDOW_S - 1, WINDOW_S, 2 * WINDOW_S + 7)))
-def test_aggregate_equals_row_by_row_reference(runs, start):
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])  # both set per example
+@given(runs=RUNS, start=st.sampled_from((1, DAY_S, WINDOW_S - 1, WINDOW_S, 2 * WINDOW_S + 7)),
+       n_cpus=st.sampled_from((1, 2, 3)), region_major=st.booleans())
+def test_aggregate_equals_row_by_row_reference(cpus, share_rows, runs, start, n_cpus,
+                                               region_major):
     """Each (region, window) sum adds the key's values in row order from
     0.0, whatever the order of the rows, for analyse_db's two windowings
     (the whole span, and windows from 0) and for windows from a later
-    start, with the rows before it left out."""
+    start, with the rows before it left out; on 1 CPU, and on 2 and 3 in
+    shares of 2 rows, which fork for rows grouped by region and fall back
+    to one fold where regions interleave."""
+    share_rows(2)
+    cpus(n_cpus)
     db = CentralDatabase()
-    for region, window, rows in runs:
+    for region, window, rows in sorted(runs, key=lambda run: run[0]) if region_major else runs:
         for node, offset, temp, precip, wdir, wspd in rows:
             add_row(db, region, node, window * WINDOW_S + offset, temp, precip, wdir, wspd)
     span = -(-(max(db.ts, default=0) + 1) // DAY_S) * DAY_S
@@ -234,6 +245,75 @@ def test_aggregate_equals_row_by_row_reference(runs, start):
         got = _aggregate(db, begin, window_s)
         assert_same_sums(got, reference_aggregate(db, begin, window_s))
         assert sum(acc[0] for acc in got.values()) == sum(t >= begin for t in db.ts)
+
+
+def region_major_db(regions=(1, 2, 3, 4, 5), months=3):
+    """Rows region by region; each month warmer and drier than the one
+    before, the more so the higher the region id."""
+    db = CentralDatabase()
+    for region in regions:
+        fill_window(db, region, months=months, nodes=(1, 2, 3), step=DAY_S,
+                    temp_by_month=[18.0 + region * m / 2 for m in range(months)],
+                    precip_by_month=[60.0 / (1 + region * m) for m in range(months)])
+    return db
+
+
+def test_forked_fold_folds_region_shares(cpus, share_rows, started, monkeypatch):
+    folds = []
+    fold = analytics._fold
+    monkeypatch.setattr(analytics, "_fold", lambda *args: folds.append(args) or fold(*args))
+    db = region_major_db()  # 1,350 rows: 270 per region
+    share_rows(10)
+    for n, children, cuts in ((1, 0, [0, 1350]), (2, 1, [0, 810, 1350]),
+                              (3, 2, [0, 540, 810, 1350])):
+        cpus(n)
+        del started[:], folds[:]
+        assert analytics._region_cuts(db.region) == cuts
+        assert_same_sums(_aggregate(db, 0, WINDOW_S), reference_aggregate(db, 0, WINDOW_S))
+        assert len(started) == children and len(folds) == 1  # the children's folds are theirs
+    cpus(3)
+    share_rows(len(db) // 2 + 1)  # rows for fewer than 2 shares
+    del started[:]
+    _aggregate(db, 0, WINDOW_S)
+    assert started == []
+    # regions that alternate row by row: both shares hold both keys
+    interleaved = CentralDatabase()
+    for t in range(0, 60 * DAY_S, DAY_S):
+        for region in (1, 2):
+            add_row(interleaved, region, 1, t, temp=t / DAY_S)
+    share_rows(10)
+    cpus(2)
+    del started[:], folds[:]
+    got = _aggregate(interleaved, 0, 2 * WINDOW_S)
+    assert_same_sums(got, reference_aggregate(interleaved, 0, 2 * WINDOW_S))
+    assert len(started) == 1 and len(folds) == 2  # the first share's fold, then the serial one
+
+
+def test_analyse_db_equal_on_every_process_count(cpus, share_rows, started):
+    cfg = ScenarioConfig()
+    db = region_major_db([r.region_id for r in cfg.regions])
+    share_rows(10)
+    cpus(1)
+    one = analyse_db(cfg, db)
+    assert len(one[2]) == len(cfg.regions) and started == []
+    assert len({cls for pattern in one[2].values() for _, cls, _ in pattern.entries}) > 1
+    for n in (2, 3):
+        cpus(n)
+        assert analyse_db(cfg, db) == one
+    assert len(started) == 2 * (1 + 2)  # two passes: a child per share but the first
+
+
+def test_failing_share_names_its_rows(cpus, share_rows, started, opened):
+    db = region_major_db(regions=(1, 2))
+    add_row(db, 2, 4, 5, wdir=math.inf)  # its sine raises
+    share_rows(10)
+    cpus(2)
+    with pytest.raises(ValueError, match="^math domain error$") as raised:
+        _aggregate(db, 0, WINDOW_S)
+    assert isinstance(raised.value.__cause__, AnalyticsError)
+    assert f"folding rows 270 to {len(db) - 1}:" in str(raised.value.__cause__)
+    assert len(started) == 1 and started[0].exitcode == 1
+    assert len(opened) == 1 and all(f.closed for f in opened)
 
 
 # -- advection --------------------------------------------------------------------

@@ -412,8 +412,8 @@ SHARE_ROWS = 500  # small enough that the test databases fork
 
 
 @pytest.fixture
-def small_shares(monkeypatch):
-    monkeypatch.setattr(backbone, "MIN_SHARE_ROWS", SHARE_ROWS)
+def small_shares(share_rows):
+    share_rows(SHARE_ROWS)
 
 
 def split_case(kind):

@@ -2,7 +2,6 @@ import json
 
 import pytest
 
-from droughtnet import backbone
 from droughtnet.cli import main
 
 TINY = '{"horizon_s": 172800}'  # two days
@@ -174,11 +173,11 @@ def test_classify_recomputes_from_db_export(tmp_path, capsys):
 
 
 def test_classify_rejects_malformed_db_without_traceback(tmp_path, capsys, cpus, started,
-                                                         monkeypatch):
+                                                         share_rows):
     cfg = write_cfg(tmp_path, TINY)
     main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
     lines = (tmp_path / "o" / "central_db.csv").read_text().splitlines()
-    monkeypatch.setattr(backbone, "MIN_SHARE_ROWS", len(lines) // 8)  # so that 2 CPUs split it
+    share_rows(len(lines) // 8)  # so that 2 CPUs split it
     cells = lines[-2].split(",")
     cells[10] = "wet"
     # a row of the first share, then of the second, with a wrong field count or a bad value

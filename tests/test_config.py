@@ -182,6 +182,20 @@ def test_smallest_meaningful_values_accepted():
     assert (cfg.data_cache_cap, cfg.local_db_capacity, cfg.drain_window_s) == (1, 1, 0)
 
 
+def test_horizon_past_the_timestamp_field_rejected():
+    """This config ran, and its 45 readings at t = 2^40 overflowed the
+    central key's 40-bit timestamp into a duplicate of the next node's
+    reading at t = 0; a horizon past 2^36 s is now rejected up front."""
+    flat = [{"region_id": r.region_id, "climatology": {"seasonal_amplitude_c": 0.0}}
+            for r in ScenarioConfig().regions]
+    data = {"horizon_s": 2**40 + 1, "reporting_period_s": 2**40, "regions": flat}
+    with pytest.raises(ValidationError, match=r"horizon_s exceeds 2\^36 s, the 36-bit timestamp field"):
+        config_from_dict(data)
+    with pytest.raises(ValidationError, match="horizon_s exceeds"):
+        config_from_dict({**data, "horizon_s": 2**36 + 1, "reporting_period_s": 2**35})
+    assert config_from_dict({**data, "horizon_s": 2**36, "reporting_period_s": 2**35}).horizon_s == 2**36
+
+
 def test_backbone_range_bounds():
     # the remote base station sits at the mean of the region centroids,
     # (50, 50) on the default layout, 62.2 km from each corner region's
