@@ -25,8 +25,8 @@ from itertools import chain, compress, islice, repeat
 from .environment import SENSOR_FIELDS
 from .forked import forked, share_count
 from .geometry import GeoPoint
-from .kernel import EntityId, EntityKind, Kernel, Message
-from .stack import DataMessage, TransportLink, transport_dispatch
+from .kernel import EntityId, EntityKind, Kernel, stream
+from .stack import DataMessage, TransportLink
 
 # CentralDatabase limits: region ids are stored as signed bytes, and a
 # key packs the global node id into 14 bits above a 40-bit timestamp;
@@ -467,10 +467,8 @@ class RemoteBaseStation:
         self.node_locations = node_locations
         kernel.register(self)
 
-    def handle(self, payload):
-        if isinstance(payload, Message) and transport_dispatch(payload.body):
-            return
-        raise BackboneError(f"unexpected payload at remote base station: {payload!r}")
+    def handle(self, ev):
+        ev.fire(ev)  # every event here is one of the uplink's transport events
 
     def receive_entry(self, entry: list) -> None:
         """Store the message of a local-store entry sent on an uplink."""
@@ -496,7 +494,7 @@ class LocalBaseStation:
             self.entity_id,
             remote.entity_id,
             remote.receive_entry,
-            kernel.stream(f"uplink:{region_id}"),
+            stream(cfg.seed, f"uplink:{region_id}"),
             cfg.backbone,
             on_acked=self._on_uplink_ack,
         )
@@ -504,10 +502,8 @@ class LocalBaseStation:
         self.evicted = 0
         kernel.register(self)
 
-    def handle(self, payload):
-        if isinstance(payload, Message) and transport_dispatch(payload.body):
-            return
-        raise BackboneError(f"unexpected payload at base station: {payload!r}")
+    def handle(self, ev):
+        ev.fire(ev)  # every event here is one of the uplink's transport events
 
     # -- ingestion ------------------------------------------------------------
 

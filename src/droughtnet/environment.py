@@ -138,7 +138,7 @@ class NodeSampler:
     tests, so readings equal the method-by-method ones bit for bit.
     The region's constants are unpacked from one tuple that __init__
     builds from the config's sections: ``draw`` is the node's stream
-    (``Kernel.stream``), ``centroid`` its region's centre and ``period_s``
+    (``kernel.stream``), ``centroid`` its region's centre and ``period_s``
     the reporting period.
     """
 

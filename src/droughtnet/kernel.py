@@ -1,11 +1,12 @@
 """Deterministic discrete-event kernel.
 
 Virtual clock in whole seconds, an event queue dispatching in
-(fire_at, seq) order, per-entity seeded random streams and delayed
-message delivery between registered entities.  Two runs with the same
-scenario and seed produce identical event sequences; determinism rests
-only on ``random.Random.random()``, whose output for a fixed seed is
-guaranteed stable across Python versions.
+(fire_at, seq) order to registered entities, and per-entity seeded
+random streams (``stream(seed, label)``).  ``Kernel.schedule`` is the
+one way to queue an event.  Two runs with the same scenario and seed
+produce identical event sequences; determinism rests only on
+``random.Random.random()``, whose output for a fixed seed is guaranteed
+stable across Python versions.
 
 The queue is a calendar queue with one bucket per second (Brown,
 "Calendar queues", CACM 31(10), 1988): a whole-second clock puts several
@@ -80,7 +81,10 @@ class EntityId:
 
 
 class Message:
-    """Delayed delivery wrapper carrying the sender for provenance."""
+    """A node-to-node link delivery: the ``LinkPacket`` or ``BroadcastFan``
+    in ``body`` and the node that sent it in ``src``.  It stays because
+    those bodies do not carry their sender, which the receiver needs for
+    its gradients and reinforcements; the trace names it by its body."""
 
     __slots__ = ("src", "body")
 
@@ -90,7 +94,7 @@ class Message:
 
     @property
     def tag(self) -> str:
-        return getattr(self.body, "tag", type(self.body).__name__)
+        return self.body.tag
 
 
 def stream(seed: int, label: str):
@@ -117,8 +121,7 @@ class Kernel:
     order is therefore the strict total order (fire_at, seq).
     """
 
-    def __init__(self, seed: int, trace: list[str] | None = None):
-        self.seed = seed
+    def __init__(self, trace: list[str] | None = None):
         self.now: int = 0
         self.processed: int = 0
         self.trace = trace
@@ -134,9 +137,6 @@ class Kernel:
         if eid in self._handlers:
             raise ValueError(f"entity already registered: {eid}")
         self._handlers[eid] = entity.handle
-
-    def stream(self, label: str):
-        return stream(self.seed, label)
 
     # -- scheduling --------------------------------------------------------
 
@@ -155,14 +155,6 @@ class Kernel:
         else:
             bucket.append((self._seq, target, handler, payload))
         self._seq += 1
-
-    def send_delayed(self, src: EntityId, dst: EntityId, payload: Any, delay_s: int) -> None:
-        """Deliver payload to dst at clock + delay_s, carrying src."""
-        if delay_s < 0:
-            raise ValueError(f"negative delay: {delay_s}")
-        if src not in self._handlers:
-            raise UnknownEntity(str(src))
-        self.schedule(self.now + delay_s, dst, Message(src, payload))
 
     def pending(self) -> int:
         """Events queued and not yet dispatched: every schedule made one
@@ -185,46 +177,25 @@ class Kernel:
         buckets = self._buckets
         trace = self.trace
         start = self.processed
-        # the trace is fixed for the call, so each setting has its own
-        # loop and an untraced run tests for it once, not once per event
-        if trace is None:
-            while times and times[0] <= horizon:
-                fire_at = times[0]
-                self.now = fire_at
-                bucket = buckets[fire_at]
-                before = self.processed
-                try:
-                    # iterating the list itself also reaches events that
-                    # handlers append to this second's bucket
-                    for _seq, _target, handler, payload in bucket:
-                        self.processed += 1
-                        handler(payload)
-                except BaseException:
-                    self._drop_fired(bucket, before)
-                    raise
-                del buckets[heappop(times)]
-        else:
-            while times and times[0] <= horizon:
-                fire_at = times[0]
-                self.now = fire_at
-                bucket = buckets[fire_at]
-                before = self.processed
-                try:
-                    for seq, target, handler, payload in bucket:
-                        self.processed += 1
+        while times and times[0] <= horizon:
+            fire_at = times[0]
+            self.now = fire_at
+            bucket = buckets[fire_at]
+            before = self.processed
+            try:
+                # iterating the list itself also reaches events that
+                # handlers append to this second's bucket
+                for seq, target, handler, payload in bucket:
+                    self.processed += 1
+                    if trace is not None:
                         tag = getattr(payload, "tag", None) or type(payload).__name__
                         trace.append(f"{fire_at}\t{seq}\t{target}\t{tag}")
-                        handler(payload)
-                except BaseException:
-                    self._drop_fired(bucket, before)
-                    raise
-                del buckets[heappop(times)]
+                    handler(payload)
+            except BaseException:
+                # drop the fired events, and the second if none is left
+                del bucket[:self.processed - before]
+                if not bucket:
+                    del buckets[heappop(times)]
+                raise
+            del buckets[heappop(times)]
         return self.processed - start
-
-    def _drop_fired(self, bucket: list, before: int) -> None:
-        """After a handler raised: remove the events of the running second
-        that fired, the raising one included, and the second itself if
-        nothing of it is left."""
-        del bucket[:self.processed - before]
-        if not bucket:
-            del self._buckets[heappop(self._times)]

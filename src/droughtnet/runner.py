@@ -43,7 +43,7 @@ from .geometry import (
     ordered_total,
     plans_to_json,
 )
-from .kernel import EntityId, EntityKind, Kernel
+from .kernel import EntityId, EntityKind, Kernel, stream
 from .stack import (
     Channel,
     Interest,
@@ -184,7 +184,7 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
         if unreachable:
             raise RunError(f"region {rc.region_id} placement is disconnected: {unreachable}")
         positions = plan.all_positions()
-        kernel = Kernel(seed=cfg.seed, trace=[] if cfg.trace else None)
+        kernel = Kernel(trace=[] if cfg.trace else None)
         counters = RegionCounters()
         channel = Channel()
         base_index = next_index
@@ -206,7 +206,7 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
                 sampler = NodeSampler(
                     cfg.env, rc.climatology, rc.drought, centroids[rc.region_id],
                     cfg.reporting_period_s, pos,
-                    kernel.stream(f"env:{rc.region_id}:{local}"),
+                    stream(cfg.seed, f"env:{rc.region_id}:{local}"),
                 )
             node = SensorNode(kernel, cfg, EntityId(EntityKind.SENSOR_NODE, gid), rc.region_id,
                               pos, is_sink, channel, counters, sampler=sampler,

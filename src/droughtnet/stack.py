@@ -20,6 +20,10 @@ along several paths, so diffusion, flooding and combined mode keep the
 cache.  Pure tree mode keeps none: a tree report crosses each hop once,
 by unicast to the node's one parent, with no link-layer retransmission,
 so no node can receive its signature twice.
+
+Events: a node's timers are scheduled as themselves, a link delivery
+in a ``kernel.Message`` naming the sending node, and a transport event
+to the entity at its end, whose ``handle`` fires it.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from enum import Enum
 
 from .energy import EnergyLedger
 from .environment import NodeSampler, SensorReading
-from .kernel import EntityId, EntityKind, Kernel, Message
+from .kernel import EntityId, EntityKind, Kernel, Message, stream
 
 KIND_DATA = 0
 KIND_INTEREST = 1
@@ -151,18 +155,18 @@ class LinkPacket:
         return ("data", "interest", "reinforce")[self.kind]
 
 
-class _Wake:
-    __slots__ = ()
-    tag = "wake"
+class _Timer:
+    """An event that its ``tag`` names in the trace: a node's own timer,
+    or the base of a transport event."""
+
+    __slots__ = ("tag",)
+
+    def __init__(self, tag):
+        self.tag = tag
 
 
-class _MacRetry:
-    __slots__ = ()
-    tag = "mac_retry"
-
-
-WAKE = _Wake()
-MAC_RETRY = _MacRetry()
+WAKE = _Timer("wake")
+MAC_RETRY = _Timer("mac_retry")
 
 
 class BroadcastFan:
@@ -316,9 +320,9 @@ class SensorNode:
         self.mac_queue = deque()
         self._queued_frames = 0
         label = f"node:{entity_id.index}"
-        self._mac_random = kernel.stream(label + ":mac")
+        self._mac_random = stream(cfg.seed, label + ":mac")
         self._backoff_slots = cfg.mac.backoff_slots
-        self._link_random = kernel.stream(label + ":link")
+        self._link_random = stream(cfg.seed, label + ":link")
         self.interest_cache = {}
         self.gradients = {}
         self._sink_reinforced = set()
@@ -480,12 +484,10 @@ class SensorNode:
             self.battery_mj - self.ledger.total_mJ, self.frames_dropped, route,
         )
 
-    def send_matching_data(self, reading: SensorReading) -> int:
+    def send_matching_data(self, reading: SensorReading) -> None:
         """Emit a report for every live matching interest, exploratory along
-        every gradient or only the reinforced one.  Returns the number of
-        DataMessage transmissions."""
+        every gradient or only the reinforced one."""
         now = self.kernel.now
-        emitted = 0
         for iid, (interest, expires_at) in list(self.interest_cache.items()):
             if now >= expires_at:
                 del self.interest_cache[iid]
@@ -498,13 +500,11 @@ class SensorNode:
                 self.counters.delivered += 1
                 if self.collector is not None:
                     self.collector(msg)
-                emitted += 1
                 continue
             if self._flood_on:
                 self._cache_signature(msg.signature)
                 self._enqueue(LinkPacket(KIND_DATA, msg, None, self.payload_bytes,
                                          self.data_frames, ttl=interest.hop_limit))
-                emitted += 1
                 continue
             grads = self._live_gradients(iid, now)
             if not grads:
@@ -514,8 +514,6 @@ class SensorNode:
             for g in targets:
                 out = msg if len(targets) == 1 else msg.fork()
                 self._enqueue(LinkPacket(KIND_DATA, out, g.toward, self.payload_bytes, self.data_frames))
-            emitted += len(targets)
-        return emitted
 
     # -- link reception -------------------------------------------------------
 
@@ -725,26 +723,18 @@ class SensorNode:
 # -- transport ----------------------------------------------------------------
 
 
-class _TxEvent:
-    """One transport event of a link: ``tag`` names it in the trace and
-    ``fire`` is the link method it calls, with the event, on dispatch."""
+class _TxEvent(_Timer):
+    """One transport event of a link, scheduled to the entity at the end
+    it reaches: ``fire`` is the link method that entity's ``handle``
+    calls with the event."""
 
-    __slots__ = ("tag", "fire", "seqno", "payload")
+    __slots__ = ("fire", "seqno", "payload")
 
     def __init__(self, tag, fire, seqno, payload=None):
-        self.tag = tag
+        super().__init__(tag)
         self.fire = fire
         self.seqno = seqno
         self.payload = payload
-
-
-def transport_dispatch(body) -> bool:
-    """Route transport bookkeeping payloads back to their link; entities
-    call this from handle() for message bodies they do not own."""
-    if type(body) is _TxEvent:
-        body.fire(body)
-        return True
-    return False
 
 
 class TransportLink:
@@ -753,7 +743,7 @@ class TransportLink:
     Retransmits on timeout until acknowledged, up to the backbone's
     max_retries, then records the payload abandoned.  With zero loss and
     zero latency a send short-circuits to a direct call.  ``draw`` is the
-    link's stream (``Kernel.stream``) and ``params`` the config's
+    link's stream (``kernel.stream``) and ``params`` the config's
     ``BackboneParams``.
     """
 
@@ -786,16 +776,17 @@ class TransportLink:
         payload = self._pending[seqno][0]
         self.transmissions += 1
         p = self.params
+        now = self.kernel.now
         if not (p.loss_prob and self.draw() < p.loss_prob):
             data = _TxEvent("tx_data", self._on_data, seqno, payload)
-            self.kernel.send_delayed(self.src, self.dst, data, p.latency_s)
+            self.kernel.schedule(now + p.latency_s, self.dst, data)
         timeout = _TxEvent("tx_timeout", self._on_timeout, seqno)
-        self.kernel.send_delayed(self.src, self.src, timeout, p.latency_s * 2 + p.ack_timeout_s)
+        self.kernel.schedule(now + p.latency_s * 2 + p.ack_timeout_s, self.src, timeout)
 
     def _on_data(self, ev: _TxEvent) -> None:
         self.deliver(ev.payload)
         ack = _TxEvent("tx_ack", self._on_ack, ev.seqno)
-        self.kernel.send_delayed(self.dst, self.src, ack, self.params.latency_s)
+        self.kernel.schedule(self.kernel.now + self.params.latency_s, self.src, ack)
 
     def _on_ack(self, ev: _TxEvent) -> None:
         item = self._pending.pop(ev.seqno, None)

@@ -125,7 +125,7 @@ def build_net(
     with_samplers=False,
 ):
     """Region-1 network with node 0 as sink at positions[0]."""
-    kernel = Kernel(seed=seed)
+    kernel = Kernel()
     channel = Channel()
     counters = RegionCounters()
     cfg = replace(
@@ -146,7 +146,7 @@ def build_net(
         sampler = None
         if with_samplers and i != 0:
             sampler = NodeSampler(cfg.env, Climatology(), DroughtScenario(),
-                                  GeoPoint(*positions[0]), period, pos, kernel.stream(f"env:{i}"))
+                                  GeoPoint(*positions[0]), period, pos, stream(seed, f"env:{i}"))
         node = SensorNode(
             kernel, cfg, eid, 1, pos, i == 0, channel, counters,
             sampler=sampler,
@@ -352,8 +352,8 @@ class ReferenceHeapKernel(Kernel):
     queue's dispatch order, trace and pending counts are checked
     against."""
 
-    def __init__(self, seed, trace=None):
-        super().__init__(seed, trace)
+    def __init__(self, trace=None):
+        super().__init__(trace)
         self._heap = []
 
     def schedule(self, fire_at, target, payload):

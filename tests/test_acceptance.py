@@ -389,7 +389,7 @@ def test_criterion_9_kernel_ordering_100k_events():
         def handle(self, payload):
             self.log.append((self.kernel.now, payload))
 
-    k = Kernel(seed=11)
+    k = Kernel()
     rec = Recorder(k)
     k.register(rec)
     rng = ReferenceStream(11, "times")

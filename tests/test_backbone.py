@@ -67,9 +67,10 @@ def make_msg(node_id=1, t=0, temp=20.0, battery=12345.6, route=(0,)):
 
 
 def make_station(capacity=10_000, **uplink):
-    k = Kernel(seed=3)
+    k = Kernel()
     rbs = RemoteBaseStation(k, CentralDatabase(), 1, {i: GeoPoint(float(i), 0.0) for i in range(10)})
-    cfg = replace(ScenarioConfig(), local_db_capacity=capacity, backbone=BackboneParams(**uplink))
+    cfg = replace(ScenarioConfig(), seed=3, local_db_capacity=capacity,
+                  backbone=BackboneParams(**uplink))
     lbs = LocalBaseStation(k, cfg, 1, rbs)
     return k, lbs, rbs
 

@@ -11,7 +11,8 @@ module of src/ imports, the package's ``__init__`` included, is used in
 it, so that no layer of re-exports stands between a caller and the
 module that defines a name.  No module of src/ reads another module's
 single-underscore attribute, and none calls builtin ``sum`` or
-``fsum``, whose float totals depend on the Python version.
+``fsum``, whose float totals depend on the Python version.  Only the
+node stack builds a ``kernel.Message``.
 """
 
 import ast
@@ -275,6 +276,19 @@ def test_one_module_forks():
     module, so that the child lifecycle has one copy."""
     forking = [p.name for p in PACKAGE.glob("*.py") if _forks(ast.parse(p.read_text(encoding="utf-8")))]
     assert forking == ["forked.py"]
+
+
+def test_one_module_builds_messages():
+    """A ``kernel.Message`` carries a node-to-node link delivery and its
+    sender, so only the node stack builds one; every other event is
+    scheduled as itself."""
+    building = [
+        p.name for p in _modules()
+        if any(isinstance(node, ast.Call) and "Message" in (getattr(node.func, "id", None),
+                                                            getattr(node.func, "attr", None))
+               for node in ast.walk(ast.parse(p.read_text(encoding="utf-8"))))
+    ]
+    assert building == ["stack.py"]
 
 
 def test_no_builtin_sum():

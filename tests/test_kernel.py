@@ -10,7 +10,6 @@ from droughtnet.kernel import (
     EntityId,
     EntityKind,
     Kernel,
-    Message,
     SchedulingInPast,
     UnknownEntity,
     stream,
@@ -31,8 +30,8 @@ class Recorder:
         self.log.append((self.kernel.now, payload))
 
 
-def make_kernel(n_entities=1, seed=1):
-    k = Kernel(seed=seed)
+def make_kernel(n_entities=1):
+    k = Kernel()
     recs = [Recorder(k, i) for i in range(n_entities)]
     for r in recs:
         k.register(r)
@@ -104,36 +103,6 @@ def test_run_until_horizon_cut():
     assert k.run_until(3) == 1
 
 
-def test_send_delayed_zero_delay_after_queued_same_time():
-    k, (a, b) = make_kernel(2)
-    k.schedule(0, b.entity_id, "queued-first")
-    k.send_delayed(a.entity_id, b.entity_id, "pkt", 0)
-    k.run_until(0)
-    assert [p for _, p in b.log[:1]] == ["queued-first"]
-    msg = b.log[1][1]
-    assert isinstance(msg, Message)
-    assert msg.src == a.entity_id
-    assert msg.body == "pkt"
-
-
-def test_send_delayed_arithmetic():
-    k, (a, b) = make_kernel(2)
-    k.schedule(7, a.entity_id, "tick")
-    k.run_until(7)
-    k.send_delayed(a.entity_id, b.entity_id, "pkt", 3)
-    k.run_until(100)
-    assert b.log == [(10, b.log[0][1])]
-
-
-def test_send_delayed_unknown_entity():
-    k, (a,) = make_kernel(1)
-    ghost = EntityId(EntityKind.SENSOR_NODE, 42)
-    with pytest.raises(UnknownEntity):
-        k.send_delayed(a.entity_id, ghost, "pkt", 1)
-    with pytest.raises(UnknownEntity):
-        k.send_delayed(ghost, a.entity_id, "pkt", 1)
-
-
 class Relay:
     """Forwards each received message to the next entity after a fixed delay."""
 
@@ -147,13 +116,13 @@ class Relay:
     def handle(self, payload):
         self.received_at = self.kernel.now
         if self.nxt is not None:
-            self.kernel.send_delayed(self.entity_id, self.nxt, payload, self.delay)
+            self.kernel.schedule(self.kernel.now + self.delay, self.nxt, payload)
 
 
 def test_three_hop_chain_delay_sum():
     # oracle: arrival time is the plain sum of per-hop delays
     d = 4
-    k = Kernel(seed=0)
+    k = Kernel()
     ids = [EntityId(EntityKind.SENSOR_NODE, i) for i in range(4)]
     relays = []
     for i in range(3, -1, -1):
@@ -161,14 +130,14 @@ def test_three_hop_chain_delay_sum():
         relays.insert(0, Relay(k, i, nxt, d))
     for r in relays:
         k.register(r)
-    k.send_delayed(ids[0], ids[1], "pkt", d)
+    k.schedule(d, ids[1], "pkt")
     k.run_until(1000)
     assert relays[3].received_at == 3 * d
 
 
 def test_trace_lines_format():
     trace = []
-    k = Kernel(seed=1, trace=trace)
+    k = Kernel(trace=trace)
     r = Recorder(k)
     k.register(r)
     k.schedule(3, r.entity_id, "ping")
@@ -209,7 +178,7 @@ class Token:
 class Spawner:
     """Logs (clock, token id, pending events) for every token it handles
     and queues the follow-ups that ``script[token id]`` lists, each as
-    (delay, target index, through send_delayed)."""
+    (delay, target index)."""
 
     def __init__(self, kernel, index, script, log, ids):
         self.entity_id = EntityId(EntityKind.SENSOR_NODE, index)
@@ -218,18 +187,13 @@ class Spawner:
         self.log = log
         self.ids = ids
 
-    def handle(self, payload):
-        token = payload.body if isinstance(payload, Message) else payload
+    def handle(self, token):
         k = self.kernel
         self.log.append((k.now, token.ident, k.pending()))
         steps = self.script[token.ident] if token.ident < len(self.script) else ()
-        for delay, target, via_send in steps:
-            follow = Token(next(self.ids))
-            dst = EntityId(EntityKind.SENSOR_NODE, target)
-            if via_send:
-                k.send_delayed(self.entity_id, dst, follow, delay)
-            else:
-                k.schedule(k.now + delay, dst, follow)
+        for delay, target in steps:
+            k.schedule(k.now + delay, EntityId(EntityKind.SENSOR_NODE, target),
+                       Token(next(self.ids)))
 
 
 def run_script(kernel_cls, initial, script, cuts, traced=True):
@@ -237,7 +201,7 @@ def run_script(kernel_cls, initial, script, cuts, traced=True):
     trace lines (None untraced) and (fired, clock, pending) after every
     run_until."""
     trace = [] if traced else None
-    k = kernel_cls(seed=1, trace=trace)
+    k = kernel_cls(trace=trace)
     log = []
     ids = itertools.count()
     for i in range(3):
@@ -257,7 +221,7 @@ def run_script(kernel_cls, initial, script, cuts, traced=True):
 
 
 follow_ups = st.lists(
-    st.tuples(st.integers(0, 6), st.integers(0, 2), st.booleans()), max_size=3)
+    st.tuples(st.integers(0, 6), st.integers(0, 2)), max_size=3)
 
 
 @settings(max_examples=200, deadline=None)
@@ -270,7 +234,7 @@ follow_ups = st.lists(
         max_size=5),
 )
 def test_dispatch_matches_one_heap_reference(initial, script, cuts):
-    # the traced and the untraced dispatch loop alike
+    # traced and untraced alike
     for traced in (True, False):
         got = run_script(Kernel, initial, script, cuts, traced)
         want = run_script(ReferenceHeapKernel, initial, script, cuts, traced)
@@ -296,9 +260,9 @@ class Flaky:
 
 
 def test_raising_handler_leaves_no_fired_event_queued():
-    # the traced and the untraced dispatch loop alike
+    # traced and untraced alike
     for trace in ([], None):
-        k = Kernel(seed=1, trace=trace)
+        k = Kernel(trace=trace)
         f = Flaky(k)
         k.register(f)
         for p in ("spawn", "boom", "c", "d"):
@@ -354,9 +318,3 @@ def test_stream_draw_helpers_in_range():
         assert -2.0 <= u <= 3.0
     vals = [s.gauss(0.0, 1.0) for _ in range(500)]
     assert abs(sum(vals) / len(vals)) < 0.2
-
-
-def test_two_kernels_same_seed_same_stream_draws():
-    k1, k2 = Kernel(seed=9), Kernel(seed=9)
-    a, b = k1.stream("e:0"), k2.stream("e:0")
-    assert [a() for _ in range(5)] == [b() for _ in range(5)]

@@ -157,12 +157,16 @@ def test_simulated_exports_pinned(tmp_path, mode):
 # transport retransmits and acks included
 PINNED_2_DAY_TRACE = {
     RoutingMode.TREE: "4edac57497b671d47b321f86cfb64ce33d718f7594d0042706f51537c042c207",
+    RoutingMode.DIFFUSION: "dc2a4f674eb1a74df57484a554de05af4db15786b99bdf885bdcc6781db89e65",
+    RoutingMode.FLOODING: "e039f4a486368ecb3947964ae495461baa197d8de34a7eb1424a5cb1430fd9be",
     RoutingMode.COMBINED: "9279666d54628cbf97928f17b754206d622af46e6bd5c402f9f72012eb60d5bf",
 }
 # SHA-256 of the same traces' lines with seq dropped, sorted: the events
 # as a multiset; taken, like PINNED_3_DAY_SORTED_DB, under one kernel
 PINNED_2_DAY_TRACE_SORTED = {
     RoutingMode.TREE: "4ee6b5dbe8d0968e920e9a9d08c4950400c6c391f2c6052f39321591c4b58fff",
+    RoutingMode.DIFFUSION: "1980fa9f9b3a8ce13479efe81ab9e5017326c6c6545cadb88817653d676ee4eb",
+    RoutingMode.FLOODING: "b335ca35ce9443cdaa3db60fbb15b9b72541d4f8bf47b10226dc13e106ec8320",
     RoutingMode.COMBINED: "7a63c650efaec5186f72c77fe6d6e21891642ae9c4f21d3498a81b57a891ee27",
 }
 LOSSY_BACKBONE = replace(ScenarioConfig().backbone, latency_s=1, loss_prob=0.3)

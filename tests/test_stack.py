@@ -202,13 +202,14 @@ def test_two_node_contention_matches_backoff_replay():
         with_samplers=True,
         sampling_horizon=1800,
         delay=1,
+        seed=1,
     )
     net.run(4000)
     assert len(net.received) == 2
 
     # replay: node 1 wakes first (registration order), seizes [0, 2);
     # node 2 backs off from t=0 until it finds the channel idle
-    rng = ReferenceStream(net.kernel.seed, "node:2:mac")
+    rng = ReferenceStream(1, "node:2:mac")
     t, busy_until = 0, 2
     while True:
         t += rng.randint(1, 16)
@@ -312,6 +313,15 @@ def diamond_net(**kw):
     return net, sink, a, b, x
 
 
+def queued_by(node, reading):
+    """The packets node queues, as spy_enqueue logs them, when it sends
+    its matching data for reading."""
+    log = []
+    with spy_enqueue(log):
+        node.send_matching_data(reading)
+    return log
+
+
 def test_interest_flood_sets_up_gradients():
     net, sink, a, b, x = diamond_net()
     interest = make_interest(origin=sink.entity_id, hop_limit=5)
@@ -348,7 +358,8 @@ def test_exploratory_then_reinforced_path():
     net.run(500)
 
     # exploratory: one copy along each gradient
-    assert x.send_matching_data(make_reading(t=1000)) == 2
+    queued = queued_by(x, make_reading(t=1000))
+    assert sorted(dst.index for *_, dst in queued) == [a.node_index, b.node_index]
     net.run(2000)
     assert net.counters.delivered == 1  # duplicate copy suppressed at the sink
     assert net.counters.duplicate_relay_drops >= 1
@@ -363,7 +374,7 @@ def test_exploratory_then_reinforced_path():
     # post-reinforcement: single copy on the winning path, loser starves
     loser = b if winner == a.entity_id else a
     forwarded_before = loser.reports_forwarded
-    assert x.send_matching_data(make_reading(t=2800)) == 1
+    assert [dst for *_, dst in queued_by(x, make_reading(t=2800))] == [winner]
     net.run(4000)
     assert net.counters.delivered == 2
     assert loser.reports_forwarded == forwarded_before
@@ -374,19 +385,19 @@ def test_line_topology_reinforcement_is_routing_noop():
     sink, m, x = net.nodes
     sink.launch_interest(make_interest(origin=sink.entity_id))
     net.run(200)
-    assert x.send_matching_data(make_reading(t=300)) == 1
+    assert [dst for *_, dst in queued_by(x, make_reading(t=300))] == [m.entity_id]
     net.run(600)
     assert net.counters.delivered == 1
     assert [g.reinforced for g in x.gradients[1]] == [True]
     assert any(g.reinforced for g in m.gradients[1])
     # still exactly one copy per report afterwards
-    assert x.send_matching_data(make_reading(t=2100)) == 1
+    assert [dst for *_, dst in queued_by(x, make_reading(t=2100))] == [m.entity_id]
 
 
 def test_sink_as_source_delivers_locally():
     net, sink, a, b, x = diamond_net()
     sink.launch_interest(make_interest(origin=sink.entity_id))
-    assert sink.send_matching_data(make_reading(t=10)) == 1
+    assert queued_by(sink, make_reading(t=10)) == []
     assert net.counters.delivered == 1
     assert net.received[0][1].route == ()
     assert not sink._sink_reinforced
@@ -394,7 +405,8 @@ def test_sink_as_source_delivers_locally():
 
 def test_no_matching_interest_no_emission():
     net, sink, a, b, x = diamond_net()
-    assert x.send_matching_data(make_reading()) == 0
+    assert queued_by(x, make_reading()) == []
+    assert net.counters.delivered == 0
 
 
 def test_reinforce_unknown_interest_raises():
@@ -421,11 +433,11 @@ def test_flooding_delivers_once_and_rebroadcasts_once_per_node():
     net.run(500)
     log = []
     with spy_enqueue(log):
-        src = net.nodes[5]
-        assert src.send_matching_data(make_reading(t=600)) == 1
+        net.nodes[5].send_matching_data(make_reading(t=600))
+        sig = report_signature(5, 600, 1)
+        assert log == [(5, KIND_DATA, sig, None)]  # one broadcast
         net.run(3000)
     assert net.counters.delivered == 1
-    sig = report_signature(5, 600, 1)
     relays = [entry for entry in log if entry[1] == KIND_DATA and entry[2] == sig]
     nodes_that_sent = [e[0] for e in relays]
     assert len(set(nodes_that_sent)) == len(nodes_that_sent), "a node re-transmitted a signature"

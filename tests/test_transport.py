@@ -1,6 +1,6 @@
 from droughtnet.config import BackboneParams
-from droughtnet.kernel import EntityId, EntityKind, Kernel, Message, stream
-from droughtnet.stack import TransportLink, transport_dispatch
+from droughtnet.kernel import EntityId, EntityKind, Kernel, stream
+from droughtnet.stack import TransportLink
 
 
 class TxHost:
@@ -12,21 +12,20 @@ class TxHost:
         self.got = []
         self.acked = []
 
-    def handle(self, payload):
-        assert isinstance(payload, Message)
-        assert transport_dispatch(payload.body)
+    def handle(self, ev):
+        ev.fire(ev)
 
     def receive(self, payload):
         self.got.append(payload)
 
 
 def make_link(loss=0.0, latency=0, max_retries=20, seed=5, label="uplink:1"):
-    k = Kernel(seed=seed)
+    k = Kernel()
     a, b = TxHost(k, 0), TxHost(k, 1)
     k.register(a)
     k.register(b)
     link = TransportLink(
-        k, a.entity_id, b.entity_id, b.receive, k.stream(label),
+        k, a.entity_id, b.entity_id, b.receive, stream(seed, label),
         BackboneParams(loss_prob=loss, latency_s=latency, max_retries=max_retries),
         on_acked=a.acked.append,
     )
