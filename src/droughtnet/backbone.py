@@ -25,7 +25,7 @@ from itertools import chain, compress, islice, repeat
 from .environment import SENSOR_FIELDS
 from .forked import forked, share_count
 from .geometry import GeoPoint
-from .kernel import EntityId, EntityKind, Kernel, stream
+from .kernel import Kernel, stream
 from .stack import DataMessage, TransportLink
 
 # CentralDatabase limits: region ids are stored as signed bytes, and a
@@ -459,13 +459,14 @@ def _raise_bad_value(chunk: list, columns: list, lineno: int) -> None:
 class RemoteBaseStation:
     """Central processing unit: stores one region's messages centrally."""
 
-    def __init__(self, kernel: Kernel, central: CentralDatabase, region_id: int,
+    def __init__(self, central: CentralDatabase, region_id: int,
                  node_locations: dict[int, GeoPoint]):
-        self.entity_id = EntityId(EntityKind.REMOTE_BASE_STATION, 0)
         self.central = central
         self.region_id = region_id
         self.node_locations = node_locations
-        kernel.register(self)
+
+    def __str__(self) -> str:
+        return "RemoteBaseStation:0"
 
     def handle(self, ev):
         ev.fire(ev)  # every event here is one of the uplink's transport events
@@ -486,13 +487,13 @@ class LocalBaseStation:
     """
 
     def __init__(self, kernel: Kernel, cfg, region_id: int, remote: RemoteBaseStation):
-        self.entity_id = EntityId(EntityKind.LOCAL_BASE_STATION, region_id)
+        self.region_id = region_id
         self.capacity = cfg.local_db_capacity
         self.local_db: deque[list] = deque()  # [message, acked], oldest first
         self.uplink = TransportLink(
             kernel,
-            self.entity_id,
-            remote.entity_id,
+            self,
+            remote,
             remote.receive_entry,
             stream(cfg.seed, f"uplink:{region_id}"),
             cfg.backbone,
@@ -500,7 +501,9 @@ class LocalBaseStation:
         )
         self.ingested = 0
         self.evicted = 0
-        kernel.register(self)
+
+    def __str__(self) -> str:
+        return f"LocalBaseStation:{self.region_id}"
 
     def handle(self, ev):
         ev.fire(ev)  # every event here is one of the uplink's transport events

@@ -1,9 +1,11 @@
 """Deterministic discrete-event kernel.
 
 Virtual clock in whole seconds, an event queue dispatching in
-(fire_at, seq) order to registered entities, and per-entity seeded
-random streams (``stream(seed, label)``).  ``Kernel.schedule`` is the
-one way to queue an event.  Two runs with the same scenario and seed
+(fire_at, seq) order, and per-entity seeded random streams
+(``stream(seed, label)``).  ``Kernel.schedule`` is the one way to queue
+an event; its target is the entity object itself, whose ``handle`` gets
+the payload and whose ``str`` names it in the trace, as the payload's
+``tag`` names the event.  Two runs with the same scenario and seed
 produce identical event sequences; determinism rests only on
 ``random.Random.random()``, whose output for a fixed seed is guaranteed
 stable across Python versions.
@@ -19,65 +21,12 @@ from __future__ import annotations
 
 import hashlib
 import random
-from enum import Enum
 from heapq import heappop, heappush
 from typing import Any
 
 
-class KernelError(Exception):
-    pass
-
-
-class SchedulingInPast(KernelError):
+class SchedulingInPast(Exception):
     """An event was scheduled before the current clock - a protocol bug."""
-
-
-class UnknownEntity(KernelError):
-    pass
-
-
-class EntityKind(Enum):
-    SENSOR_NODE = "SensorNode"
-    LOCAL_BASE_STATION = "LocalBaseStation"
-    REMOTE_BASE_STATION = "RemoteBaseStation"
-
-
-class EntityId:
-    """Stable handle for a simulated entity, unique across a scenario.
-
-    Immutable and interned: EntityId(kind, index) returns the one object
-    for that pair, so equality and hashing are the built-in identity
-    ones.  Ids are dict keys on every schedule, send and neighbour
-    lookup, where a field-wise hash through the Enum's Python-level
-    __hash__ would cost about a tenth of simulate time.
-    """
-
-    __slots__ = ("kind", "index")
-    _interned: dict[tuple[EntityKind, int], "EntityId"] = {}
-
-    def __new__(cls, kind: EntityKind, index: int) -> "EntityId":
-        eid = cls._interned.get((kind, index))
-        if eid is None:
-            eid = object.__new__(cls)
-            object.__setattr__(eid, "kind", kind)
-            object.__setattr__(eid, "index", index)
-            eid = cls._interned.setdefault((kind, index), eid)
-        return eid
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"EntityId is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"EntityId is immutable: cannot delete {name!r}")
-
-    def __reduce__(self):
-        return (EntityId, (self.kind, self.index))
-
-    def __repr__(self) -> str:
-        return f"EntityId(kind={self.kind!r}, index={self.index!r})"
-
-    def __str__(self) -> str:
-        return f"{self.kind.value}:{self.index}"
 
 
 class Message:
@@ -88,7 +37,7 @@ class Message:
 
     __slots__ = ("src", "body")
 
-    def __init__(self, src: EntityId, body: Any):
+    def __init__(self, src: Any, body: Any):
         self.src = src
         self.body = body
 
@@ -113,7 +62,7 @@ class Kernel:
     """Single-threaded event loop owning all entity state it dispatches to.
 
     Pending events live in per-second buckets: ``_buckets[fire_at]`` is
-    a list of (seq, target, handler, payload) tuples in scheduling
+    a list of (seq, target, payload) tuples in scheduling
     order, and ``_times`` is a heap of the seconds that have a bucket.
     seq is unique and increases with every schedule, so appending keeps
     each bucket in seq order, and an event scheduled for the running
@@ -128,32 +77,20 @@ class Kernel:
         self._buckets: dict[int, list] = {}
         self._times: list[int] = []
         self._seq: int = 0
-        self._handlers: dict[EntityId, Any] = {}  # each entity's bound handle
-
-    # -- entities ----------------------------------------------------------
-
-    def register(self, entity: Any) -> None:
-        eid = entity.entity_id
-        if eid in self._handlers:
-            raise ValueError(f"entity already registered: {eid}")
-        self._handlers[eid] = entity.handle
 
     # -- scheduling --------------------------------------------------------
 
-    def schedule(self, fire_at: int, target: EntityId, payload: Any) -> None:
-        """Queue an event; raises SchedulingInPast if fire_at < clock."""
+    def schedule(self, fire_at: int, target: Any, payload: Any) -> None:
+        """Queue ``target.handle(payload)``; raises SchedulingInPast if
+        fire_at < clock."""
         if fire_at < self.now:
             raise SchedulingInPast(f"fire_at {fire_at} < clock {self.now}")
-        try:
-            handler = self._handlers[target]
-        except KeyError:
-            raise UnknownEntity(str(target)) from None
         bucket = self._buckets.get(fire_at)
         if bucket is None:
-            self._buckets[fire_at] = [(self._seq, target, handler, payload)]
+            self._buckets[fire_at] = [(self._seq, target, payload)]
             heappush(self._times, fire_at)
         else:
-            bucket.append((self._seq, target, handler, payload))
+            bucket.append((self._seq, target, payload))
         self._seq += 1
 
     def pending(self) -> int:
@@ -185,12 +122,11 @@ class Kernel:
             try:
                 # iterating the list itself also reaches events that
                 # handlers append to this second's bucket
-                for seq, target, handler, payload in bucket:
+                for seq, target, payload in bucket:
                     self.processed += 1
                     if trace is not None:
-                        tag = getattr(payload, "tag", None) or type(payload).__name__
-                        trace.append(f"{fire_at}\t{seq}\t{target}\t{tag}")
-                    handler(payload)
+                        trace.append(f"{fire_at}\t{seq}\t{target}\t{payload.tag}")
+                    target.handle(payload)
             except BaseException:
                 # drop the fired events, and the second if none is left
                 del bucket[:self.processed - before]

@@ -43,7 +43,7 @@ from .geometry import (
     ordered_total,
     plans_to_json,
 )
-from .kernel import EntityId, EntityKind, Kernel, stream
+from .kernel import Kernel, stream
 from .stack import (
     Channel,
     Interest,
@@ -208,11 +208,10 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
                     cfg.reporting_period_s, pos,
                     stream(cfg.seed, f"env:{rc.region_id}:{local}"),
                 )
-            node = SensorNode(kernel, cfg, EntityId(EntityKind.SENSOR_NODE, gid), rc.region_id,
+            node = SensorNode(kernel, cfg, gid, rc.region_id,
                               pos, is_sink, channel, counters, sampler=sampler,
                               stagger_s=cfg.stagger_step_s * ranks[local])
             nodes.append(node)
-            kernel.register(node)
         for node in nodes:
             node.wire_neighbors(nodes)
         if tree_parents is not None:
@@ -227,7 +226,7 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
             kernel,
             cfg,
             rc.region_id,
-            RemoteBaseStation(kernel, central, rc.region_id,
+            RemoteBaseStation(central, rc.region_id,
                               {base_index + i: p for i, p in enumerate(positions)}),
         )
         nodes[0].collector = station.ingest
@@ -242,9 +241,9 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
                 interest_id=order + 1,
                 duration_s=duration,
                 hop_limit=cfg.interest.hop_limit,
-                origin=nodes[0].entity_id,
+                origin=nodes[0],
             )
-            kernel.schedule(cfg.interest.start_s, nodes[0].entity_id, LaunchInterest(interest))
+            kernel.schedule(cfg.interest.start_s, nodes[0], LaunchInterest(interest))
 
         regions.append(
             RegionRuntime(rc.region_id, plan, kernel, counters, station, nodes, tree_parents))

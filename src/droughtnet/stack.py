@@ -34,7 +34,7 @@ from enum import Enum
 
 from .energy import EnergyLedger
 from .environment import NodeSampler, SensorReading
-from .kernel import EntityId, EntityKind, Kernel, Message, stream
+from .kernel import Kernel, Message, stream
 
 KIND_DATA = 0
 KIND_INTEREST = 1
@@ -83,18 +83,14 @@ class Interest:
     interest_id: int
     duration_s: int
     hop_limit: int
-    origin: EntityId
-
-    def __post_init__(self):
-        if self.duration_s <= 0 or self.hop_limit < 1:
-            raise ValueError("interest duration and hop limit must be positive")
+    origin: SensorNode
 
 
 @dataclass(slots=True)
 class GradientEntry:
     """Direction state toward the neighbour an interest arrived from."""
 
-    toward: EntityId
+    toward: SensorNode
     expires_at: int
     reinforced: bool = False
 
@@ -252,7 +248,7 @@ class SensorNode:
     from the run's ``ScenarioConfig``."""
 
     __slots__ = (
-        "kernel", "entity_id", "node_index", "region_id",
+        "kernel", "node_index", "region_id",
         "position", "is_sink", "channel", "counters",
         "ledger", "battery_mj",
         "_delay_s", "_loss_prob", "_queue_cap",
@@ -276,7 +272,7 @@ class SensorNode:
         self,
         kernel: Kernel,
         cfg,
-        entity_id: EntityId,
+        node_index: int,
         region_id: int,
         position,
         is_sink: bool,
@@ -286,8 +282,7 @@ class SensorNode:
         stagger_s: int = 0,
     ):
         self.kernel = kernel
-        self.entity_id = entity_id
-        self.node_index = entity_id.index
+        self.node_index = node_index
         self.region_id = region_id
         self.position = position
         self.is_sink = is_sink
@@ -319,7 +314,7 @@ class SensorNode:
         self.sampling_horizon_s = cfg.horizon_s
         self.mac_queue = deque()
         self._queued_frames = 0
-        label = f"node:{entity_id.index}"
+        label = f"node:{node_index}"
         self._mac_random = stream(cfg.seed, label + ":mac")
         self._backoff_slots = cfg.mac.backoff_slots
         self._link_random = stream(cfg.seed, label + ":link")
@@ -348,6 +343,9 @@ class SensorNode:
         self._sense_mj = cfg.energy.sense_mj
         self._idle_mj_s = cfg.energy.idle_mj_per_s
 
+    def __str__(self) -> str:
+        return f"SensorNode:{self.node_index}"
+
     # -- wiring -------------------------------------------------------------
 
     def wire_neighbors(self, nodes: list["SensorNode"]) -> None:
@@ -358,20 +356,20 @@ class SensorNode:
             d = self.position.distance_to(other.position)
             if d <= self.link_range_km + 1e-9:
                 self.neighbors.append(other)
-                self.neighbor_dist[other.entity_id] = d
+                self.neighbor_dist[other] = d
         self.neighbors.sort(key=lambda n: n.node_index)
 
     def set_tree_parent(self, parent: "SensorNode | None", descendants: int = 0) -> None:
         if parent is None:
             if not self.is_sink:
-                raise OrphanNode(f"{self.entity_id} has no tree parent")
+                raise OrphanNode(f"{self} has no tree parent")
             self.tree_parent = None
             self._tree_route = (-1,)
         else:
-            self.tree_parent = parent.entity_id
+            self.tree_parent = parent
             self._tree_route = (parent.node_index,)
-            if parent.entity_id not in self.neighbor_dist:
-                self.neighbor_dist[parent.entity_id] = self.position.distance_to(parent.position)
+            if parent not in self.neighbor_dist:
+                self.neighbor_dist[parent] = self.position.distance_to(parent.position)
         self.descendants_expected = descendants
 
     def start(self) -> None:
@@ -381,9 +379,9 @@ class SensorNode:
             if first < self.sampling_horizon_s:
                 if self._drain_sleep:
                     self._sleep()
-                self.kernel.schedule(first, self.entity_id, WAKE)
+                self.kernel.schedule(first, self, WAKE)
         if self._tree_on and not self.is_sink and self.tree_parent is None:
-            raise OrphanNode(f"{self.entity_id} has no tree parent")
+            raise OrphanNode(f"{self} has no tree parent")
 
     # -- event dispatch -------------------------------------------------------
 
@@ -462,7 +460,7 @@ class SensorNode:
             self._emit_reading(reading)
             nxt = now + self.period_s
             if nxt < self.sampling_horizon_s:
-                self.kernel.schedule(nxt, self.entity_id, WAKE)
+                self.kernel.schedule(nxt, self, WAKE)
         self._own_sent = True
         if self._drain_sleep and not self.mac_queue:
             self._maybe_sleep()
@@ -494,7 +492,7 @@ class SensorNode:
                 self.gradients.pop(iid, None)
                 continue
             msg = self._make_report(reading, interest_id=iid)
-            if self.is_sink and interest.origin == self.entity_id:
+            if self.is_sink and interest.origin is self:
                 # sink doubling as source: delivered locally at zero hops
                 self._cache_signature(msg.signature)
                 self.counters.delivered += 1
@@ -517,7 +515,7 @@ class SensorNode:
 
     # -- link reception -------------------------------------------------------
 
-    def receive_link(self, pkt: LinkPacket, src: EntityId) -> None:
+    def receive_link(self, pkt: LinkPacket, src: SensorNode) -> None:
         if self.mode == MODE_SLEEPING:
             if pkt.kind == KIND_DATA:
                 self.counters.sleep_losses += 1
@@ -543,7 +541,7 @@ class SensorNode:
         self._enqueue(LinkPacket(KIND_INTEREST, interest, None, INTEREST_BYTES,
                                  self.interest_frames, ttl=interest.hop_limit))
 
-    def receive_interest(self, interest: Interest, hops_left: int, src: EntityId) -> None:
+    def receive_interest(self, interest: Interest, hops_left: int, src: SensorNode) -> None:
         """Hop-by-hop diffusion: cache unseen interests, set up the gradient
         toward the sender, rebroadcast with one hop fewer.  A repeat only
         installs or refreshes the gradient; an exhausted hop count drops."""
@@ -553,7 +551,7 @@ class SensorNode:
         iid = interest.interest_id
         expires_at = now + interest.duration_s
         cached = self.interest_cache.get(iid)
-        if cached is not None and interest.origin == self.entity_id:
+        if cached is not None and interest.origin is self:
             return  # own interest echoed back to the sink
         self._install_gradient(iid, src, expires_at)
         if cached is None:
@@ -561,10 +559,10 @@ class SensorNode:
             self._enqueue(LinkPacket(KIND_INTEREST, interest, None, INTEREST_BYTES,
                                      self.interest_frames, ttl=hops_left - 1))
 
-    def _install_gradient(self, iid: int, toward: EntityId, expires_at: int) -> None:
+    def _install_gradient(self, iid: int, toward: SensorNode, expires_at: int) -> None:
         entries = self.gradients.setdefault(iid, [])
         for g in entries:
-            if g.toward == toward:
+            if g.toward is toward:
                 g.expires_at = expires_at
                 return
         entries.append(GradientEntry(toward, expires_at))
@@ -578,20 +576,21 @@ class SensorNode:
             self.gradients[iid] = live
         return live
 
-    def receive_reinforcement(self, iid: int, src: EntityId, path: tuple) -> None:
+    def receive_reinforcement(self, iid: int, src: SensorNode, path: tuple) -> None:
         """Mark the gradient toward the reinforcing neighbour (keeping at
         most one reinforced gradient per interest) and pass the
-        reinforcement on along the reverse path toward the data origin."""
+        reinforcement on along the reverse path toward the data origin:
+        its next hop, ``path[-1]``, is the neighbour the data came from."""
         entries = self.gradients.get(iid)
         if entries is None:
             raise UnknownInterest(f"reinforcement for unknown interest {iid}")
         for g in entries:
-            g.reinforced = g.toward == src
+            g.reinforced = g.toward is src
         if path:  # empty path: this node is the origin, chain complete
-            nxt = EntityId(EntityKind.SENSOR_NODE, path[-1])
+            nxt = next(nb for nb in self.neighbors if nb.node_index == path[-1])
             self._send_reinforce(iid, path[:-1], nxt)
 
-    def _send_reinforce(self, iid: int, path: tuple, to: EntityId) -> None:
+    def _send_reinforce(self, iid: int, path: tuple, to: SensorNode) -> None:
         self._enqueue(LinkPacket(KIND_REINFORCE, ReinforceMsg(iid, path), to,
                                  REINFORCE_BYTES, self.reinforce_frames))
 
@@ -607,7 +606,7 @@ class SensorNode:
         self._cache_set.add(sig)
         return True
 
-    def receive_data(self, msg: DataMessage, src: EntityId, ttl: int = 0) -> None:
+    def receive_data(self, msg: DataMessage, src: SensorNode, ttl: int = 0) -> None:
         if self._dedup and not self._cache_signature(msg.signature):
             self.counters.duplicate_relay_drops += 1
             return
@@ -640,7 +639,7 @@ class SensorNode:
         # the data came from
         now = self.kernel.now
         iid = msg.interest_id
-        grads = [g for g in self._live_gradients(iid, now) if g.toward != src]
+        grads = [g for g in self._live_gradients(iid, now) if g.toward is not src]
         if not grads:
             return
         targets = [g for g in grads if g.reinforced] or grads
@@ -672,7 +671,7 @@ class SensorNode:
         if channel.busy_until > now:
             # a uniform integer in [1, backoff_slots] from the bound random()
             backoff = 1 + int(self._mac_random() * self._backoff_slots)
-            self.kernel.schedule(now + backoff, self.entity_id, MAC_RETRY)
+            self.kernel.schedule(now + backoff, self, MAC_RETRY)
             return
         pkt = queue.popleft()
         self._queued_frames -= pkt.nframes
@@ -687,7 +686,7 @@ class SensorNode:
                 if pkt.kind == KIND_DATA:
                     self.counters.rf_losses += 1
             else:
-                self.kernel.schedule(arrive, pkt.dst, Message(self.entity_id, pkt))
+                self.kernel.schedule(arrive, pkt.dst, Message(self, pkt))
         else:
             d = self.link_range_km
             self.ledger.tx_mJ += bits * (self._e_bit_mj + self._amp_bit_mj * d * d)
@@ -698,10 +697,9 @@ class SensorNode:
             else:
                 receivers = self.neighbors
             if receivers:
-                self.kernel.schedule(arrive, self.entity_id,
-                                     Message(self.entity_id, BroadcastFan(pkt, receivers)))
+                self.kernel.schedule(arrive, self, Message(self, BroadcastFan(pkt, receivers)))
         if queue:
-            self.kernel.schedule(channel.busy_until, self.entity_id, MAC_RETRY)
+            self.kernel.schedule(channel.busy_until, self, MAC_RETRY)
 
     # -- reporting -------------------------------------------------------------
 
@@ -738,7 +736,8 @@ class _TxEvent(_Timer):
 
 
 class TransportLink:
-    """Point-to-point transport between two registered entities.
+    """Point-to-point transport between two entities, each of which gets
+    the events for its end in its ``handle``.
 
     Retransmits on timeout until acknowledged, up to the backbone's
     max_retries, then records the payload abandoned.  With zero loss and
@@ -747,7 +746,7 @@ class TransportLink:
     ``BackboneParams``.
     """
 
-    def __init__(self, kernel: Kernel, src: EntityId, dst: EntityId, deliver, draw, params,
+    def __init__(self, kernel: Kernel, src, dst, deliver, draw, params,
                  *, on_acked):
         self.kernel = kernel
         self.src = src

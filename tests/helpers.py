@@ -17,14 +17,7 @@ from droughtnet.environment import (
     NodeSampler,
 )
 from droughtnet.geometry import GeoPoint
-from droughtnet.kernel import (
-    EntityId,
-    EntityKind,
-    Kernel,
-    SchedulingInPast,
-    UnknownEntity,
-    stream,
-)
+from droughtnet.kernel import Kernel, SchedulingInPast, stream
 from droughtnet.stack import (
     Channel,
     LinkParams,
@@ -141,19 +134,17 @@ def build_net(
     )
     nodes = []
     for i, (x, y) in enumerate(positions):
-        eid = EntityId(EntityKind.SENSOR_NODE, i)
         pos = GeoPoint(x, y)
         sampler = None
         if with_samplers and i != 0:
             sampler = NodeSampler(cfg.env, Climatology(), DroughtScenario(),
                                   GeoPoint(*positions[0]), period, pos, stream(seed, f"env:{i}"))
         node = SensorNode(
-            kernel, cfg, eid, 1, pos, i == 0, channel, counters,
+            kernel, cfg, i, 1, pos, i == 0, channel, counters,
             sampler=sampler,
             stagger_s=staggers[i] if staggers else 0,
         )
         nodes.append(node)
-        kernel.register(node)
     for n in nodes:
         n.wire_neighbors(nodes)
     if tree_parents is not None:
@@ -359,8 +350,6 @@ class ReferenceHeapKernel(Kernel):
     def schedule(self, fire_at, target, payload):
         if fire_at < self.now:
             raise SchedulingInPast(f"fire_at {fire_at} < clock {self.now}")
-        if target not in self._handlers:
-            raise UnknownEntity(str(target))
         heapq.heappush(self._heap, (fire_at, self._seq, target, payload))
         self._seq += 1
 
@@ -373,9 +362,8 @@ class ReferenceHeapKernel(Kernel):
             fire_at, seq, target, payload = heapq.heappop(self._heap)
             self.now = fire_at
             if self.trace is not None:
-                tag = getattr(payload, "tag", None) or type(payload).__name__
-                self.trace.append(f"{fire_at}\t{seq}\t{target}\t{tag}")
-            self._handlers[target](payload)
+                self.trace.append(f"{fire_at}\t{seq}\t{target}\t{payload.tag}")
+            target.handle(payload)
             count += 1
         self.processed += count
         return count

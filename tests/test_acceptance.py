@@ -20,7 +20,7 @@ from droughtnet.analytics import (
     Thresholds,
     classify,
 )
-from droughtnet.kernel import EntityId, EntityKind, Kernel
+from droughtnet.kernel import Kernel
 from droughtnet.runner import build_binary_tree, compare_runs, run_scenario
 from droughtnet.stack import KIND_DATA, Interest, RoutingMode
 
@@ -192,7 +192,7 @@ def _diffusion_topology_run(seed):
     _topology_tally["count"] += 1
     net = build_net(pts, RoutingMode.DIFFUSION, link_range=2.0, seed=seed)
     sink = net.sink
-    interest = Interest(1, 10**7, 6, sink.entity_id)
+    interest = Interest(1, 10**7, 6, sink)
     interest_log, tx_log = [], []
     with spy_interests(interest_log), spy_enqueue(tx_log):
         sink.launch_interest(interest)
@@ -256,7 +256,7 @@ def test_criterion_6_gradient_directions_match_trace(seed):
 def test_criterion_6_interest_cache_idempotent(seed):
     net, _, _ = _diffusion_topology_run(seed)
     node = net.nodes[-1]
-    sender = net.nodes[0].entity_id if net.nodes[0] in node.neighbors else node.neighbors[0].entity_id
+    sender = net.nodes[0] if net.nodes[0] in node.neighbors else node.neighbors[0]
     interest = node.interest_cache[1][0]
     gradients_before = len(node.gradients[1])
     for _ in range(5):
@@ -382,7 +382,6 @@ def _ind(anomaly, precip):
 def test_criterion_9_kernel_ordering_100k_events():
     class Recorder:
         def __init__(self, kernel):
-            self.entity_id = EntityId(EntityKind.SENSOR_NODE, 0)
             self.kernel = kernel
             self.log = []
 
@@ -391,11 +390,10 @@ def test_criterion_9_kernel_ordering_100k_events():
 
     k = Kernel()
     rec = Recorder(k)
-    k.register(rec)
     rng = ReferenceStream(11, "times")
     times = [rng.randint(0, 500) for _ in range(100_000)]  # heavy duplication
     for i, t in enumerate(times):
-        k.schedule(t, rec.entity_id, i)
+        k.schedule(t, rec, i)
     k.run_until(500)
     oracle = sorted(range(len(times)), key=lambda i: (times[i], i))
     assert [i for _, i in rec.log] == oracle

@@ -68,7 +68,7 @@ def make_msg(node_id=1, t=0, temp=20.0, battery=12345.6, route=(0,)):
 
 def make_station(capacity=10_000, **uplink):
     k = Kernel()
-    rbs = RemoteBaseStation(k, CentralDatabase(), 1, {i: GeoPoint(float(i), 0.0) for i in range(10)})
+    rbs = RemoteBaseStation(CentralDatabase(), 1, {i: GeoPoint(float(i), 0.0) for i in range(10)})
     cfg = replace(ScenarioConfig(), seed=3, local_db_capacity=capacity,
                   backbone=BackboneParams(**uplink))
     lbs = LocalBaseStation(k, cfg, 1, rbs)

@@ -129,6 +129,7 @@ def test_region_square_must_hold_every_cell(shape, size_km):
     ({"data_cache_cap": 0}, "data_cache_cap must be at least 1"),
     ({"interest": {"start_s": -1}}, "interest.start_s must be non-negative"),
     ({"interest": {"duration_s": 0}}, "interest.duration_s must be positive"),
+    ({"interest": {"hop_limit": 0}}, "interest.hop_limit must be at least 1"),
     # and these ran, but meant nothing
     ({"local_db_capacity": 0}, "local_db_capacity must be at least 1"),
     ({"local_db_capacity": -5}, "local_db_capacity must be at least 1"),
@@ -137,8 +138,9 @@ def test_region_square_must_hold_every_cell(shape, size_km):
     ({"energy": {"e_amp_pj_per_bit_km2": -1}}, "energy.e_amp_pj_per_bit_km2 must be"),
     ({"energy": {"e_sense_uj": -0.5}}, "energy.e_sense_uj must be non-negative"),
     ({"energy": {"p_idle_uw": -30}}, "energy.p_idle_uw must be non-negative"),
-], ids=["data_cache_cap", "interest_start", "interest_duration", "local_db_zero",
-        "local_db_negative", "drain_window", "e_elec", "e_amp", "e_sense", "p_idle"])
+], ids=["data_cache_cap", "interest_start", "interest_duration", "interest_hop_limit",
+        "local_db_zero", "local_db_negative", "drain_window", "e_elec", "e_amp", "e_sense",
+        "p_idle"])
 def test_configs_that_cannot_run_meaningfully_rejected(data, message):
     with pytest.raises(ValidationError, match=message):
         config_from_dict({"routing_mode": "diffusion", **data})

@@ -12,7 +12,7 @@ it, so that no layer of re-exports stands between a caller and the
 module that defines a name.  No module of src/ reads another module's
 single-underscore attribute, and none calls builtin ``sum`` or
 ``fsum``, whose float totals depend on the Python version.  Only the
-node stack builds a ``kernel.Message``.
+node stack builds a ``kernel.Message``, and the kernel names no entity.
 """
 
 import ast
@@ -289,6 +289,26 @@ def test_one_module_builds_messages():
                for node in ast.walk(ast.parse(p.read_text(encoding="utf-8"))))
     ]
     assert building == ["stack.py"]
+
+
+def test_kernel_knows_no_entity():
+    """An event's target is the entity object itself, so the kernel needs
+    nothing of the entities but their ``handle`` and ``str``: it imports
+    no other module of the package and names no entity class, as a name
+    or inside a string."""
+    tree = ast.parse((PACKAGE / "kernel.py").read_text(encoding="utf-8"))
+    entities = ("SensorNode", "LocalBaseStation", "RemoteBaseStation")
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("droughtnet")):
+            found.append(f"from {'.' * node.level}{node.module or ''} import")
+        elif isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.startswith("droughtnet")]
+        elif isinstance(node, (ast.Name, ast.Attribute, ast.Constant)):
+            text = getattr(node, "id", None) or getattr(node, "attr", None) or node.value
+            if isinstance(text, str):
+                found += [f"{node.lineno}: {e}" for e in entities if e in text]
+    assert not found, f"kernel.py names the package or an entity: {found}"
 
 
 def test_no_builtin_sum():

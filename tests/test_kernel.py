@@ -1,30 +1,34 @@
-import copy
 import itertools
-import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from droughtnet.kernel import (
-    EntityId,
-    EntityKind,
-    Kernel,
-    SchedulingInPast,
-    UnknownEntity,
-    stream,
-)
+from droughtnet.kernel import Kernel, SchedulingInPast, stream
 
 from helpers import ReferenceHeapKernel, ReferenceStream
+
+
+class Note:
+    """A payload that its ``tag`` names in the trace, as every payload of
+    the simulator is named."""
+
+    __slots__ = ("tag",)
+
+    def __init__(self, tag):
+        self.tag = tag
 
 
 class Recorder:
     """Minimal entity that records (time, payload) in processing order."""
 
     def __init__(self, kernel, index=0):
-        self.entity_id = EntityId(EntityKind.SENSOR_NODE, index)
+        self.index = index
         self.kernel = kernel
         self.log = []
+
+    def __str__(self):
+        return f"Recorder:{self.index}"
 
     def handle(self, payload):
         self.log.append((self.kernel.now, payload))
@@ -32,59 +36,32 @@ class Recorder:
 
 def make_kernel(n_entities=1):
     k = Kernel()
-    recs = [Recorder(k, i) for i in range(n_entities)]
-    for r in recs:
-        k.register(r)
-    return k, recs
-
-
-def test_entity_ids_compare_by_kind_and_index():
-    a = EntityId(EntityKind.SENSOR_NODE, 3)
-    b = EntityId(EntityKind.SENSOR_NODE, 3)
-    assert a == b and hash(a) == hash(b)
-    assert {a: "x"}[b] == "x"
-    assert a != EntityId(EntityKind.LOCAL_BASE_STATION, 3)
-    assert a != EntityId(EntityKind.SENSOR_NODE, 4)
-    assert str(a) == "SensorNode:3"
-    assert str(EntityId(EntityKind.REMOTE_BASE_STATION, 0)) == "RemoteBaseStation:0"
-    with pytest.raises(AttributeError):
-        a.index = 4
-    with pytest.raises(AttributeError):
-        del a.kind
-    assert (a.kind, a.index) == (EntityKind.SENSOR_NODE, 3)
-    assert copy.deepcopy(a) == a
-    assert pickle.loads(pickle.dumps(a)) == a
+    return k, [Recorder(k, i) for i in range(n_entities)]
 
 
 def test_zero_delay_event_fires_first():
     k, (r,) = make_kernel()
-    k.schedule(5, r.entity_id, "later")
-    k.schedule(0, r.entity_id, "wake")
+    k.schedule(5, r, "later")
+    k.schedule(0, r, "wake")
     assert k.run_until(10) == 2
     assert r.log == [(0, "wake"), (5, "later")]
 
 
 def test_simultaneous_events_fire_in_seq_order():
     k, (r,) = make_kernel()
-    k.schedule(1800, r.entity_id, "a")
-    k.schedule(1800, r.entity_id, "b")
+    k.schedule(1800, r, "a")
+    k.schedule(1800, r, "b")
     k.run_until(1800)
     assert r.log == [(1800, "a"), (1800, "b")]
 
 
 def test_scheduling_in_past_rejected():
     k, (r,) = make_kernel()
-    k.schedule(10, r.entity_id, "x")
+    k.schedule(10, r, "x")
     k.run_until(10)
     assert k.now == 10
     with pytest.raises(SchedulingInPast):
-        k.schedule(5, r.entity_id, "too late")
-
-
-def test_schedule_to_unknown_target():
-    k, _ = make_kernel()
-    with pytest.raises(UnknownEntity):
-        k.schedule(0, EntityId(EntityKind.SENSOR_NODE, 99), "x")
+        k.schedule(5, r, "too late")
 
 
 def test_run_until_empty_queue_leaves_clock():
@@ -96,7 +73,7 @@ def test_run_until_empty_queue_leaves_clock():
 def test_run_until_horizon_cut():
     k, (r,) = make_kernel()
     for t in (1, 2, 3):
-        k.schedule(t, r.entity_id, t)
+        k.schedule(t, r, t)
     assert k.run_until(2) == 2
     assert [t for t, _ in r.log] == [1, 2]
     assert k.pending() == 1
@@ -106,8 +83,7 @@ def test_run_until_horizon_cut():
 class Relay:
     """Forwards each received message to the next entity after a fixed delay."""
 
-    def __init__(self, kernel, index, nxt, delay):
-        self.entity_id = EntityId(EntityKind.SENSOR_NODE, index)
+    def __init__(self, kernel, nxt, delay):
         self.kernel = kernel
         self.nxt = nxt
         self.delay = delay
@@ -123,14 +99,10 @@ def test_three_hop_chain_delay_sum():
     # oracle: arrival time is the plain sum of per-hop delays
     d = 4
     k = Kernel()
-    ids = [EntityId(EntityKind.SENSOR_NODE, i) for i in range(4)]
-    relays = []
-    for i in range(3, -1, -1):
-        nxt = ids[i + 1] if i + 1 < 4 else None
-        relays.insert(0, Relay(k, i, nxt, d))
-    for r in relays:
-        k.register(r)
-    k.schedule(d, ids[1], "pkt")
+    relays = [Relay(k, None, d)]
+    for _ in range(3):
+        relays.insert(0, Relay(k, relays[0], d))
+    k.schedule(d, relays[1], "pkt")
     k.run_until(1000)
     assert relays[3].received_at == 3 * d
 
@@ -139,10 +111,9 @@ def test_trace_lines_format():
     trace = []
     k = Kernel(trace=trace)
     r = Recorder(k)
-    k.register(r)
-    k.schedule(3, r.entity_id, "ping")
+    k.schedule(3, r, Note("ping"))
     k.run_until(3)
-    assert trace == ["3\t0\tSensorNode:0\tstr"]
+    assert trace == ["3\t0\tRecorder:0\tping"]
 
 
 # -- ordering property ------------------------------------------------------
@@ -155,7 +126,7 @@ def test_trace_lines_format():
 def test_processing_order_matches_sort_oracle(times):
     k, (r,) = make_kernel()
     for i, t in enumerate(times):
-        k.schedule(t, r.entity_id, i)
+        k.schedule(t, r, i)
     k.run_until(max(times))
     oracle = sorted(range(len(times)), key=lambda i: (times[i], i))
     assert [p for _, p in r.log] == oracle
@@ -178,22 +149,25 @@ class Token:
 class Spawner:
     """Logs (clock, token id, pending events) for every token it handles
     and queues the follow-ups that ``script[token id]`` lists, each as
-    (delay, target index)."""
+    (delay, index of the target in ``peers``)."""
 
-    def __init__(self, kernel, index, script, log, ids):
-        self.entity_id = EntityId(EntityKind.SENSOR_NODE, index)
+    def __init__(self, kernel, index, script, log, ids, peers):
+        self.index = index
         self.kernel = kernel
         self.script = script
         self.log = log
         self.ids = ids
+        self.peers = peers
+
+    def __str__(self):
+        return f"Spawner:{self.index}"
 
     def handle(self, token):
         k = self.kernel
         self.log.append((k.now, token.ident, k.pending()))
         steps = self.script[token.ident] if token.ident < len(self.script) else ()
         for delay, target in steps:
-            k.schedule(k.now + delay, EntityId(EntityKind.SENSOR_NODE, target),
-                       Token(next(self.ids)))
+            k.schedule(k.now + delay, self.peers[target], Token(next(self.ids)))
 
 
 def run_script(kernel_cls, initial, script, cuts, traced=True):
@@ -204,18 +178,17 @@ def run_script(kernel_cls, initial, script, cuts, traced=True):
     k = kernel_cls(trace=trace)
     log = []
     ids = itertools.count()
-    for i in range(3):
-        k.register(Spawner(k, i, script, log, ids))
+    spawners = []
+    spawners += [Spawner(k, i, script, log, ids, spawners) for i in range(3)]
     for t, target in initial:
-        k.schedule(t, EntityId(EntityKind.SENSOR_NODE, target), Token(next(ids)))
+        k.schedule(t, spawners[target], Token(next(ids)))
     states = []
     for horizon, extra in cuts:
         states.append((k.run_until(horizon), k.now, k.pending()))
         # queued from outside between cuts: at the clock itself, whose
         # second has already run, or before seconds queued earlier
         for delay, target in extra:
-            k.schedule(k.now + delay, EntityId(EntityKind.SENSOR_NODE, target),
-                       Token(next(ids)))
+            k.schedule(k.now + delay, spawners[target], Token(next(ids)))
     states.append((k.run_until(10**6), k.now, k.pending()))
     return log, trace, states
 
@@ -243,20 +216,20 @@ def test_dispatch_matches_one_heap_reference(initial, script, cuts):
 
 
 class Flaky:
-    """Logs every payload; raises on "boom", and queues "echo" into the
-    running second on "spawn"."""
+    """Logs every payload's tag; raises on "boom", and queues "echo" into
+    the running second on "spawn"."""
 
     def __init__(self, kernel):
-        self.entity_id = EntityId(EntityKind.SENSOR_NODE, 0)
         self.kernel = kernel
         self.log = []
 
     def handle(self, payload):
-        self.log.append((self.kernel.now, payload, self.kernel.pending()))
-        if payload == "spawn":
-            self.kernel.schedule(self.kernel.now, self.entity_id, "echo")
-        if payload.startswith("boom"):
-            raise RuntimeError(payload)
+        tag = payload.tag
+        self.log.append((self.kernel.now, tag, self.kernel.pending()))
+        if tag == "spawn":
+            self.kernel.schedule(self.kernel.now, self, Note("echo"))
+        if tag.startswith("boom"):
+            raise RuntimeError(tag)
 
 
 def test_raising_handler_leaves_no_fired_event_queued():
@@ -264,10 +237,9 @@ def test_raising_handler_leaves_no_fired_event_queued():
     for trace in ([], None):
         k = Kernel(trace=trace)
         f = Flaky(k)
-        k.register(f)
         for p in ("spawn", "boom", "c", "d"):
-            k.schedule(5, f.entity_id, p)
-        k.schedule(6, f.entity_id, "e")
+            k.schedule(5, f, Note(p))
+        k.schedule(6, f, Note("e"))
         with pytest.raises(RuntimeError, match="boom"):
             k.run_until(10)
         assert f.log == [(5, "spawn", 4), (5, "boom", 4)]
@@ -279,11 +251,11 @@ def test_raising_handler_leaves_no_fired_event_queued():
         assert k.pending() == 0
         # the raising event was the last of its second: the second is
         # gone, and an event queued at the clock afterwards still fires
-        k.schedule(7, f.entity_id, "boom-last")
+        k.schedule(7, f, Note("boom-last"))
         with pytest.raises(RuntimeError):
             k.run_until(10)
         assert k.pending() == 0
-        k.schedule(7, f.entity_id, "after")
+        k.schedule(7, f, Note("after"))
         assert k.run_until(7) == 1
         assert f.log[-1] == (7, "after", 0)
         assert k.processed == 8

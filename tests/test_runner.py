@@ -186,6 +186,16 @@ def test_event_trace_pinned(tmp_path, mode):
     assert sorted_lines_digest(events) == PINNED_2_DAY_TRACE_SORTED[mode]
 
 
+def test_entities_name_themselves_as_the_trace_names_them():
+    # the trace writes each event's target with str(): a node by its
+    # global index, a local station by its region, the one remote station
+    reg = build_scenario(cfg_days(2)).regions[1]
+    link = reg.station.uplink
+    assert (str(reg.nodes[3]), str(link.src), str(link.dst)) == (
+        "SensorNode:13", "LocalBaseStation:2", "RemoteBaseStation:0")
+    assert link.src is reg.station
+
+
 def test_backbone_ack_timeout_reaches_the_uplink(tmp_path):
     digests = {}
     for timeout in (2, 9):
@@ -653,7 +663,7 @@ def test_events_left_queued_name_the_region():
     scn = build_scenario(cfg_days(1))
     end = DAY + 3600 + 21 * 2
     reg = scn.regions[0]
-    reg.kernel.schedule(end, reg.nodes[1].entity_id, WAKE)
-    reg.kernel.schedule(end + 1, reg.nodes[1].entity_id, WAKE)
+    reg.kernel.schedule(end, reg.nodes[1], WAKE)
+    reg.kernel.schedule(end + 1, reg.nodes[1], WAKE)
     with pytest.raises(RunError, match=rf"^region 1: 1 events still queued past the run's end at second {end}$"):
         simulate(scn)

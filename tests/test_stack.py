@@ -2,7 +2,6 @@ import pytest
 
 from droughtnet.energy import EnergyParams
 from droughtnet.environment import SensorReading
-from droughtnet.kernel import EntityId, EntityKind
 from droughtnet.stack import (
     KIND_DATA,
     Interest,
@@ -40,13 +39,8 @@ def make_reading(t=0, **over):
     return SensorReading(**vals)
 
 
-def make_interest(iid=1, origin=None, hop_limit=5):
-    return Interest(
-        interest_id=iid,
-        duration_s=10**7,
-        hop_limit=hop_limit,
-        origin=origin or EntityId(EntityKind.SENSOR_NODE, 0),
-    )
+def make_interest(origin, iid=1, hop_limit=5):
+    return Interest(interest_id=iid, duration_s=10**7, hop_limit=hop_limit, origin=origin)
 
 
 # -- fragmentation -----------------------------------------------------------
@@ -66,18 +60,8 @@ def test_small_packet_single_frame():
     # a 32-byte interest and a 16-byte reinforcement fit one 40-byte frame
     net, sink, a, b, x = diamond_net()
     assert sink.interest_frames == sink.reinforce_frames == 1
-    sink.launch_interest(make_interest(origin=sink.entity_id))
+    sink.launch_interest(make_interest(origin=sink))
     assert sink.frames_sent == 1
-
-
-# -- interest validation -------------------------------------------------------
-
-
-def test_interest_requires_positive_duration_and_hop_limit():
-    with pytest.raises(ValueError):
-        Interest(1, 0, 1, EntityId(EntityKind.SENSOR_NODE, 0))
-    with pytest.raises(ValueError):
-        Interest(1, 10, 0, EntityId(EntityKind.SENSOR_NODE, 0))
 
 
 # -- energy model ---------------------------------------------------------------
@@ -254,7 +238,7 @@ def test_second_copy_of_signature_dropped():
     # diffusion copies; pure tree mode keeps no cache
     net = build_net(CLUSTER_10, RoutingMode.COMBINED, tree_parents=BINARY_TREE_10)
     relay = net.nodes[1]
-    src = net.nodes[3].entity_id
+    src = net.nodes[3]
     msg = relay._make_report(make_reading(t=0), interest_id=0)
     relay.receive_data(msg, src)
     before = relay.reports_forwarded
@@ -266,7 +250,7 @@ def test_second_copy_of_signature_dropped():
 def test_distinct_timestamps_both_forwarded():
     net = build_net(CLUSTER_10, RoutingMode.TREE, tree_parents=BINARY_TREE_10)
     relay = net.nodes[1]
-    src = net.nodes[3].entity_id
+    src = net.nodes[3]
     for t in (0, 1800):
         relay.receive_data(
             relay._make_report(make_reading(t=t), interest_id=0), src
@@ -324,42 +308,42 @@ def queued_by(node, reading):
 
 def test_interest_flood_sets_up_gradients():
     net, sink, a, b, x = diamond_net()
-    interest = make_interest(origin=sink.entity_id, hop_limit=5)
+    interest = make_interest(origin=sink, hop_limit=5)
     sink.launch_interest(interest)
     net.run(500)
     # the source holds one gradient per interest neighbour, each pointing
     # at the node the interest arrived from
-    assert {g.toward for g in x.gradients[1]} == {a.entity_id, b.entity_id}
-    assert sink.entity_id in {g.toward for g in a.gradients[1]}
-    assert sink.entity_id in {g.toward for g in b.gradients[1]}
+    assert {g.toward for g in x.gradients[1]} == {a, b}
+    assert sink in {g.toward for g in a.gradients[1]}
+    assert sink in {g.toward for g in b.gradients[1]}
     assert len(a.interest_cache) == len(x.interest_cache) == 1
 
 
 def test_interest_cache_idempotent_same_neighbor():
     net, sink, a, b, x = diamond_net()
-    interest = make_interest(origin=sink.entity_id)
+    interest = make_interest(origin=sink)
     for _ in range(5):
-        a.receive_interest(interest, 5, sink.entity_id)
+        a.receive_interest(interest, 5, sink)
     assert len(a.interest_cache) == 1
     assert len(a.gradients[1]) == 1
-    assert a.gradients[1][0].toward == sink.entity_id
+    assert a.gradients[1][0].toward == sink
 
 
 def test_exhausted_hop_limit_drops_without_state():
     net, sink, a, b, x = diamond_net()
-    a.receive_interest(make_interest(origin=sink.entity_id), 0, sink.entity_id)
+    a.receive_interest(make_interest(origin=sink), 0, sink)
     assert not a.interest_cache
     assert not a.gradients
 
 
 def test_exploratory_then_reinforced_path():
     net, sink, a, b, x = diamond_net()
-    sink.launch_interest(make_interest(origin=sink.entity_id))
+    sink.launch_interest(make_interest(origin=sink))
     net.run(500)
 
     # exploratory: one copy along each gradient
     queued = queued_by(x, make_reading(t=1000))
-    assert sorted(dst.index for *_, dst in queued) == [a.node_index, b.node_index]
+    assert sorted(dst.node_index for *_, dst in queued) == [a.node_index, b.node_index]
     net.run(2000)
     assert net.counters.delivered == 1  # duplicate copy suppressed at the sink
     assert net.counters.duplicate_relay_drops >= 1
@@ -367,12 +351,12 @@ def test_exploratory_then_reinforced_path():
     reinforced_at_x = [g for g in x.gradients[1] if g.reinforced]
     assert len(reinforced_at_x) == 1
     winner = reinforced_at_x[0].toward
-    assert winner in (a.entity_id, b.entity_id)
-    winner_node = a if winner == a.entity_id else b
-    assert any(g.reinforced and g.toward == sink.entity_id for g in winner_node.gradients[1])
+    assert winner in (a, b)
+    winner_node = a if winner == a else b
+    assert any(g.reinforced and g.toward == sink for g in winner_node.gradients[1])
 
     # post-reinforcement: single copy on the winning path, loser starves
-    loser = b if winner == a.entity_id else a
+    loser = b if winner == a else a
     forwarded_before = loser.reports_forwarded
     assert [dst for *_, dst in queued_by(x, make_reading(t=2800))] == [winner]
     net.run(4000)
@@ -383,20 +367,20 @@ def test_exploratory_then_reinforced_path():
 def test_line_topology_reinforcement_is_routing_noop():
     net = build_net([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], RoutingMode.DIFFUSION, link_range=1.5)
     sink, m, x = net.nodes
-    sink.launch_interest(make_interest(origin=sink.entity_id))
+    sink.launch_interest(make_interest(origin=sink))
     net.run(200)
-    assert [dst for *_, dst in queued_by(x, make_reading(t=300))] == [m.entity_id]
+    assert [dst for *_, dst in queued_by(x, make_reading(t=300))] == [m]
     net.run(600)
     assert net.counters.delivered == 1
     assert [g.reinforced for g in x.gradients[1]] == [True]
     assert any(g.reinforced for g in m.gradients[1])
     # still exactly one copy per report afterwards
-    assert [dst for *_, dst in queued_by(x, make_reading(t=2100))] == [m.entity_id]
+    assert [dst for *_, dst in queued_by(x, make_reading(t=2100))] == [m]
 
 
 def test_sink_as_source_delivers_locally():
     net, sink, a, b, x = diamond_net()
-    sink.launch_interest(make_interest(origin=sink.entity_id))
+    sink.launch_interest(make_interest(origin=sink))
     assert queued_by(sink, make_reading(t=10)) == []
     assert net.counters.delivered == 1
     assert net.received[0][1].route == ()
@@ -412,13 +396,13 @@ def test_no_matching_interest_no_emission():
 def test_reinforce_unknown_interest_raises():
     net, sink, a, b, x = diamond_net()
     with pytest.raises(UnknownInterest):
-        a.receive_reinforcement(99, sink.entity_id, ())
+        a.receive_reinforcement(99, sink, ())
 
 
 def test_gradient_expiry_is_lazy():
     net, sink, a, b, x = diamond_net()
-    interest = Interest(1, 100, 5, sink.entity_id)
-    x.receive_interest(interest, 3, a.entity_id)
+    interest = Interest(1, 100, 5, sink)
+    x.receive_interest(interest, 3, a)
     assert x._live_gradients(1, now=50)
     assert x._live_gradients(1, now=150) == []
 
@@ -429,7 +413,7 @@ def test_gradient_expiry_is_lazy():
 def test_flooding_delivers_once_and_rebroadcasts_once_per_node():
     net = build_net(CLUSTER_10, RoutingMode.FLOODING, link_range=10.0)
     sink = net.sink
-    sink.launch_interest(make_interest(origin=sink.entity_id, hop_limit=8))
+    sink.launch_interest(make_interest(origin=sink, hop_limit=8))
     net.run(500)
     log = []
     with spy_enqueue(log):
@@ -450,7 +434,7 @@ def test_sleeping_node_drops_frames():
     node._sleep()
     msg = node._make_report(make_reading(t=0), interest_id=0)
     rx_before = node.ledger.rx_mJ
-    node.receive_link(LinkPacket(KIND_DATA, msg, node.entity_id, 64, 2), net.nodes[9].entity_id)
+    node.receive_link(LinkPacket(KIND_DATA, msg, node, 64, 2), net.nodes[9])
     assert net.counters.sleep_losses == 1
     assert node.ledger.rx_mJ == rx_before
 
@@ -470,7 +454,7 @@ def test_diffusion_cheaper_than_flooding_small_topology():
         )
         sink = net.sink
         sink.launch_interest(
-            make_interest(origin=sink.entity_id, hop_limit=8)
+            make_interest(origin=sink, hop_limit=8)
         )
         net.run(6 * 1800 + 3600)
         energy = sum(n.ledger.tx_mJ + n.ledger.rx_mJ for n in net.nodes)

@@ -1,14 +1,12 @@
 from droughtnet.config import BackboneParams
-from droughtnet.kernel import EntityId, EntityKind, Kernel, stream
+from droughtnet.kernel import Kernel, stream
 from droughtnet.stack import TransportLink
 
 
 class TxHost:
     """Entity that only participates in transport exchanges."""
 
-    def __init__(self, kernel, index):
-        self.entity_id = EntityId(EntityKind.LOCAL_BASE_STATION, index)
-        self.kernel = kernel
+    def __init__(self):
         self.got = []
         self.acked = []
 
@@ -21,11 +19,9 @@ class TxHost:
 
 def make_link(loss=0.0, latency=0, max_retries=20, seed=5, label="uplink:1"):
     k = Kernel()
-    a, b = TxHost(k, 0), TxHost(k, 1)
-    k.register(a)
-    k.register(b)
+    a, b = TxHost(), TxHost()
     link = TransportLink(
-        k, a.entity_id, b.entity_id, b.receive, stream(seed, label),
+        k, a, b, b.receive, stream(seed, label),
         BackboneParams(loss_prob=loss, latency_s=latency, max_retries=max_retries),
         on_acked=a.acked.append,
     )
