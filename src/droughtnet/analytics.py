@@ -180,10 +180,9 @@ def _indicators_from_acc(window: tuple[int, int], acc: list,
 def indicators_all(db: CentralDatabase, climatologies: dict[int, Climatology],
                    window: tuple[int, int]) -> dict[int, DroughtIndicators]:
     """Indicators of every given region from calibrated records in the
-    half-open window [t0, t1), in one database pass."""
+    half-open window [t0, t1), at least MIN_WINDOW_S long, as every caller
+    makes it, in one database pass."""
     t0, t1 = window
-    if t1 - t0 < MIN_WINDOW_S:
-        raise AnalyticsError(f"window shorter than 30 days: {window}")
     sums = _aggregate(db, t0, t1 - t0)
     out = {}
     for region_id, clim in climatologies.items():
@@ -213,10 +212,9 @@ def evolve_all(db: CentralDatabase, t_max: int, climatologies: dict[int, Climato
                window_len_days: int,
                thresholds: Thresholds = Thresholds()) -> dict[int, EvolutionPattern]:
     """Partition the record span, up to the database's highest timestamp
-    t_max, into consecutive windows and classify each, for every given
-    region in one database pass."""
-    if window_len_days < 30:
-        raise AnalyticsError("windows must be at least 30 days")
+    t_max, into consecutive windows of at least 30 days (validate() checks
+    window_days) and classify each, for every given region in one database
+    pass."""
     window_s = window_len_days * DAY_S
     # a window counts as complete when records reach within a day of its
     # end; shorter tails (e.g. the 5-day remainder of a 365-day year over

@@ -22,7 +22,7 @@ from collections import Counter, deque
 from functools import partial
 from itertools import chain, compress, islice, repeat
 
-from .environment import SENSOR_FIELDS
+from .environment import SENSOR_FIELDS, SensorReading
 from .forked import forked, share_count
 from .geometry import GeoPoint
 from .kernel import Kernel, stream
@@ -135,7 +135,7 @@ class CentralDatabase:
         marks = self._marks
         if marks is None:
             raise BackboneError("add to a central database whose keys are released")
-        r = msg.reading
+        r: SensorReading = msg.reading
         node_id = msg.origin_index
         k = (region_id << 54) | (node_id << 40) | r.timestamp  # _key, inlined
         if self._exact is None and k > marks.get(k >> 40, _BELOW_ANY_KEY):

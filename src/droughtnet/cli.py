@@ -19,7 +19,8 @@ from pathlib import Path
 
 from .analytics import AnalyticsError
 from .backbone import BackboneError, CentralDatabase
-from .config import ConfigError, ScenarioConfig, config_from_dict, load_config, validate
+from .config import (RETIRED_INTEREST_KEY, ConfigError, ScenarioConfig, config_from_dict,
+                     load_config, validate)
 from .runner import analyse_db, compare_runs, place, run_scenario, write_analysis, write_placement
 
 
@@ -89,6 +90,8 @@ def cmd_replay(args) -> int:
     except (OSError, ValueError) as exc:  # missing, unreadable, not UTF-8 or not a report
         print(f"{report_path}: {exc}", file=sys.stderr)
         return 1
+    if isinstance(stored["config"].get("interest"), dict):
+        stored["config"]["interest"].pop(RETIRED_INTEREST_KEY, None)
     cfg = config_from_dict(stored["config"])
     with tempfile.TemporaryDirectory(prefix="droughtnet-replay-") as tmp:
         run_scenario(cfg, out_dir=tmp)

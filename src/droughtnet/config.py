@@ -32,7 +32,6 @@ from .environment import (
     Climatology,
     DroughtScenario,
     EnvironmentParams,
-    SENSOR_FIELDS,
     default_drought_scenario,
 )
 from .geometry import (
@@ -72,11 +71,15 @@ class BackboneParams:
     ack_timeout_s: int = 2
 
 
+# An interest key that run reports of older versions echo, though no run ever
+# read it: replay and compare_runs drop it from a stored echo.
+RETIRED_INTEREST_KEY = "attributes"
+
+
 @dataclass(frozen=True, slots=True)
 class InterestConfig:
     """Query injected at each sink for diffusion/flooding/combined runs."""
 
-    attributes: tuple[str, ...] = SENSOR_FIELDS
     hop_limit: int = 8
     start_s: int = 0
     duration_s: int | None = None  # None: the whole run
@@ -216,6 +219,8 @@ def _parse(key: str, value, kind, base=None):
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{key} must be a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):  # json reads NaN and Infinity
+        raise ValidationError(f"{key} must be a finite number, got {value!r}")
     if kind is int:
         if isinstance(value, float) and not value.is_integer():
             raise ValidationError(f"{key} must be an integer, got {value!r}")
@@ -354,16 +359,11 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
         cfg.thresholds.validate()
     except Exception as exc:
         raise ValidationError(f"thresholds not monotone: {exc}") from None
-    if not cfg.interest.attributes:
-        raise ValidationError("interest.attributes must not be empty")
-    unknown = set(cfg.interest.attributes) - set(SENSOR_FIELDS)
-    if unknown:
-        raise ValidationError(f"interest.attributes unknown: {sorted(unknown)}")
     if cfg.interest.hop_limit < 1:
         raise ValidationError("interest.hop_limit must be at least 1")
-    if cfg.interest.start_s < 0:
-        raise ValidationError("interest.start_s must be non-negative: a sink cannot launch "
-                              "an interest before the run starts")
+    if not 0 <= cfg.interest.start_s < cfg.horizon_s:
+        raise ValidationError("interest.start_s must lie in [0, horizon_s): a sink launches "
+                              "its interest while the run lasts")
     if cfg.interest.duration_s is not None and cfg.interest.duration_s <= 0:
         raise ValidationError("interest.duration_s must be positive when set")
     if cfg.data_cache_cap < 1:

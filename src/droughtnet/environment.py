@@ -114,9 +114,8 @@ def default_drought_scenario() -> dict[int, DroughtScenario]:
 
 
 def normal_temp_over_window(clim: Climatology, t0: int, t1: int) -> float:
-    """Window average of the seasonal curve (closed form)."""
-    if t1 <= t0:
-        raise ValueError("empty window")
+    """Average of the seasonal curve (closed form) over a window [t0, t1)
+    of at least 30 days, as every caller passes."""
     w = 2.0 * math.pi / YEAR_S
     avg_cos = (math.sin(w * t1) - math.sin(w * t0)) / (w * (t1 - t0))
     return clim.mean_temp_c - clim.seasonal_amplitude_c * avg_cos

@@ -45,10 +45,6 @@ class PlanningError(Exception):
     pass
 
 
-class NonPositiveRange(PlanningError):
-    pass
-
-
 class UntileableShape(PlanningError):
     """Circles cannot tile a region without gaps or overlap."""
 
@@ -91,10 +87,9 @@ def footprint_area(shape: CellShape, radio_range_km: float) -> float:
     """Exact planar area of one cell.
 
     The radio range is the circle radius, the hexagon circumradius, or
-    the circumradius of the square/triangle inscribed in the radio disc.
+    the circumradius of the square/triangle inscribed in the radio disc;
+    it is positive, as validate() checks.
     """
-    if radio_range_km <= 0:
-        raise NonPositiveRange(f"radio_range_km={radio_range_km}")
     r2 = radio_range_km * radio_range_km
     if shape is CellShape.CIRCLE:
         return math.pi * r2
@@ -102,9 +97,7 @@ def footprint_area(shape: CellShape, radio_range_km: float) -> float:
         return 1.5 * SQRT3 * r2
     if shape is CellShape.SQUARE:
         return 2.0 * r2
-    if shape is CellShape.EQUILATERAL_TRIANGLE:
-        return 0.75 * SQRT3 * r2
-    raise ValueError(shape)
+    return 0.75 * SQRT3 * r2  # equilateral triangle
 
 
 def estimate_node_count(region_area_km2: float, shape: CellShape, radio_range_km: float) -> int:
@@ -113,8 +106,6 @@ def estimate_node_count(region_area_km2: float, shape: CellShape, radio_range_km
     ceil(area / footprint) with a small tolerance so exact multiples do
     not round up on float error.
     """
-    if region_area_km2 <= 0:
-        raise PlanningError(f"region_area_km2={region_area_km2}")
     ratio = region_area_km2 / footprint_area(shape, radio_range_km)
     return max(1, math.ceil(ratio - 1e-9))
 
@@ -182,10 +173,9 @@ def tile_region(
     sink cell; sensing cells are the nearest remaining lattice points
     inside the region square.  node_count == 1 is the degenerate
     sink-only plan; otherwise asking for fewer cells than the coverage
-    estimate raises InsufficientNodes.
+    estimate raises InsufficientNodes.  The radio range is positive, as
+    validate() checks before it plans a region.
     """
-    if radio_range_km <= 0:
-        raise NonPositiveRange(f"radio_range_km={radio_range_km}")
     if node_count < 1:
         raise PlanningError(f"node_count={node_count}")
     if shape is CellShape.CIRCLE:

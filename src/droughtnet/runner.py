@@ -33,7 +33,7 @@ from .analytics import (
     patterns_to_csv_lines,
 )
 from .backbone import CSV_BLOCK_ROWS, CentralDatabase, LocalBaseStation, RemoteBaseStation
-from .config import ScenarioConfig, config_to_dict
+from .config import RETIRED_INTEREST_KEY, ScenarioConfig, config_to_dict
 from .environment import NodeSampler, normal_temp_over_window
 from .forked import forked
 from .geometry import (
@@ -215,12 +215,8 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
         for node in nodes:
             node.wire_neighbors(nodes)
         if tree_parents is not None:
-            for local, node in enumerate(nodes):
-                parent = tree_parents.get(local)
-                node.set_tree_parent(
-                    nodes[parent] if parent is not None else None,
-                    descendants=descendants[local],
-                )
+            for local, parent in tree_parents.items():  # the sink has none
+                nodes[local].set_tree_parent(nodes[parent], descendants[local])
 
         station = LocalBaseStation(
             kernel,
@@ -520,7 +516,7 @@ def _truth_daily_lines(db: CentralDatabase):
 def compare_runs(dir_a: Path, dir_b: Path) -> list[str]:
     """Mismatches between two runs' exports, compared byte by byte (a
     required one missing from both is one); the run report is compared
-    as JSON without the wall clock and the config's output directory."""
+    as JSON without the wall clock and the config's output directory and retired key."""
     filecmp.clear_cache()  # its cached outcomes trust size and mtime
     problems = []
     for name in EXPORT_FILES + OPTIONAL_EXPORT_FILES:
@@ -537,6 +533,7 @@ def compare_runs(dir_a: Path, dir_b: Path) -> list[str]:
             for rep in (ra, rb):
                 rep.pop("wall_clock_s", None)
                 rep.get("config", {}).pop("output_dir", None)
+                rep.get("config", {}).get("interest", {}).pop(RETIRED_INTEREST_KEY, None)
             if ra != rb:
                 keys = [k for k in ra if ra.get(k) != rb.get(k)]
                 problems.append(f"{name}: differs at {keys}")

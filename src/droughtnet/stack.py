@@ -359,17 +359,11 @@ class SensorNode:
                 self.neighbor_dist[other] = d
         self.neighbors.sort(key=lambda n: n.node_index)
 
-    def set_tree_parent(self, parent: "SensorNode | None", descendants: int = 0) -> None:
-        if parent is None:
-            if not self.is_sink:
-                raise OrphanNode(f"{self} has no tree parent")
-            self.tree_parent = None
-            self._tree_route = (-1,)
-        else:
-            self.tree_parent = parent
-            self._tree_route = (parent.node_index,)
-            if parent not in self.neighbor_dist:
-                self.neighbor_dist[parent] = self.position.distance_to(parent.position)
+    def set_tree_parent(self, parent: "SensorNode", descendants: int) -> None:
+        self.tree_parent = parent
+        self._tree_route = (parent.node_index,)
+        if parent not in self.neighbor_dist:
+            self.neighbor_dist[parent] = self.position.distance_to(parent.position)
         self.descendants_expected = descendants
 
     def start(self) -> None:
@@ -380,8 +374,6 @@ class SensorNode:
                 if self._drain_sleep:
                     self._sleep()
                 self.kernel.schedule(first, self, WAKE)
-        if self._tree_on and not self.is_sink and self.tree_parent is None:
-            raise OrphanNode(f"{self} has no tree parent")
 
     # -- event dispatch -------------------------------------------------------
 
@@ -394,27 +386,20 @@ class SensorNode:
             if self._drain_sleep and not self.mac_queue:
                 self._maybe_sleep()
             return
-        t = type(payload)
-        if t is Message:
+        if type(payload) is Message:  # its body is a LinkPacket or a BroadcastFan
             body = payload.body
-            tb = type(body)
-            if tb is BroadcastFan:
+            if type(body) is BroadcastFan:
                 # in-flight radio waves: delivered regardless of the
                 # sender's current power state
                 for nb in body.receivers:
                     nb.receive_link(body.pkt, payload.src)
                 return
-            if tb is LinkPacket:
-                self.receive_link(body, payload.src)
-                return
-            raise StackError(f"unexpected message body {tb}")
+            self.receive_link(body, payload.src)
+            return
         if payload is WAKE:
             self._on_wake()
             return
-        if t is LaunchInterest:
-            self.launch_interest(payload.interest)
-            return
-        raise StackError(f"unexpected payload {t}")
+        self.launch_interest(payload.interest)  # the one other payload a node gets
 
     # -- power --------------------------------------------------------------
 
@@ -486,6 +471,7 @@ class SensorNode:
         """Emit a report for every live matching interest, exploratory along
         every gradient or only the reinforced one."""
         now = self.kernel.now
+        interest: Interest
         for iid, (interest, expires_at) in list(self.interest_cache.items()):
             if now >= expires_at:
                 del self.interest_cache[iid]

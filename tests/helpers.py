@@ -155,12 +155,8 @@ def build_net(
         def subtree_size(i):
             return 1 + sum(subtree_size(c) for c in children.get(i, []))
 
-        for i, n in enumerate(nodes):
-            parent = tree_parents.get(i)
-            n.set_tree_parent(
-                nodes[parent] if parent is not None else None,
-                descendants=subtree_size(i) - 1,
-            )
+        for i, parent in tree_parents.items():
+            nodes[i].set_tree_parent(nodes[parent], descendants=subtree_size(i) - 1)
     received = []
     nodes[0].collector = lambda msg, _received=received, _k=kernel: _received.append((_k.now, msg))
     for n in nodes:

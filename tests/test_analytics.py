@@ -98,13 +98,6 @@ def test_no_data_raises():
         indicators_all(db, {2: FLAT}, (0, MONTH_S))[2]
 
 
-def test_short_window_rejected():
-    db = CentralDatabase()
-    fill_window(db, 1)
-    with pytest.raises(Exception):
-        indicators_all(db, {1: FLAT}, (0, 10 * DAY_S))[1]
-
-
 # -- classifier ----------------------------------------------------------------
 
 

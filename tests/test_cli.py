@@ -123,6 +123,20 @@ def test_run_owns_its_output_directory(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "o"]  # no fresh directory left
 
 
+def test_replay_of_a_report_that_echoes_the_retired_key(tmp_path, capsys):
+    """Reports of older versions echo interest.attributes, which no run
+    read: replay drops it from the stored echo and still reproduces."""
+    out = tmp_path / "o"
+    assert main(["run", "--config", write_cfg(tmp_path, TINY), "--out", str(out)]) == 0
+    report = out / "run_report.json"
+    stored = json.loads(report.read_text(encoding="utf-8"))
+    stored["config"]["interest"]["attributes"] = ["temperature_c", "precipitation_mm"]
+    report.write_text(json.dumps(stored, indent=2, sort_keys=True), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["replay", "--out", str(out)]) == 0, capsys.readouterr()
+    assert "byte-identically" in capsys.readouterr().out
+
+
 def test_replay_without_report_fails(tmp_path, capsys):
     assert main(["replay", "--out", str(tmp_path)]) == 1
 
@@ -283,3 +297,11 @@ def test_config_error_exits_without_traceback(tmp_path, capsys, command):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err == "invalid config: backbone.latency_s must be a number, got 'x'\n", err
+
+
+def test_non_finite_config_exits_without_traceback(tmp_path, capsys):
+    # json reads NaN: validate() used to die in math.ceil with a traceback
+    cfg = write_cfg(tmp_path, '{"radio_range_km": NaN}')
+    assert main(["plan", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err == "invalid config: radio_range_km must be a finite number, got nan\n", err

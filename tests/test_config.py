@@ -127,7 +127,11 @@ def test_region_square_must_hold_every_cell(shape, size_km):
 @pytest.mark.parametrize("data, message", [
     # each of these passed validate() and then crashed the run
     ({"data_cache_cap": 0}, "data_cache_cap must be at least 1"),
-    ({"interest": {"start_s": -1}}, "interest.start_s must be non-negative"),
+    ({"interest": {"start_s": -1}}, r"interest.start_s must lie in \[0, horizon_s\)"),
+    # used to validate, and then the run died after simulating region 1
+    # with its LaunchInterest still queued past the run's end
+    ({"horizon_s": 172800, "interest": {"start_s": 172800}},
+     r"interest.start_s must lie in \[0, horizon_s\)"),
     ({"interest": {"duration_s": 0}}, "interest.duration_s must be positive"),
     ({"interest": {"hop_limit": 0}}, "interest.hop_limit must be at least 1"),
     # and these ran, but meant nothing
@@ -138,12 +142,23 @@ def test_region_square_must_hold_every_cell(shape, size_km):
     ({"energy": {"e_amp_pj_per_bit_km2": -1}}, "energy.e_amp_pj_per_bit_km2 must be"),
     ({"energy": {"e_sense_uj": -0.5}}, "energy.e_sense_uj must be non-negative"),
     ({"energy": {"p_idle_uw": -30}}, "energy.p_idle_uw must be non-negative"),
-], ids=["data_cache_cap", "interest_start", "interest_duration", "interest_hop_limit",
-        "local_db_zero", "local_db_negative", "drain_window", "e_elec", "e_amp", "e_sense",
-        "p_idle"])
+], ids=["data_cache_cap", "interest_start", "interest_start_at_horizon", "interest_duration",
+        "interest_hop_limit", "local_db_zero", "local_db_negative", "drain_window", "e_elec",
+        "e_amp", "e_sense", "p_idle"])
 def test_configs_that_cannot_run_meaningfully_rejected(data, message):
     with pytest.raises(ValidationError, match=message):
         config_from_dict({"routing_mode": "diffusion", **data})
+
+
+@pytest.mark.parametrize("data, message", [
+    # the placement and the analytics rely on these bounds and check them nowhere else
+    ({"radio_range_km": 0}, "^radio_range_km must be positive$"),
+    ({"radio_range_km": -1.5}, "^radio_range_km must be positive$"),
+    ({"window_days": 29}, "^window_days must be at least 30$"),
+], ids=["range_zero", "range_negative", "window_29_days"])
+def test_bounds_checked_only_by_validate(data, message):
+    with pytest.raises(ValidationError, match=message):
+        config_from_dict(data)
 
 
 CAP_EXCEEDED = r"env.noise_innovation_cap_c lets consecutive samples differ by {} C, " \
@@ -237,7 +252,7 @@ def test_round_trip_through_dict(tmp_path):
         "routing_mode": "diffusion",
         "link": {"delay_s": 2, "loss_prob": 0.1},
         "thresholds": {"precip_slight_mm": 55.0},
-        "interest": {"attributes": ["temperature_c"], "hop_limit": 4},
+        "interest": {"hop_limit": 4},
         "regions": [
             {"region_id": 1},
             {"region_id": 2, "climatology": {"mean_temp_c": 21.0}},
@@ -266,22 +281,30 @@ def test_config_echo_is_json_serialisable():
     ({"regions": [{"region_id": 1, "anchor_km": ["a", 0]}]}, r"regions\[0\]\.anchor_km\[0\]"),
     ({"regions": [{"region_id": 1, "anchor_km": [True, 0]}]}, r"regions\[0\]\.anchor_km\[0\]"),
     ({"regions": [{"region_id": 1, "anchor_km": [1.0]}]}, r"regions\[0\]\.anchor_km must be a list of 2"),
-    ({"interest": {"attributes": [["x"]]}}, r"interest\.attributes\[0\] must be a string"),
+    # a retired key is an unknown one
+    ({"interest": {"attributes": ["temperature_c"]}}, r"unknown key\(s\) in interest: \['attributes'\]"),
+    # json reads NaN and Infinity: a NaN range died in validate() inside
+    # math.ceil, and the others validated
+    ({"radio_range_km": float("nan")}, "^radio_range_km must be a finite number, got nan$"),
+    ({"env": {"noise_sigma_c": float("nan")}}, r"^env\.noise_sigma_c must be a finite number"),
+    ({"energy": {"battery_mj": float("inf")}}, r"^energy\.battery_mj must be a finite number, got inf$"),
     # used to validate, and then a 2-day run died in NodeSampler.sample
     # comparing the sample time with None
     ({"regions": [{"region_id": 3, "drought": {"active_start_s": None}}]},
      r"regions\[0\]\.drought\.active_start_s must be a number"),
 ], ids=["link_not_object", "interest_not_object", "region_not_object", "anchor_str",
-        "anchor_bool", "anchor_length", "attribute_not_str", "active_start_null"])
+        "anchor_bool", "anchor_length", "retired_key", "nan", "nested_nan", "infinity",
+        "active_start_null"])
 def test_malformed_config_rejected_naming_key(data, message):
     with pytest.raises(ValidationError, match=message):
         config_from_dict(data)
 
 
 # SHA-256 of the default config's echo, as every stored run report holds it
-DEFAULT_ECHO_SHA256 = "d82acf2f3e1b33ced95f83b76f445f3ee4cc7a1ee2f7ead104c235954a2adacb"
+# (the reports of older versions also echo the retired interest.attributes)
+DEFAULT_ECHO_SHA256 = "9386b3534988c13e7933fa8836a762cf3e3b1f75b99e7cb6c8e2b741a16a7fe2"
 # and of _all_fields_config(), which older code echoed byte for byte the same
-ALL_FIELDS_ECHO_SHA256 = "c67adddd2a1a65afd9b68062c43b325ecc5dd569b62522f440bd005e3789450f"
+ALL_FIELDS_ECHO_SHA256 = "32067f6974bf87f4c3af4633753c836d87ad1033b6b241775ccadbdad9637491"
 
 
 def _echo_sha256(cfg) -> str:

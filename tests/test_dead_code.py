@@ -126,17 +126,88 @@ def _declared_attributes(cls: ast.ClassDef):
         yield from (item.target.id for item in cls.body if isinstance(item, ast.AnnAssign))
 
 
-def _attribute_reads(tree: ast.Module):
-    """(class, name, ctor) of each attribute read: class is the
-    enclosing class for a ``self.<name>`` read and None for a read
-    through another receiver or through ``getattr`` with a literal
-    name; ctor names the class called with the read among its
-    arguments, if any.  A read that only feeds a store to an attribute
-    of the same name (``out.n = msg.n + 1``) is not yielded."""
-    def walk(node, owner, ctor, copying):
+def _union(annotation):
+    """The members of an ``X | Y`` annotation."""
+    if isinstance(annotation, ast.BinOp) and isinstance(annotation.op, ast.BitOr):
+        return _union(annotation.left) + _union(annotation.right)
+    return [annotation]
+
+
+def _annotated_class(annotation, classes):
+    """The one class of ``classes`` that an annotation names, alone or with
+    None (``"C"``, ``C | None``), else None."""
+    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+        annotation = ast.parse(annotation.value, mode="eval").body
+    named = [a for a in _union(annotation) if not (isinstance(a, ast.Constant) and a.value is None)]
+    if len(named) == 1 and isinstance(named[0], ast.Name) and named[0].id in classes:
+        return named[0].id
+    return None
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _scope_nodes(scope):
+    """The nodes of ``scope`` outside the functions and classes nested in it."""
+    todo = list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            todo += ast.iter_child_nodes(node)
+
+
+def _scope_types(scope, classes, outer: dict) -> dict:
+    """Name -> class, or None when unknown, of the names a function (or
+    the module) sees.  A name's class is known when the scope annotates it
+    with a class (a parameter ``x: C`` or a statement ``x: C``), or when
+    every binding of it in the scope is a call of one class (``x = C()``);
+    any other binding makes it unknown, and an outer name keeps its class."""
+    declared, bound = {}, {}
+    args = getattr(scope, "args", None)
+    for arg in () if args is None else (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                         args.vararg, args.kwarg):
+        if arg is None:
+            continue
+        if arg.annotation is None:
+            bound.setdefault(arg.arg, set()).add(None)
+        else:
+            declared[arg.arg] = _annotated_class(arg.annotation, classes)
+    built = {}
+    for node in _scope_nodes(scope):
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            declared[node.target.id] = _annotated_class(node.annotation, classes)
+        elif (isinstance(node, ast.Assign) and len(node.targets) == 1
+              and isinstance(node.value, ast.Call) and getattr(node.value.func, "id", None) in classes):
+            built[id(node.targets[0])] = node.value.func.id
+    for node in _scope_nodes(scope):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.setdefault(node.id, set()).add(built.get(id(node)))
+    types = {**outer, **{name: kinds.pop() if len(kinds) == 1 else None
+                         for name, kinds in bound.items()}}
+    types.update(declared)
+    return types
+
+
+# the receiver of a read through ``getattr`` with a literal name: any object
+ANY_RECEIVER = "*"
+
+
+def _attribute_reads(tree: ast.Module, classes):
+    """(receiver, name, ctor) of each attribute read.  receiver is the
+    receiver's class where it is known: the enclosing class for ``self``,
+    or the class that ``_scope_types`` finds for a name; it is
+    ANY_RECEIVER for ``getattr`` with a literal name, and None for any
+    other read.  ctor names the class called with the read among its
+    arguments, if any.  A read that only feeds a store to an attribute of
+    the same name (``out.n = msg.n + 1``) is not yielded."""
+    def walk(node, owner, ctor, copying, types):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
-                yield from walk(child, child.name, None, ())
+                yield from walk(child, child.name, None, (), types)
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                yield from walk(child, owner, ctor, copying, _scope_types(child, classes, types))
                 continue
             inner_ctor, inner_copying = ctor, copying
             if isinstance(child, (ast.Assign, ast.AnnAssign)):
@@ -146,14 +217,14 @@ def _attribute_reads(tree: ast.Module):
             elif isinstance(child, ast.Call) and isinstance(child.func, ast.Name):
                 inner_ctor = child.func.id
             if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
-                is_self = isinstance(child.value, ast.Name) and child.value.id == "self"
+                receiver = getattr(child.value, "id", None)
                 if child.attr not in copying:
-                    yield (owner if is_self else None), child.attr, ctor
+                    yield owner if receiver == "self" else types.get(receiver), child.attr, ctor
             elif (isinstance(child, ast.Call) and getattr(child.func, "id", None) == "getattr"
                   and len(child.args) > 1 and isinstance(child.args[1], ast.Constant)):
-                yield None, child.args[1].value, None
-            yield from walk(child, owner, inner_ctor, inner_copying)
-    yield from walk(tree, None, None, ())
+                yield ANY_RECEIVER, child.args[1].value, None
+            yield from walk(child, owner, inner_ctor, inner_copying, types)
+    yield from walk(tree, None, None, (), _scope_types(tree, classes, {}))
 
 
 def _echoed_classes(trees) -> set:
@@ -180,33 +251,51 @@ def test_every_stored_attribute_is_read():
     scripts/ or bench/; the fields of the config schema count as read,
     because the config echo reads them all.
 
-    A read through ``self`` counts for its own class.  A read through any
-    other receiver counts for the one class that declares the name; a
-    name that several classes declare (``seed`` is a slot of two classes
-    and a config field) counts only in the class's own module or in a
-    file that names the class.  A read that is an argument of the class's
-    own constructor (``fork()`` copying a message) does not count, nor
-    does one that only feeds a store to an attribute of the same name."""
+    A read whose receiver's class is known (``self``, an annotated name,
+    a name bound from a constructor call; see ``_scope_types``) counts
+    only for that class and the classes it derives from.  A read through
+    ``getattr`` with a literal name counts for every class that declares
+    the name.  Any other read counts for the one class that declares the
+    name; a name that several classes declare counts only in the class's
+    own module or in a file that names the class.  A read that is an
+    argument of the class's own constructor (``fork()`` copying a
+    message) does not count, nor does one that only feeds a store to an
+    attribute of the same name."""
     files = [*_modules(), *(ROOT / "scripts").glob("*.py"), *(ROOT / "bench").glob("*.py")]
     trees, names, reads = {}, {}, {}
     owners: dict[str, set] = {}
+    bases: dict[str, list] = {}
     for path in files:
         text = path.read_text(encoding="utf-8")
         trees[path] = ast.parse(text)
         tokens = tokenize.generate_tokens(io.StringIO(text).readline)
         names[path] = {tok.string for tok in tokens if tok.type == tokenize.NAME}
-        reads[path] = set(_attribute_reads(trees[path]))
+        for cls in ast.walk(trees[path]):
+            if isinstance(cls, ast.ClassDef):
+                bases[cls.name] = [b.id for b in cls.bases if isinstance(b, ast.Name)]
         for cls in trees[path].body:
             if isinstance(cls, ast.ClassDef):
                 for name in _declared_attributes(cls):
                     owners.setdefault(name, set()).add(cls.name)
+    for path in files:
+        reads[path] = set(_attribute_reads(trees[path], bases))
     echoed = _echoed_classes(trees.values())
+
+    def lineage(cls):
+        found = [cls]
+        for c in found:  # the list grows as it is read
+            found += [b for b in bases.get(c, ()) if b not in found]
+        return found
+
+    def credits(path, cls, name, where, receiver):
+        if receiver is None:
+            return len(owners[name]) == 1 or where == path or cls in names[where]
+        return receiver == ANY_RECEIVER or cls in lineage(receiver)
 
     def is_read(path, cls, name):
         return cls in echoed or any(
-            attr == name and ctor != cls and (owner == cls or owner is None and (
-                len(owners[name]) == 1 or where == path or cls in names[where]))
-            for where, got in reads.items() for owner, attr, ctor in got)
+            attr == name and ctor != cls and credits(path, cls, name, where, receiver)
+            for where, got in reads.items() for receiver, attr, ctor in got)
 
     unread = sorted({
         f"{path.name}:{cls.name}.{name}"
@@ -215,6 +304,26 @@ def test_every_stored_attribute_is_read():
         if not name.startswith("__") and not is_read(path, cls.name, name)
     })
     assert not unread, f"stored in src/ and read nowhere: {unread}"
+
+
+def test_attribute_reads_know_the_receiver_class():
+    """The guard above credits a read by its receiver's class: that of
+    ``self``, of an annotated name and of a name that only a constructor
+    call binds; getattr with a literal name reads any object, and any
+    other receiver is unknown."""
+    source = (
+        "class A:\n"
+        "    def f(self, a: A, b: 'A | None', c):\n"
+        "        d = A()\n"
+        "        e: A\n"
+        "        for e in c:\n"
+        "            g = A()\n"
+        "            g = c\n"
+        "        return self.x, a.x, b.x, c.x, d.x, e.x, g.x, getattr(c, 'x')\n"
+    )
+    reads = [receiver for receiver, attr, _ in _attribute_reads(ast.parse(source), {"A"})
+             if attr == "x"]
+    assert reads == ["A", "A", "A", None, "A", "A", None, ANY_RECEIVER]
 
 
 def _own_names(tree: ast.Module) -> set:

@@ -12,7 +12,6 @@ from droughtnet.geometry import (
     CellShape,
     GeoPoint,
     InsufficientNodes,
-    NonPositiveRange,
     PlacementPlan,
     UntileableShape,
     _hex_lattice,
@@ -64,13 +63,6 @@ def test_closed_forms_to_1e9():
     )
 
 
-def test_non_positive_range_rejected():
-    with pytest.raises(NonPositiveRange):
-        footprint_area(CellShape.HEXAGON, 0.0)
-    with pytest.raises(NonPositiveRange):
-        footprint_area(CellShape.CIRCLE, -1.0)
-
-
 # -- node-count estimation ---------------------------------------------------
 
 
@@ -84,11 +76,6 @@ def test_circle_region_needs_ten_sensing_nodes():
 
 def test_one_cell_region():
     assert estimate_node_count(11.17, CellShape.HEXAGON, 2.074) == 1
-
-
-def test_estimate_propagates_range_error():
-    with pytest.raises(NonPositiveRange):
-        estimate_node_count(100.0, CellShape.HEXAGON, 0.0)
 
 
 @settings(max_examples=200, deadline=None)

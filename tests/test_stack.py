@@ -6,7 +6,6 @@ from droughtnet.stack import (
     KIND_DATA,
     Interest,
     LinkPacket,
-    OrphanNode,
     RoutingMode,
     UnknownInterest,
     report_signature,
@@ -142,17 +141,6 @@ def test_sink_emits_no_self_report():
     net.run(5000)
     assert net.sink.reports_originated == 0
     assert net.counters.originated == 9
-
-
-def test_orphan_non_sink_rejected():
-    with pytest.raises(OrphanNode):
-        build_net(
-            [(0.0, 0.0), (1.0, 0.0)],
-            RoutingMode.TREE,
-            tree_parents={},
-            with_samplers=True,
-            sampling_horizon=3600,
-        )
 
 
 def test_energy_ledgers_monotone_and_consistent():
