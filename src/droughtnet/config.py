@@ -225,7 +225,11 @@ def _parse(key: str, value, kind, base=None):
         if isinstance(value, float) and not value.is_integer():
             raise ValidationError(f"{key} must be an integer, got {value!r}")
         return int(value)
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # json reads integers of any size
+        raise ValidationError(f"{key} must be a finite number, got an integer too large "
+                              f"for a float") from None
 
 
 def _region_default(key: str, value: dict) -> RegionConfig:
@@ -336,6 +340,8 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
                 f"region {rid} local base station is {distance:.1f} km from the remote "
                 f"base station, beyond backbone.range_km {cfg.backbone.range_km}"
             )
+    if cfg.node_count_override is not None and cfg.node_count_override < 1:
+        raise ValidationError("node_count_override must be at least 1 when set")
     node_count = cfg.nodes_per_region()
     total_nodes = node_count * len(cfg.regions)
     if total_nodes > MAX_NODES:
@@ -391,6 +397,8 @@ def load_config(path) -> ScenarioConfig:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        raise ParseError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise ParseError(f"{path}: top level must be an object")
     return config_from_dict(data)

@@ -1,8 +1,8 @@
-"""First-order radio energy model and per-node energy ledger.
+"""First-order radio energy model.
 
 tx = e_elec*k + e_amp*k*d^2 for k bits over d km, rx = e_elec*k,
-idle power while awake, and a fixed cost per sensor sample.  All
-ledger figures are millijoules and only ever increase.
+idle power while awake, and a fixed cost per sensor sample.  A node
+holds its four figures in millijoules, and they only ever increase.
 """
 
 from __future__ import annotations
@@ -34,16 +34,3 @@ class EnergyParams:
     def idle_mj_per_s(self) -> float:
         return self.p_idle_uw * 1e-3 * 1e-3  # uW -> mW -> mJ/s
 
-
-class EnergyLedger:
-    __slots__ = ("tx_mJ", "rx_mJ", "idle_mJ", "sensing_mJ")
-
-    def __init__(self):
-        self.tx_mJ = 0.0
-        self.rx_mJ = 0.0
-        self.idle_mJ = 0.0
-        self.sensing_mJ = 0.0
-
-    @property
-    def total_mJ(self) -> float:
-        return self.tx_mJ + self.rx_mJ + self.idle_mJ + self.sensing_mJ

@@ -173,11 +173,9 @@ def tile_region(
     sink cell; sensing cells are the nearest remaining lattice points
     inside the region square.  node_count == 1 is the degenerate
     sink-only plan; otherwise asking for fewer cells than the coverage
-    estimate raises InsufficientNodes.  The radio range is positive, as
-    validate() checks before it plans a region.
+    estimate raises InsufficientNodes.  The radio range is positive and
+    node_count at least 1, as validate() checks before it plans a region.
     """
-    if node_count < 1:
-        raise PlanningError(f"node_count={node_count}")
     if shape is CellShape.CIRCLE:
         raise UntileableShape("circles leave gaps or overlap; pick hexagon/square/triangle")
 
@@ -214,23 +212,29 @@ def tile_region(
     )
 
 
+def links(positions: list[GeoPoint], reach: float) -> list[list[tuple[int, float]]]:
+    """The unit-disc link rule: for each cell, the (index, distance) of
+    every other cell within ``reach``, in index order; each pair's
+    distance is computed once."""
+    near: list[list[tuple[int, float]]] = [[] for _ in positions]
+    for i, p in enumerate(positions):
+        for j in range(i + 1, len(positions)):
+            d = p.distance_to(positions[j])
+            if d <= reach + 1e-9:
+                near[i].append((j, d))
+                near[j].append((i, d))
+    return near
+
+
 def connectivity_check(plan: PlacementPlan, reach: float) -> list[int]:
     """Indices of the cells the sink (index 0) cannot reach, by BFS over
-    the unit-disc graph (edge iff distance <= reach); [] if connected."""
-    pts = plan.all_positions()
-    n = len(pts)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if pts[i].distance_to(pts[j]) <= reach + 1e-9:
-                adj[i].append(j)
-                adj[j].append(i)
-    seen = [False] * n
+    the ``links`` graph; [] if connected."""
+    near = links(plan.all_positions(), reach)
+    seen = [False] * len(near)
     seen[0] = True
     queue = deque([0])
     while queue:
-        u = queue.popleft()
-        for v in adj[u]:
+        for v, _ in near[queue.popleft()]:
             if not seen[v]:
                 seen[v] = True
                 queue.append(v)

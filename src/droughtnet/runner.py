@@ -40,6 +40,7 @@ from .geometry import (
     GeoPoint,
     PlacementPlan,
     connectivity_check,
+    links,
     ordered_total,
     plans_to_json,
 )
@@ -47,9 +48,7 @@ from .kernel import Kernel, stream
 from .stack import (
     Channel,
     Interest,
-    LaunchInterest,
     OrphanNode,
-    RegionCounters,
     RoutingMode,
     SensorNode,
 )
@@ -86,17 +85,13 @@ def build_binary_tree(positions: list[GeoPoint], link_range_km: float) -> dict[i
     {child_index: parent_index}; raises OrphanNode if some node is
     unreachable under the two-children rule.
     """
-    n = len(positions)
-    unassigned = set(range(1, n))
+    near = links(positions, link_range_km)
+    unassigned = set(range(1, len(positions)))
     parents: dict[int, int] = {}
     frontier = deque([0])
     while frontier and unassigned:
         u = frontier.popleft()
-        reachable = sorted(
-            (round(positions[u].distance_to(positions[v]), 9), v)
-            for v in unassigned
-            if positions[u].distance_to(positions[v]) <= link_range_km + 1e-9
-        )
+        reachable = sorted((round(d, 9), v) for v, d in near[u] if v in unassigned)
         for _, v in reachable[:2]:
             parents[v] = u
             unassigned.discard(v)
@@ -130,7 +125,7 @@ class RegionOutcome:
     forked child pickles for the process that writes the run."""
 
     events: int
-    figures: dict  # the region's counters, station and uplink figures
+    figures: dict  # the region's node counts, station and uplink figures
     energy: list[dict]  # one summary row per node
     trace: list[str] | None
 
@@ -144,7 +139,6 @@ class RegionRuntime:
     region_id: int
     plan: object
     kernel: Kernel
-    counters: RegionCounters
     station: LocalBaseStation
     nodes: list
     tree_parents: dict[int, int] | None
@@ -185,7 +179,6 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
             raise RunError(f"region {rc.region_id} placement is disconnected: {unreachable}")
         positions = plan.all_positions()
         kernel = Kernel(trace=[] if cfg.trace else None)
-        counters = RegionCounters()
         channel = Channel()
         base_index = next_index
         next_index += len(positions)
@@ -208,12 +201,12 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
                     cfg.reporting_period_s, pos,
                     stream(cfg.seed, f"env:{rc.region_id}:{local}"),
                 )
-            node = SensorNode(kernel, cfg, gid, rc.region_id,
-                              pos, is_sink, channel, counters, sampler=sampler,
+            node = SensorNode(kernel, cfg, gid, rc.region_id, is_sink, channel, sampler=sampler,
                               stagger_s=cfg.stagger_step_s * ranks[local])
             nodes.append(node)
-        for node in nodes:
-            node.wire_neighbors(nodes)
+        for node, near in zip(nodes, links(positions, cfg.link_range_km())):
+            node.neighbors = [nodes[v] for v, _ in near]
+            node.neighbor_dist = {nodes[v]: d for v, d in near}
         if tree_parents is not None:
             for local, parent in tree_parents.items():  # the sink has none
                 nodes[local].set_tree_parent(nodes[parent], descendants[local])
@@ -239,10 +232,10 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
                 hop_limit=cfg.interest.hop_limit,
                 origin=nodes[0],
             )
-            kernel.schedule(cfg.interest.start_s, nodes[0], LaunchInterest(interest))
+            kernel.schedule(cfg.interest.start_s, nodes[0], interest)  # it launches itself
 
         regions.append(
-            RegionRuntime(rc.region_id, plan, kernel, counters, station, nodes, tree_parents))
+            RegionRuntime(rc.region_id, plan, kernel, station, nodes, tree_parents))
 
     return Scenario(cfg=cfg, central=central, regions=regions)
 
@@ -299,9 +292,14 @@ def _simulate_region(cfg: ScenarioConfig, reg: RegionRuntime) -> None:
                        f"still queued past the run's end at second {end}")
     for node in reg.nodes:
         node.finalize(cfg.horizon_s)
-    link = reg.station.uplink
-    figures = {
-        **reg.counters.as_dict(),
+    link, nodes = reg.station.uplink, reg.nodes
+    figures = {  # each count is held by the node that saw its event
+        "reports_originated": ordered_total((n.reports_originated for n in nodes), 0),
+        "reports_delivered": ordered_total((n.reports_delivered for n in nodes), 0),
+        "rf_losses": ordered_total((n.rf_losses for n in nodes), 0),
+        "queue_losses": ordered_total((n.queue_losses for n in nodes), 0),
+        "sleep_losses": ordered_total((n.sleep_losses for n in nodes), 0),
+        "duplicate_relay_drops": ordered_total((n.duplicate_relay_drops for n in nodes), 0),
         "station_ingested": reg.station.ingested,
         "station_evicted": reg.station.evicted,
         "uplink_transmissions": link.transmissions,

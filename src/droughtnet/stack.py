@@ -4,7 +4,8 @@ Application (periodic sampling), reliable acknowledged transport,
 network (binary-tree convergecast, directed diffusion with
 interests/gradients/reinforcement along the recorded reverse path, or
 plain flooding), MAC (queue, idle-channel check with random backoff) and
-a shared per-region channel with per-hop delay.
+a shared per-region channel with per-hop delay.  A node holds the counts
+and energy of what it sees; ``geometry.links`` gives it its links.
 
 MAC model: a packet of n bytes is ceil(n / max_frame_bytes) frames,
 which transmit as a back-to-back burst after a single idle check,
@@ -21,9 +22,10 @@ cache.  Pure tree mode keeps none: a tree report crosses each hop once,
 by unicast to the node's one parent, with no link-layer retransmission,
 so no node can receive its signature twice.
 
-Events: a node's timers are scheduled as themselves, a link delivery
-in a ``kernel.Message`` naming the sending node, and a transport event
-to the entity at its end, whose ``handle`` fires it.
+Events: a node's timers and a sink's ``Interest`` are scheduled as
+themselves, a link delivery in a ``kernel.Message`` naming the sending
+node, and a transport event to the entity at its end, whose ``handle``
+fires it.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
-from .energy import EnergyLedger
 from .environment import NodeSampler, SensorReading
 from .kernel import Kernel, Message, stream
 
@@ -84,6 +85,7 @@ class Interest:
     duration_s: int
     hop_limit: int
     origin: SensorNode
+    tag = "launch_interest"  # scheduled to its sink, it launches itself
 
 
 @dataclass(slots=True)
@@ -176,16 +178,6 @@ class BroadcastFan:
         self.receivers = receivers
 
 
-class LaunchInterest:
-    """Timer telling a sink to originate an interest."""
-
-    __slots__ = ("interest",)
-    tag = "launch_interest"
-
-    def __init__(self, interest):
-        self.interest = interest
-
-
 class ReinforceMsg:
     """Reinforcement of an interest back along a delivery path, which
     makes each hop's gradient toward its sender the only one it uses.
@@ -210,47 +202,17 @@ class Channel:
         self.busy_until = 0
 
 
-class RegionCounters:
-    __slots__ = (
-        "originated",
-        "delivered",
-        "rf_losses",
-        "queue_losses",
-        "sleep_losses",
-        "duplicate_relay_drops",
-    )
-
-    def __init__(self):
-        self.originated = 0
-        self.delivered = 0
-        self.rf_losses = 0
-        self.queue_losses = 0
-        self.sleep_losses = 0
-        self.duplicate_relay_drops = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "reports_originated": self.originated,
-            "reports_delivered": self.delivered,
-            "rf_losses": self.rf_losses,
-            "queue_losses": self.queue_losses,
-            "sleep_losses": self.sleep_losses,
-            "duplicate_relay_drops": self.duplicate_relay_drops,
-        }
-
-
 MODE_SLEEPING = 0
 MODE_ACTIVE = 1
 
 
 class SensorNode:
-    """One mote: sensing, protocol stack, radio and energy ledger, set up
-    from the run's ``ScenarioConfig``."""
+    """One mote: sensing, protocol stack, radio, and the counts and energy
+    of what it sees, set up from the run's ``ScenarioConfig``."""
 
     __slots__ = (
-        "kernel", "node_index", "region_id",
-        "position", "is_sink", "channel", "counters",
-        "ledger", "battery_mj",
+        "kernel", "node_index", "region_id", "is_sink", "channel",
+        "tx_mJ", "rx_mJ", "idle_mJ", "sensing_mJ", "battery_mj",
         "_delay_s", "_loss_prob", "_queue_cap",
         "payload_bytes", "data_frames", "interest_frames",
         "reinforce_frames", "link_range_km",
@@ -264,6 +226,8 @@ class SensorNode:
         "data_cache", "_cache_set", "data_cache_cap",
         "collector",
         "frames_sent", "frames_dropped", "reports_originated", "reports_forwarded",
+        "reports_delivered", "rf_losses", "queue_losses", "sleep_losses",
+        "duplicate_relay_drops",
         "_tree_on", "_diff_on", "_flood_on", "_dedup", "_drain_sleep",
         "_e_bit_mj", "_amp_bit_mj", "_sense_mj", "_idle_mj_s",
     )
@@ -274,21 +238,20 @@ class SensorNode:
         cfg,
         node_index: int,
         region_id: int,
-        position,
         is_sink: bool,
         channel: Channel,
-        counters: RegionCounters,
         sampler: NodeSampler | None = None,
         stagger_s: int = 0,
     ):
         self.kernel = kernel
         self.node_index = node_index
         self.region_id = region_id
-        self.position = position
         self.is_sink = is_sink
         self.channel = channel
-        self.counters = counters
-        self.ledger = EnergyLedger()
+        self.tx_mJ = 0.0
+        self.rx_mJ = 0.0
+        self.idle_mJ = 0.0
+        self.sensing_mJ = 0.0
         self.battery_mj = cfg.energy.battery_mj
         self._delay_s = cfg.link.delay_s
         self._loss_prob = cfg.link.loss_prob
@@ -329,6 +292,11 @@ class SensorNode:
         self.frames_dropped = 0
         self.reports_originated = 0
         self.reports_forwarded = 0
+        self.reports_delivered = 0
+        self.rf_losses = 0
+        self.queue_losses = 0
+        self.sleep_losses = 0
+        self.duplicate_relay_drops = 0
         self._tree_on = cfg.routing_mode in (RoutingMode.TREE, RoutingMode.COMBINED)
         self._diff_on = cfg.routing_mode in (RoutingMode.DIFFUSION, RoutingMode.COMBINED)
         self._flood_on = cfg.routing_mode is RoutingMode.FLOODING
@@ -348,22 +316,9 @@ class SensorNode:
 
     # -- wiring -------------------------------------------------------------
 
-    def wire_neighbors(self, nodes: list["SensorNode"]) -> None:
-        """Neighbours are nodes within 2 x radio range (adjacent cells)."""
-        for other in nodes:
-            if other is self:
-                continue
-            d = self.position.distance_to(other.position)
-            if d <= self.link_range_km + 1e-9:
-                self.neighbors.append(other)
-                self.neighbor_dist[other] = d
-        self.neighbors.sort(key=lambda n: n.node_index)
-
     def set_tree_parent(self, parent: "SensorNode", descendants: int) -> None:
         self.tree_parent = parent
         self._tree_route = (parent.node_index,)
-        if parent not in self.neighbor_dist:
-            self.neighbor_dist[parent] = self.position.distance_to(parent.position)
         self.descendants_expected = descendants
 
     def start(self) -> None:
@@ -399,13 +354,13 @@ class SensorNode:
         if payload is WAKE:
             self._on_wake()
             return
-        self.launch_interest(payload.interest)  # the one other payload a node gets
+        self.launch_interest(payload)  # the one other payload a node gets: its Interest
 
     # -- power --------------------------------------------------------------
 
     def _sleep(self) -> None:
         if self.mode == MODE_ACTIVE:
-            self.ledger.idle_mJ += self._idle_mj_s * (self.kernel.now - self.active_since)
+            self.idle_mJ += self._idle_mj_s * (self.kernel.now - self.active_since)
         self.mode = MODE_SLEEPING
 
     def _wake_up(self) -> None:
@@ -416,7 +371,7 @@ class SensorNode:
     def finalize(self, end_time: int) -> None:
         """Charge the trailing idle span at end of run."""
         if self.mode == MODE_ACTIVE:
-            self.ledger.idle_mJ += self._idle_mj_s * (end_time - self.active_since)
+            self.idle_mJ += self._idle_mj_s * (end_time - self.active_since)
             self.active_since = end_time
 
     def _maybe_sleep(self) -> None:
@@ -439,9 +394,8 @@ class SensorNode:
         self._own_sent = False
         if now < self.sampling_horizon_s and self.sampler is not None:
             reading = self.sampler.sample(now)
-            self.ledger.sensing_mJ += self._sense_mj
+            self.sensing_mJ += self._sense_mj
             self.reports_originated += 1
-            self.counters.originated += 1
             self._emit_reading(reading)
             nxt = now + self.period_s
             if nxt < self.sampling_horizon_s:
@@ -464,7 +418,8 @@ class SensorNode:
         return DataMessage(
             report_signature(index, reading.timestamp, interest_id),
             index, reading, interest_id,
-            self.battery_mj - self.ledger.total_mJ, self.frames_dropped, route,
+            self.battery_mj - (self.tx_mJ + self.rx_mJ + self.idle_mJ + self.sensing_mJ),
+            self.frames_dropped, route,
         )
 
     def send_matching_data(self, reading: SensorReading) -> None:
@@ -478,13 +433,6 @@ class SensorNode:
                 self.gradients.pop(iid, None)
                 continue
             msg = self._make_report(reading, interest_id=iid)
-            if self.is_sink and interest.origin is self:
-                # sink doubling as source: delivered locally at zero hops
-                self._cache_signature(msg.signature)
-                self.counters.delivered += 1
-                if self.collector is not None:
-                    self.collector(msg)
-                continue
             if self._flood_on:
                 self._cache_signature(msg.signature)
                 self._enqueue(LinkPacket(KIND_DATA, msg, None, self.payload_bytes,
@@ -504,9 +452,9 @@ class SensorNode:
     def receive_link(self, pkt: LinkPacket, src: SensorNode) -> None:
         if self.mode == MODE_SLEEPING:
             if pkt.kind == KIND_DATA:
-                self.counters.sleep_losses += 1
+                self.sleep_losses += 1
             return
-        self.ledger.rx_mJ += pkt.nbytes * 8 * self._e_bit_mj
+        self.rx_mJ += pkt.nbytes * 8 * self._e_bit_mj
         kind = pkt.kind
         if kind == KIND_DATA:
             self.receive_data(pkt.body, src, pkt.ttl)
@@ -594,10 +542,10 @@ class SensorNode:
 
     def receive_data(self, msg: DataMessage, src: SensorNode, ttl: int = 0) -> None:
         if self._dedup and not self._cache_signature(msg.signature):
-            self.counters.duplicate_relay_drops += 1
+            self.duplicate_relay_drops += 1
             return
         if self.is_sink:
-            self.counters.delivered += 1
+            self.reports_delivered += 1
             if self._diff_on and msg.interest_id:
                 # new data: reinforce its reverse path once per source, so
                 # exploratory fan-out collapses to single paths
@@ -641,7 +589,7 @@ class SensorNode:
         if self._queued_frames + pkt.nframes > self._queue_cap:
             self.frames_dropped += pkt.nframes
             if pkt.kind == KIND_DATA:
-                self.counters.queue_losses += 1
+                self.queue_losses += 1
             return
         self.mac_queue.append(pkt)
         self._queued_frames += pkt.nframes
@@ -666,16 +614,16 @@ class SensorNode:
         bits = pkt.nbytes * 8
         arrive = now + (pkt.nframes - 1) + self._delay_s
         if pkt.dst is not None:
-            d = self.neighbor_dist.get(pkt.dst, self.link_range_km)
-            self.ledger.tx_mJ += bits * (self._e_bit_mj + self._amp_bit_mj * d * d)
+            d = self.neighbor_dist[pkt.dst]
+            self.tx_mJ += bits * (self._e_bit_mj + self._amp_bit_mj * d * d)
             if self._loss_prob and self._link_random() < self._loss_prob:
                 if pkt.kind == KIND_DATA:
-                    self.counters.rf_losses += 1
+                    self.rf_losses += 1
             else:
                 self.kernel.schedule(arrive, pkt.dst, Message(self, pkt))
         else:
             d = self.link_range_km
-            self.ledger.tx_mJ += bits * (self._e_bit_mj + self._amp_bit_mj * d * d)
+            self.tx_mJ += bits * (self._e_bit_mj + self._amp_bit_mj * d * d)
             lp = self._loss_prob
             if lp:
                 rnd = self._link_random
@@ -693,10 +641,10 @@ class SensorNode:
         return {
             "node_id": self.node_index,
             "region": self.region_id,
-            "tx_mJ": self.ledger.tx_mJ,
-            "rx_mJ": self.ledger.rx_mJ,
-            "idle_mJ": self.ledger.idle_mJ,
-            "sensing_mJ": self.ledger.sensing_mJ,
+            "tx_mJ": self.tx_mJ,
+            "rx_mJ": self.rx_mJ,
+            "idle_mJ": self.idle_mJ,
+            "sensing_mJ": self.sensing_mJ,
             "frames_sent": self.frames_sent,
             "frames_dropped": self.frames_dropped,
             "reports_originated": self.reports_originated,

@@ -6,6 +6,7 @@ import heapq
 import math
 from array import array
 from dataclasses import replace
+from types import SimpleNamespace
 
 from droughtnet.backbone import CSV_COLUMNS, CentralDatabase
 from droughtnet.config import ScenarioConfig
@@ -16,13 +17,12 @@ from droughtnet.environment import (
     DroughtScenario,
     NodeSampler,
 )
-from droughtnet.geometry import GeoPoint
+from droughtnet.geometry import GeoPoint, links
 from droughtnet.kernel import Kernel, SchedulingInPast, stream
 from droughtnet.stack import (
     Channel,
     LinkParams,
     MacParams,
-    RegionCounters,
     RoutingMode,
     SensorNode,
 )
@@ -87,15 +87,28 @@ def rx_cost_mj(params, n_bytes):
 
 
 class MiniNet:
-    def __init__(self, kernel, nodes, counters, received):
+    def __init__(self, kernel, nodes, received):
         self.kernel = kernel
         self.nodes = nodes
-        self.counters = counters
         self.received = received  # [(time, DataMessage)] at the sink
 
     @property
     def sink(self):
         return self.nodes[0]
+
+    @property
+    def counters(self):
+        """The network's report counts, each summed over the nodes that
+        hold it."""
+        nodes = self.nodes
+        return SimpleNamespace(
+            originated=sum(n.reports_originated for n in nodes),
+            delivered=sum(n.reports_delivered for n in nodes),
+            rf_losses=sum(n.rf_losses for n in nodes),
+            queue_losses=sum(n.queue_losses for n in nodes),
+            sleep_losses=sum(n.sleep_losses for n in nodes),
+            duplicate_relay_drops=sum(n.duplicate_relay_drops for n in nodes),
+        )
 
     def run(self, horizon):
         return self.kernel.run_until(horizon)
@@ -120,7 +133,6 @@ def build_net(
     """Region-1 network with node 0 as sink at positions[0]."""
     kernel = Kernel()
     channel = Channel()
-    counters = RegionCounters()
     cfg = replace(
         ScenarioConfig(),
         seed=seed,
@@ -132,21 +144,22 @@ def build_net(
         link=LinkParams(delay_s=delay, loss_prob=loss),
         mac=MacParams(queue_cap_frames=queue_cap),
     )
+    points = [GeoPoint(x, y) for x, y in positions]
     nodes = []
-    for i, (x, y) in enumerate(positions):
-        pos = GeoPoint(x, y)
+    for i, pos in enumerate(points):
         sampler = None
         if with_samplers and i != 0:
             sampler = NodeSampler(cfg.env, Climatology(), DroughtScenario(),
-                                  GeoPoint(*positions[0]), period, pos, stream(seed, f"env:{i}"))
+                                  points[0], period, pos, stream(seed, f"env:{i}"))
         node = SensorNode(
-            kernel, cfg, i, 1, pos, i == 0, channel, counters,
+            kernel, cfg, i, 1, i == 0, channel,
             sampler=sampler,
             stagger_s=staggers[i] if staggers else 0,
         )
         nodes.append(node)
-    for n in nodes:
-        n.wire_neighbors(nodes)
+    for node, near in zip(nodes, links(points, link_range)):
+        node.neighbors = [nodes[v] for v, _ in near]
+        node.neighbor_dist = {nodes[v]: d for v, d in near}
     if tree_parents is not None:
         children = {}
         for child, parent in tree_parents.items():
@@ -161,7 +174,7 @@ def build_net(
     nodes[0].collector = lambda msg, _received=received, _k=kernel: _received.append((_k.now, msg))
     for n in nodes:
         n.start()
-    return MiniNet(kernel, nodes, counters, received)
+    return MiniNet(kernel, nodes, received)
 
 
 # complete-ish binary tree on 10 nodes, sink = 0

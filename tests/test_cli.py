@@ -305,3 +305,19 @@ def test_non_finite_config_exits_without_traceback(tmp_path, capsys):
     assert main(["plan", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err == "invalid config: radio_range_km must be a finite number, got nan\n", err
+
+
+@pytest.mark.parametrize("text, message", [
+    # an integer too large for a float, at a float key: an OverflowError
+    ('{"radio_range_km": 1' + "0" * 400 + "}",
+     "radio_range_km must be a finite number, got an integer too large for a float"),
+    # an integer literal past the interpreter's digit limit, at any key:
+    # json.loads raised a ValueError that is not a JSONDecodeError
+    ('{"seed": 1' + "0" * 4400 + "}", "{path}: Exceeds the limit (4300 digits)"),
+], ids=["huge_float", "digit_limit"])
+def test_huge_number_config_exits_without_traceback(tmp_path, capsys, text, message):
+    cfg = write_cfg(tmp_path, text)
+    assert main(["plan", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config: " + message.format(path=cfg)), err
+    assert err.count("\n") == 1 and err.endswith("\n"), err

@@ -129,7 +129,7 @@ def test_region_square_must_hold_every_cell(shape, size_km):
     ({"data_cache_cap": 0}, "data_cache_cap must be at least 1"),
     ({"interest": {"start_s": -1}}, r"interest.start_s must lie in \[0, horizon_s\)"),
     # used to validate, and then the run died after simulating region 1
-    # with its LaunchInterest still queued past the run's end
+    # with its interest still queued past the run's end
     ({"horizon_s": 172800, "interest": {"start_s": 172800}},
      r"interest.start_s must lie in \[0, horizon_s\)"),
     ({"interest": {"duration_s": 0}}, "interest.duration_s must be positive"),
@@ -155,7 +155,12 @@ def test_configs_that_cannot_run_meaningfully_rejected(data, message):
     ({"radio_range_km": 0}, "^radio_range_km must be positive$"),
     ({"radio_range_km": -1.5}, "^radio_range_km must be positive$"),
     ({"window_days": 29}, "^window_days must be at least 30$"),
-], ids=["range_zero", "range_negative", "window_29_days"])
+    # 0 used to be accepted, echoed and then ignored (10 nodes placed),
+    # and -3 was rejected only inside the placement
+    ({"node_count_override": 0}, "^node_count_override must be at least 1 when set$"),
+    ({"node_count_override": -3}, "^node_count_override must be at least 1 when set$"),
+], ids=["range_zero", "range_negative", "window_29_days", "node_count_zero",
+        "node_count_negative"])
 def test_bounds_checked_only_by_validate(data, message):
     with pytest.raises(ValidationError, match=message):
         config_from_dict(data)
@@ -288,13 +293,17 @@ def test_config_echo_is_json_serialisable():
     ({"radio_range_km": float("nan")}, "^radio_range_km must be a finite number, got nan$"),
     ({"env": {"noise_sigma_c": float("nan")}}, r"^env\.noise_sigma_c must be a finite number"),
     ({"energy": {"battery_mj": float("inf")}}, r"^energy\.battery_mj must be a finite number, got inf$"),
+    # json reads integers of any size: these died in float() with an OverflowError
+    ({"radio_range_km": 10**400},
+     "^radio_range_km must be a finite number, got an integer too large for a float$"),
+    ({"env": {"noise_sigma_c": 10**400}}, r"^env\.noise_sigma_c must be a finite number"),
     # used to validate, and then a 2-day run died in NodeSampler.sample
     # comparing the sample time with None
     ({"regions": [{"region_id": 3, "drought": {"active_start_s": None}}]},
      r"regions\[0\]\.drought\.active_start_s must be a number"),
 ], ids=["link_not_object", "interest_not_object", "region_not_object", "anchor_str",
         "anchor_bool", "anchor_length", "retired_key", "nan", "nested_nan", "infinity",
-        "active_start_null"])
+        "huge_int", "nested_huge_int", "active_start_null"])
 def test_malformed_config_rejected_naming_key(data, message):
     with pytest.raises(ValidationError, match=message):
         config_from_dict(data)

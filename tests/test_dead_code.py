@@ -12,7 +12,8 @@ it, so that no layer of re-exports stands between a caller and the
 module that defines a name.  No module of src/ reads another module's
 single-underscore attribute, and none calls builtin ``sum`` or
 ``fsum``, whose float totals depend on the Python version.  Only the
-node stack builds a ``kernel.Message``, and the kernel names no entity.
+node stack builds a ``kernel.Message``, the kernel names no entity, and
+only ``geometry.links`` decides which nodes link.
 """
 
 import ast
@@ -398,6 +399,19 @@ def test_one_module_builds_messages():
                for node in ast.walk(ast.parse(p.read_text(encoding="utf-8"))))
     ]
     assert building == ["stack.py"]
+
+
+def test_one_link_rule():
+    """Which cells link, and how far apart they are, is the one rule of
+    ``geometry.links``: the node stack and the runner take every link and
+    its distance from it and measure no distance themselves."""
+    calls = [
+        f"{name}:{node.lineno}"
+        for name in ("stack.py", "runner.py")
+        for node in ast.walk(ast.parse((PACKAGE / name).read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "distance_to"
+    ]
+    assert not calls, f"distances measured outside geometry.links: {calls}"
 
 
 def test_kernel_knows_no_entity():

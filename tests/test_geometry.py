@@ -18,6 +18,7 @@ from droughtnet.geometry import (
     connectivity_check,
     estimate_node_count,
     footprint_area,
+    links,
     ordered_total,
     plan_to_dict,
     tile_region,
@@ -177,6 +178,17 @@ def test_hex_plan_connected_matches_bfs_oracle():
     plan = tile_region(1, CellShape.HEXAGON, 2.074, 10, DEFAULT_ANCHORS_KM[1])
     assert connectivity_check(plan, 2 * 2.074) == []
     assert _bfs_oracle(plan.all_positions(), 2 * 2.074) is True
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.0, 6.0), st.floats(0.0, 6.0)), max_size=12))
+def test_links_are_the_unit_disc_pairs_in_index_order(coords):
+    pts = [GeoPoint(x, y) for x, y in coords]
+    near = links(pts, 2.0)
+    for i, p in enumerate(pts):
+        # each other cell within reach, with the distance each side measures
+        assert near[i] == [(j, p.distance_to(q)) for j, q in enumerate(pts)
+                           if j != i and p.distance_to(q) <= 2.0 + 1e-9]
 
 
 def test_far_apart_nodes_disconnected():

