@@ -37,14 +37,13 @@ def _load(args) -> ScenarioConfig:
 
 def cmd_plan(args) -> int:
     cfg = _load(args)
-    placed = place(cfg)
-    for plan, unreachable in placed:
+    plans = place(cfg)
+    for plan in plans:
         print(f"region {plan.region_id}: {len(plan.all_positions())} nodes "
-              f"({cfg.cell_shape.value}, range {cfg.radio_range_km} km), "
-              f"connected={not unreachable}")
+              f"({cfg.cell_shape.value}, range {cfg.radio_range_km} km)")
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_placement(out, [plan for plan, _ in placed])
+    write_placement(out, plans)
     print(f"wrote {out / 'placement.json'}")
     return 0
 

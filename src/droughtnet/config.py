@@ -43,6 +43,7 @@ from .geometry import (
     GeoPoint,
     PlacementPlan,
     PlanningError,
+    connectivity_check,
     estimate_node_count,
     ordered_total,
     tile_region,
@@ -82,7 +83,7 @@ class InterestConfig:
 
     hop_limit: int = 8
     start_s: int = 0
-    duration_s: int | None = None  # None: the whole run
+    duration_s: int | None = None  # None: the longest that validate() accepts
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,6 +147,11 @@ class ScenarioConfig:
         """Reach of a node-to-node link: twice the radio range, so that the
         nodes of adjacent cells link."""
         return 2.0 * self.radio_range_km
+
+    def longest_interest_s(self) -> int:
+        """The longest interest lifetime that validate() accepts, and the
+        default one: the horizon, the drain window and one period."""
+        return self.horizon_s + self.drain_window_s + self.reporting_period_s
 
     def nodes_per_region(self) -> int:
         """Cells placed in each region, sink included."""
@@ -350,12 +356,15 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
         )
     for r in cfg.regions:
         try:
-            cfg.plan_region(r)
+            plan = cfg.plan_region(r)
         except PlanningError as exc:
             raise ValidationError(
                 f"region {r.region_id} cannot place {node_count} nodes in its "
                 f"region_size_km {cfg.region_size_km} square: {exc}"
             ) from None
+        if unreachable := connectivity_check(plan, cfg.link_range_km()):
+            raise ValidationError(f"region {r.region_id} placement is disconnected: its sink "
+                                  f"cannot reach cells {unreachable} at link range")
     if cfg.stagger_step_s < 0:
         raise ValidationError("stagger_step_s must be non-negative")
     # offsets for the deepest in-region index must stay inside one period
@@ -365,13 +374,20 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
         cfg.thresholds.validate()
     except Exception as exc:
         raise ValidationError(f"thresholds not monotone: {exc}") from None
-    if cfg.interest.hop_limit < 1:
-        raise ValidationError("interest.hop_limit must be at least 1")
     if not 0 <= cfg.interest.start_s < cfg.horizon_s:
         raise ValidationError("interest.start_s must lie in [0, horizon_s): a sink launches "
                               "its interest while the run lasts")
-    if cfg.interest.duration_s is not None and cfg.interest.duration_s <= 0:
+    # these bounds end every chain of events after the horizon (README, "When a run ends")
+    if not 1 <= cfg.interest.hop_limit <= 255:
+        raise ValidationError("interest.hop_limit must be at least 1 and at most 255, an 8-bit "
+                              "hop limit as in IPv6, so that every flooded copy dies out")
+    duration = cfg.interest.duration_s
+    if duration is not None and duration <= 0:
         raise ValidationError("interest.duration_s must be positive when set")
+    if duration is not None and duration > cfg.longest_interest_s():
+        raise ValidationError(f"interest.duration_s must be at most horizon_s + drain_window_s "
+                              f"+ reporting_period_s = {cfg.longest_interest_s()}, its default, "
+                              f"so that every gradient and the relays along it die out")
     if cfg.data_cache_cap < 1:
         raise ValidationError("data_cache_cap must be at least 1: the duplicate cache "
                               "must hold the signature it has just seen")

@@ -722,10 +722,8 @@ class TransportLink:
         self.kernel.schedule(self.kernel.now + self.params.latency_s, self.src, ack)
 
     def _on_ack(self, ev: _TxEvent) -> None:
-        item = self._pending.pop(ev.seqno, None)
-        if item is None:
-            return  # duplicate ack after a retransmit
-        self.on_acked(item[0])
+        # acked once: only data draws a loss, and an ack lands before its timeout
+        self.on_acked(self._pending.pop(ev.seqno)[0])
 
     def _on_timeout(self, ev: _TxEvent) -> None:
         item = self._pending.get(ev.seqno)

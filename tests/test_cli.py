@@ -32,7 +32,7 @@ def test_plan_writes_placement(tmp_path, capsys):
     placement = json.loads((tmp_path / "o" / "placement.json").read_text())
     assert len(placement) == 5
     out = capsys.readouterr().out
-    assert "connected=True" in out
+    assert "region 1: 10 nodes (hexagon, range 2.074 km)\n" in out
 
     # plan and run share one placement path and one writer
     cfg = write_cfg(tmp_path, TINY)

@@ -18,7 +18,7 @@ from droughtnet.config import (
     load_config,
     validate,
 )
-from droughtnet.geometry import CellShape, GeoPoint
+from droughtnet.geometry import CellShape, GeoPoint, PlacementPlan
 from droughtnet.stack import RoutingMode
 
 
@@ -54,6 +54,8 @@ def test_malformed_numeric_is_parse_error_with_location(tmp_path):
     path = write(tmp_path, '{\n  "seed": 12e+,\n  "horizon_s": 100\n}')
     with pytest.raises(ParseError, match=r":2:"):
         load_config(path)
+    with pytest.raises(ParseError, match=r"scenario\.json: top level must be an object$"):
+        load_config(write(tmp_path, "[1]"))
 
 
 def test_wrong_type_names_key(tmp_path):
@@ -134,6 +136,11 @@ def test_region_square_must_hold_every_cell(shape, size_km):
      r"interest.start_s must lie in \[0, horizon_s\)"),
     ({"interest": {"duration_s": 0}}, "interest.duration_s must be positive"),
     ({"interest": {"hop_limit": 0}}, "interest.hop_limit must be at least 1"),
+    # and these could keep a region's queue from emptying
+    ({"interest": {"hop_limit": 256}}, "interest.hop_limit must be at least 1 and at most 255, "),
+    ({"horizon_s": 172800, "interest": {"duration_s": 178_201}},
+     r"interest.duration_s must be at most horizon_s \+ drain_window_s \+ reporting_period_s "
+     r"= 178200, its default"),
     # and these ran, but meant nothing
     ({"local_db_capacity": 0}, "local_db_capacity must be at least 1"),
     ({"local_db_capacity": -5}, "local_db_capacity must be at least 1"),
@@ -143,8 +150,8 @@ def test_region_square_must_hold_every_cell(shape, size_km):
     ({"energy": {"e_sense_uj": -0.5}}, "energy.e_sense_uj must be non-negative"),
     ({"energy": {"p_idle_uw": -30}}, "energy.p_idle_uw must be non-negative"),
 ], ids=["data_cache_cap", "interest_start", "interest_start_at_horizon", "interest_duration",
-        "interest_hop_limit", "local_db_zero", "local_db_negative", "drain_window", "e_elec",
-        "e_amp", "e_sense", "p_idle"])
+        "interest_hop_limit", "hop_limit_past_8_bits", "duration_past_default", "local_db_zero",
+        "local_db_negative", "drain_window", "e_elec", "e_amp", "e_sense", "p_idle"])
 def test_configs_that_cannot_run_meaningfully_rejected(data, message):
     with pytest.raises(ValidationError, match=message):
         config_from_dict({"routing_mode": "diffusion", **data})
@@ -159,8 +166,37 @@ def test_configs_that_cannot_run_meaningfully_rejected(data, message):
     # and -3 was rejected only inside the placement
     ({"node_count_override": 0}, "^node_count_override must be at least 1 when set$"),
     ({"node_count_override": -3}, "^node_count_override must be at least 1 when set$"),
+    ({"horizon_s": 0}, "^horizon_s must be positive$"),
+    ({"reporting_period_s": 0}, "^reporting_period_s must be positive$"),
+    ({"horizon_s": 172800, "reporting_period_s": 172800},
+     "^reporting_period_s must be below horizon_s$"),
+    ({"region_size_km": 0}, "^region_size_km must be positive$"),
+    ({"link": {"loss_prob": -0.1}}, r"^link\.loss_prob must lie in \[0, 1\]$"),
+    ({"backbone": {"loss_prob": 1.5}}, r"^backbone\.loss_prob must lie in \[0, 1\]$"),
+    ({"link": {"delay_s": -1}}, "^link delays must be non-negative$"),
+    ({"backbone": {"latency_s": -1}}, "^link delays must be non-negative$"),
+    ({"payload_bytes": 0}, r"^payload_bytes and mac\.max_frame_bytes must be positive$"),
+    ({"mac": {"max_frame_bytes": 0}}, r"^payload_bytes and mac\.max_frame_bytes must be positive$"),
+    ({"mac": {"queue_cap_frames": 1}}, r"^mac\.queue_cap_frames cannot hold a single report$"),
+    ({"mac": {"backoff_slots": 0}}, r"^mac\.backoff_slots must be at least 1$"),
+    ({"regions": []}, "^at least one region is required$"),
+    ({"regions": [{"region_id": 2}, {"region_id": 2}]}, "^region_id values must be unique$"),
+    ({"regions": [{"region_id": 1, "anchor_km": [0.0, 90.0]}]}, "^region 1 square leaves the map$"),
+    ({"regions": [{"region_id": 1, "climatology": {"monthly_precip_mm": -1.0}}]},
+     "^region 1 climatology normals must be non-negative$"),
+    ({"regions": [{"region_id": 2, "drought": {"precipitation_scale": 1.5}}]},
+     r"^region 2 precipitation_scale must lie in \[0, 1\]$"),
+    ({"stagger_step_s": -1}, "^stagger_step_s must be non-negative$"),
+    # 16 ranks of 113 s reach past one 1800 s period
+    ({"stagger_step_s": 113}, "^stagger_step_s too large for the reporting period$"),
+    ({"thresholds": {"temp_slight_c": 3.0}}, "^thresholds not monotone: "),
 ], ids=["range_zero", "range_negative", "window_29_days", "node_count_zero",
-        "node_count_negative"])
+        "node_count_negative", "horizon_zero", "period_zero", "period_at_horizon",
+        "region_size_zero", "link_loss_negative", "backbone_loss_above_one",
+        "link_delay_negative", "backbone_latency_negative", "payload_zero", "frame_zero",
+        "queue_cap_one_frame", "backoff_zero", "no_regions", "duplicate_region",
+        "square_off_map", "negative_normals", "precipitation_scale", "stagger_negative",
+        "stagger_past_period", "thresholds"])
 def test_bounds_checked_only_by_validate(data, message):
     with pytest.raises(ValidationError, match=message):
         config_from_dict(data)
@@ -202,6 +238,29 @@ def test_smallest_meaningful_values_accepted():
                    "e_sense_uj": 0, "p_idle_uw": 0, "battery_mj": 0},
     })
     assert (cfg.data_cache_cap, cfg.local_db_capacity, cfg.drain_window_s) == (1, 1, 0)
+
+
+def test_largest_interest_bounds_accepted():
+    # the default lifetime, 2 days plus the 3600 s drain window and one
+    # 1800 s period, is the longest; the rejections one past each bound
+    # are rows of test_configs_that_cannot_run_meaningfully_rejected
+    cfg = config_from_dict({"horizon_s": 172800, "routing_mode": "diffusion",
+                            "interest": {"hop_limit": 255, "duration_s": 178_200}})
+    assert (cfg.interest.hop_limit, cfg.interest.duration_s) == (255, 178_200)
+    assert cfg.longest_interest_s() == 178_200
+
+
+def test_disconnected_placement_rejected(monkeypatch):
+    """No shape, range and count that validate tiles leaves a cell out of
+    link range, so a plan with a far cell stands in for one."""
+    def plan_region(cfg, region):
+        return PlacementPlan(region.region_id, CellShape.HEXAGON, cfg.radio_range_km,
+                             [GeoPoint(7.0, 6.0), GeoPoint(6.0, 11.0)], GeoPoint(6.0, 6.0))
+
+    monkeypatch.setattr(ScenarioConfig, "plan_region", plan_region)
+    with pytest.raises(ValidationError, match=r"^region 2 placement is disconnected: its sink "
+                                              r"cannot reach cells \[2\] at link range$"):
+        config_from_dict({"regions": [{"region_id": 2}]})
 
 
 def test_horizon_past_the_timestamp_field_rejected():
@@ -301,9 +360,14 @@ def test_config_echo_is_json_serialisable():
     # comparing the sample time with None
     ({"regions": [{"region_id": 3, "drought": {"active_start_s": None}}]},
      r"regions\[0\]\.drought\.active_start_s must be a number"),
+    ({"regions": [{"anchor_km": [0.0, 0.0]}]}, r"^regions\[0\] needs a region_id$"),
+    ({"trace": 1}, "^trace must be true/false, got 1$"),
+    ({"output_dir": 5}, "^output_dir must be a string, got 5$"),
+    ({"seed": 1.5}, "^seed must be an integer, got 1.5$"),
 ], ids=["link_not_object", "interest_not_object", "region_not_object", "anchor_str",
         "anchor_bool", "anchor_length", "retired_key", "nan", "nested_nan", "infinity",
-        "huge_int", "nested_huge_int", "active_start_null"])
+        "huge_int", "nested_huge_int", "active_start_null", "region_without_id", "bool_key",
+        "string_key", "fractional_integer"])
 def test_malformed_config_rejected_naming_key(data, message):
     with pytest.raises(ValidationError, match=message):
         config_from_dict(data)

@@ -12,8 +12,9 @@ it, so that no layer of re-exports stands between a caller and the
 module that defines a name.  No module of src/ reads another module's
 single-underscore attribute, and none calls builtin ``sum`` or
 ``fsum``, whose float totals depend on the Python version.  Only the
-node stack builds a ``kernel.Message``, the kernel names no entity, and
-only ``geometry.links`` decides which nodes link.
+node stack builds a ``kernel.Message``, the kernel names no entity,
+only ``geometry.links`` decides which nodes link, and the runner
+computes no end second for a region.
 """
 
 import ast
@@ -412,6 +413,18 @@ def test_one_link_rule():
         if isinstance(node, ast.Attribute) and node.attr == "distance_to"
     ]
     assert not calls, f"distances measured outside geometry.links: {calls}"
+
+
+def test_runner_computes_no_end():
+    """A region runs until nothing is queued, so the runner needs neither
+    the backbone's retry timing nor a count of the events left: it reads
+    no ``backbone`` attribute and calls no ``pending``."""
+    found = [
+        f"{node.attr}:{node.lineno}"
+        for node in ast.walk(ast.parse((PACKAGE / "runner.py").read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in ("backbone", "pending")
+    ]
+    assert not found, f"runner.py reads the backbone or the queue's length: {found}"
 
 
 def test_kernel_knows_no_entity():

@@ -30,7 +30,7 @@ from droughtnet.runner import (
     run_scenario,
     simulate,
 )
-from droughtnet.stack import WAKE, OrphanNode, RoutingMode, SensorNode
+from droughtnet.stack import OrphanNode, RoutingMode, SensorNode
 
 from helpers import (
     ReferenceStream,
@@ -696,13 +696,66 @@ def test_backbone_retries_past_the_drain_window_complete():
         assert region["uplink_abandoned"] == 0
 
 
-def test_events_left_queued_name_the_region():
-    # the run ends after the drain window and the 21 transmissions an
-    # uplink send may make, each a round trip plus the 2 s ack timeout
-    scn = build_scenario(cfg_days(1))
-    end = DAY + 3600 + 21 * 2
-    reg = scn.regions[0]
-    reg.kernel.schedule(end, reg.nodes[1], WAKE)
-    reg.kernel.schedule(end + 1, reg.nodes[1], WAKE)
-    with pytest.raises(RunError, match=rf"^region 1: 1 events still queued past the run's end at second {end}$"):
-        simulate(scn)
+# each of these validated and then stopped with a RunError, its region's
+# backlog still queued past the end that the runner used to compute
+BACKLOGS = {
+    "flooding_fast": dict(days=1, routing_mode=RoutingMode.FLOODING, reporting_period_s=60),
+    "tree_fast_no_drain": dict(days=1, reporting_period_s=10, drain_window_s=0),
+    "flooding_link_delay": dict(days=3, seed=1, routing_mode=RoutingMode.FLOODING,
+                                link=replace(ScenarioConfig().link, delay_s=1000, loss_prob=0.2)),
+    "flooding_cache_1": dict(days=2, seed=3, routing_mode=RoutingMode.FLOODING, data_cache_cap=1,
+                             link=replace(ScenarioConfig().link, loss_prob=0.1)),
+}
+
+
+def one_region(days, **over):
+    return cfg_days(days, allow_fast_reporting=True, regions=ScenarioConfig().regions[:1], **over)
+
+
+@pytest.mark.parametrize("name", BACKLOGS)
+def test_a_region_runs_until_nothing_is_queued(name):
+    rep = run_scenario(one_region(**BACKLOGS[name]))
+    (region,) = rep["per_region"].values()
+    assert region["central_records"] > 0
+    assert region["station_ingested"] == region["central_records"] + region["central_duplicates"]
+    if name == "tree_fast_no_drain":  # the tree's ledger closes once its queues drain
+        losses = region["rf_losses"] + region["queue_losses"] + region["sleep_losses"]
+        assert region["reports_originated"] == region["central_records"] + losses == 77_760
+        assert region["central_records"] == 10_047
+
+
+@pytest.mark.parametrize("mode", list(RoutingMode), ids=lambda m: m.value)
+def test_longest_relay_chains_that_validate_end(mode):
+    """A one-entry duplicate cache, the largest hop limit and the longest
+    interest on fast, lossy reporting: every chain still ends, the
+    diffusion relays with their gradients and each flooded copy with its
+    hop limit."""
+    cfg = one_region(2, routing_mode=mode, reporting_period_s=60, data_cache_cap=1,
+                     link=replace(ScenarioConfig().link, loss_prob=0.1),
+                     interest=replace(ScenarioConfig().interest, hop_limit=255,
+                                      duration_s=2 * DAY + 3600 + 60))
+    (region,) = run_scenario(cfg)["per_region"].values()
+    assert region["reports_originated"] == 9 * 2 * DAY // 60
+    assert region["station_ingested"] == region["central_records"] + region["central_duplicates"]
+    if mode is RoutingMode.TREE:
+        losses = region["rf_losses"] + region["queue_losses"] + region["sleep_losses"]
+        assert region["reports_originated"] == region["central_records"] + losses
+
+
+@pytest.mark.parametrize("lossy", [False, True], ids=["lossless", "lossy"])
+@pytest.mark.parametrize("mode", list(RoutingMode), ids=lambda m: m.value)
+def test_backbone_loses_no_ingested_report_unaccounted(mode, lossy):
+    """Every copy a local station ingests reaches the central database,
+    as a record or a duplicate, or is abandoned by its uplink."""
+    over = {}
+    if lossy:
+        over = {"link": replace(ScenarioConfig().link, loss_prob=0.2),
+                "backbone": replace(ScenarioConfig().backbone, loss_prob=0.3, latency_s=5,
+                                    max_retries=2)}
+    rep = run_scenario(cfg_days(2, seed=7, routing_mode=mode, **over))
+    for region in rep["per_region"].values():
+        assert region["station_ingested"] == (region["central_records"]
+                                              + region["central_duplicates"]
+                                              + region["uplink_abandoned"])
+    abandoned = sum(region["uplink_abandoned"] for region in rep["per_region"].values())
+    assert (abandoned > 0) == lossy

@@ -1,3 +1,5 @@
+import pytest
+
 from droughtnet.config import BackboneParams
 from droughtnet.kernel import Kernel, stream
 from droughtnet.stack import TransportLink
@@ -17,12 +19,23 @@ class TxHost:
         self.got.append(payload)
 
 
-def make_link(loss=0.0, latency=0, max_retries=20, seed=5, label="uplink:1"):
+class SendAt:
+    """Entity whose events are payloads to send over ``link`` when they fire."""
+
+    def __init__(self, link):
+        self.link = link
+
+    def handle(self, payload):
+        self.link.send(payload)
+
+
+def make_link(loss=0.0, latency=0, max_retries=20, seed=5, label="uplink:1", ack_timeout=2):
     k = Kernel()
     a, b = TxHost(), TxHost()
     link = TransportLink(
         k, a, b, b.receive, stream(seed, label),
-        BackboneParams(loss_prob=loss, latency_s=latency, max_retries=max_retries),
+        BackboneParams(loss_prob=loss, latency_s=latency, max_retries=max_retries,
+                       ack_timeout_s=ack_timeout),
         on_acked=a.acked.append,
     )
     return k, a, b, link
@@ -69,3 +82,26 @@ def test_reliable_with_latency_single_delivery():
     assert a.acked == ["one"]
     assert link.transmissions == 1
     assert link.abandoned == 0
+
+
+@pytest.mark.parametrize("max_retries", [0, 3])
+@pytest.mark.parametrize("ack_timeout", [1, 30])
+@pytest.mark.parametrize("latency", [0, 1, 7])
+@pytest.mark.parametrize("loss", [0.3, 0.7, 1.0])
+def test_each_payload_is_delivered_and_acked_at_most_once(loss, latency, ack_timeout,
+                                                          max_retries):
+    """Only data draws a loss, and a delivered send's ack lands at twice
+    the latency, before its timeout at twice the latency plus the ack
+    timeout: no timeout retransmits what was delivered, so no payload
+    arrives or is acked twice, and each is either delivered or abandoned."""
+    k, a, b, link = make_link(loss, latency, max_retries, ack_timeout=ack_timeout,
+                              label=f"grid:{loss}:{latency}:{ack_timeout}:{max_retries}")
+    sent = [f"record {i}" for i in range(12)]
+    for i, payload in enumerate(sent):
+        k.schedule(3 * i, SendAt(link), payload)
+    k.run_until(10**6)
+    assert k.pending() == 0
+    assert len(set(b.got)) == len(b.got)
+    assert a.acked == b.got
+    assert len(b.got) + link.abandoned == len(sent)
+    assert set(b.got) <= set(sent)
